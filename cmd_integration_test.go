@@ -33,11 +33,9 @@ func TestCommandsEndToEnd(t *testing.T) {
 	glarectl := build("glarectl")
 
 	// Daemon A holds the community index.
-	a, aURL := startDaemon(t, glared, "-addr", "127.0.0.1:0", "-name", "site-a")
-	defer stop(a)
+	aURL := startDaemon(t, glared, "-addr", "127.0.0.1:0", "-name", "site-a")
 	// Daemon B joins A's community.
-	b, bURL := startDaemon(t, glared, "-addr", "127.0.0.1:0", "-name", "site-b", "-join", aURL)
-	defer stop(b)
+	bURL := startDaemon(t, glared, "-addr", "127.0.0.1:0", "-name", "site-b", "-join", aURL)
 
 	ctl := func(args ...string) (string, error) {
 		out, err := exec.Command(glarectl, args...).CombinedOutput()
@@ -86,7 +84,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 	if out, err = ctl("-url", aURL, "metrics"); err != nil {
 		t.Fatalf("metrics: %v\n%s", err, out)
 	}
-	for _, want := range []string{"METRIC", "site-a", "site-b", "glare_rdm_requests_total", "glare_rpc_server_requests_total"} {
+	for _, want := range []string{"METRIC", "site-a", "site-b", `glare_rpc_server_requests_total{service="GLARE",op=`, `glare_rpc_server_latency_count{service="GLARE",op=`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics table missing %q:\n%s", want, out)
 		}
@@ -148,8 +146,9 @@ func TestCommandsEndToEnd(t *testing.T) {
 	}
 }
 
-// startDaemon launches glared and extracts its base URL from stdout.
-func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
+// startDaemon launches glared, stopped when the test ends however it
+// ends, and extracts its base URL from stdout.
+func startDaemon(t *testing.T, bin string, args ...string) string {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	stdout, err := cmd.StdoutPipe()
@@ -160,6 +159,10 @@ func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	})
 	urlCh := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(stdout)
@@ -173,17 +176,9 @@ func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, string) {
 	}()
 	select {
 	case url := <-urlCh:
-		return cmd, url
+		return url
 	case <-time.After(20 * time.Second):
-		stop(cmd)
 		t.Fatal("daemon never reported its URL")
-		return nil, ""
-	}
-}
-
-func stop(cmd *exec.Cmd) {
-	if cmd.Process != nil {
-		_ = cmd.Process.Kill()
-		_, _ = cmd.Process.Wait()
+		return ""
 	}
 }

@@ -1,16 +1,24 @@
 package glare_test
 
 import (
+	"context"
 	"os/exec"
+	"path/filepath"
 	"testing"
 	"time"
 )
 
 // TestExamplesRun executes every example main to completion; examples are
-// living documentation and must keep working.
+// living documentation and must keep working. The examples are built once
+// and their binaries run directly, so a timeout kills the example itself
+// rather than a `go run` wrapper that would leave it orphaned.
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs example binaries")
+	}
+	bin := t.TempDir()
+	if out, err := exec.Command("go", "build", "-o", bin, "./examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("building examples: %v\n%s", err, out)
 	}
 	examples := []string{
 		"quickstart",
@@ -22,26 +30,18 @@ func TestExamplesRun(t *testing.T) {
 		"superpeer-failover",
 	}
 	for _, ex := range examples {
-		ex := ex
 		t.Run(ex, func(t *testing.T) {
-			cmd := exec.Command("go", "run", "./examples/"+ex)
-			done := make(chan error, 1)
-			var out []byte
-			go func() {
-				var err error
-				out, err = cmd.CombinedOutput()
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatalf("example failed: %v\n%s", err, out)
-				}
-			case <-time.After(120 * time.Second):
-				if cmd.Process != nil {
-					cmd.Process.Kill()
-				}
-				t.Fatal("example timed out")
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, filepath.Join(bin, ex))
+			// Bounds the wait for output pipes after the kill on timeout.
+			cmd.WaitDelay = 5 * time.Second
+			out, err := cmd.CombinedOutput()
+			if ctx.Err() != nil {
+				t.Fatalf("example timed out\n%s", out)
+			}
+			if err != nil {
+				t.Fatalf("example failed: %v\n%s", err, out)
 			}
 		})
 	}

@@ -29,22 +29,11 @@ const KeyName = "ActivityDeploymentKey"
 // ServiceName is the transport mount point.
 const ServiceName = "ActivityDeploymentRegistry"
 
-// Journal receives every registry mutation for durable replay (the
-// write-ahead log of internal/store satisfies it). Implementations must
-// be safe for concurrent use; nil means no persistence.
-type Journal interface {
-	RecordPut(key string, doc *xmlutil.Node, lut, term time.Time)
-	RecordDelete(key string)
-}
-
 // Registry is one site's Activity Deployment Registry.
 type Registry struct {
-	home    *wsrf.Home
-	types   *atr.Registry
-	broker  *wsrf.Broker
-	clock   simclock.Clock
-	stamp   func() time.Time // ordering-stamp source; nil = clock.Now
-	journal Journal
+	home   *wsrf.Home
+	types  *atr.Registry
+	broker *wsrf.Broker
 
 	// Hot-path counters; nil (no-op) until SetTelemetry is called.
 	registers, byType, removes *telemetry.Counter
@@ -58,16 +47,18 @@ func New(serviceURL string, types *atr.Registry, clock simclock.Clock, broker *w
 	if broker == nil {
 		broker = wsrf.NewBroker(clock)
 	}
-	r := &Registry{
+	return &Registry{
 		home:   wsrf.NewHome(serviceURL, KeyName, clock),
 		types:  types,
 		broker: broker,
-		clock:  clock,
 	}
-	return r
 }
 
-// Home exposes the resource home.
+// Home exposes the resource home: the registry's only copy of its
+// deployment documents, and the point that stamps, journals, restores and
+// adopts them. Restored deployments skip validation, dynamic type
+// registration and the DeploymentRefs fixup: those refs replay from the
+// type registry's own journal.
 func (r *Registry) Home() *wsrf.Home { return r.home }
 
 // SetTelemetry binds the registry's hot-path counters to a site's
@@ -76,71 +67,6 @@ func (r *Registry) SetTelemetry(tel *telemetry.Telemetry) {
 	r.registers = tel.Counter("glare_adr_registers_total")
 	r.byType = tel.Counter("glare_adr_bytype_total")
 	r.removes = tel.Counter("glare_adr_removes_total")
-}
-
-// SetJournal binds the durability journal; call during site assembly,
-// before serving traffic.
-func (r *Registry) SetJournal(j Journal) { r.journal = j }
-
-// SetStamp binds the source of LastUpdateTime stamps — the site's hybrid
-// logical clock — so cross-site newest-wins comparisons (anti-entropy,
-// replication) survive wall-clock skew. Call during site assembly, before
-// serving traffic. Expiry sweeps stay on the physical clock.
-func (r *Registry) SetStamp(fn func() time.Time) {
-	r.stamp = fn
-	r.home.SetStamp(fn)
-}
-
-// now returns the next ordering stamp.
-func (r *Registry) now() time.Time {
-	if r.stamp != nil {
-		return r.stamp()
-	}
-	return r.clock.Now()
-}
-
-// journalPut journals a deployment's current document and timestamps.
-func (r *Registry) journalPut(name string) {
-	if r.journal == nil {
-		return
-	}
-	res := r.home.Find(name)
-	if res == nil {
-		return
-	}
-	r.journal.RecordPut(name, res.Document(), res.LastUpdate(), res.TerminationTime())
-}
-
-func (r *Registry) journalDelete(name string) {
-	if r.journal != nil {
-		r.journal.RecordDelete(name)
-	}
-}
-
-// Restore re-installs a journaled deployment resource during crash
-// recovery, bypassing validation, dynamic type registration, counters and
-// notifications: the type resource's DeploymentRefs are replayed from the
-// type registry's own journal, so no cross-registry fixup runs here.
-func (r *Registry) Restore(name string, doc *xmlutil.Node, lut, term time.Time) {
-	r.home.Restore(name, doc, lut, term)
-}
-
-// Adopt installs a replicated deployment entry as locally owned: placed
-// like Restore, journaled like a registration, so a promoted replica
-// survives this site's own restarts too.
-func (r *Registry) Adopt(name string, doc *xmlutil.Node, lut, term time.Time) {
-	r.Restore(name, doc, lut, term)
-	r.journalPut(name)
-}
-
-// Timestamps returns a deployment resource's LastUpdateTime and
-// termination time, the ordering fields replication compares copies on.
-func (r *Registry) Timestamps(name string) (lut, term time.Time, ok bool) {
-	res := r.home.Find(name)
-	if res == nil {
-		return time.Time{}, time.Time{}, false
-	}
-	return res.LastUpdate(), res.TerminationTime(), true
 }
 
 // Register records a deployment. If the concrete type is not yet known to
@@ -176,7 +102,6 @@ func (r *Registry) Register(d *activity.Deployment) (epr.EPR, error) {
 		r.home.Destroy(d.Name)
 		return epr.EPR{}, err
 	}
-	r.journalPut(d.Name)
 	r.broker.Publish(wsrf.TopicDeployment, d.Name, d.ToXML())
 	return e, nil
 }
@@ -262,7 +187,6 @@ func (r *Registry) Remove(name string) bool {
 		return false
 	}
 	r.types.RemoveDeploymentRef(d.Type, name)
-	r.journalDelete(name)
 	r.broker.Publish(wsrf.TopicResourceDestroyed, name, nil)
 	return true
 }
@@ -271,19 +195,14 @@ func (r *Registry) Remove(name string) bool {
 // the deployment's metrics and bumps the resource's LastUpdateTime, which
 // in turn revives caches holding this deployment.
 func (r *Registry) UpdateMetrics(name string, m activity.Metrics) error {
-	res := r.home.Find(name)
-	if res == nil {
+	d, ok := r.Get(name)
+	if !ok {
 		return fmt.Errorf("adr: no such deployment %q", name)
 	}
-	var d *activity.Deployment
-	var err error
-	res.Read(func(doc *xmlutil.Node) { d, err = activity.DeploymentFromXML(doc) })
-	if err != nil {
-		return err
-	}
 	d.Metrics = m
-	res.Replace(r.now(), d.ToXML())
-	r.journalPut(name)
+	if !r.home.Replace(name, d.ToXML()) {
+		return fmt.Errorf("adr: no such deployment %q", name)
+	}
 	// Refresh the EPR registered in the type resource (LUT changed).
 	if err := r.types.AddDeploymentRef(d.Type, r.home.EPR(name)); err != nil {
 		return err
@@ -294,21 +213,16 @@ func (r *Registry) UpdateMetrics(name string, m activity.Metrics) error {
 
 // SetTermination schedules a deployment resource's expiry.
 func (r *Registry) SetTermination(name string, at time.Time) error {
-	res := r.home.Find(name)
-	if res == nil {
+	if !r.home.SetTermination(name, at) {
 		return fmt.Errorf("adr: no such deployment %q", name)
 	}
-	res.SetTerminationTime(at)
-	r.journalPut(name)
 	return nil
 }
 
 // SweepExpired destroys expired deployment resources.
 func (r *Registry) SweepExpired() []string {
-	// Collect types before destroying so refs can be cleaned.
 	gone := r.home.SweepExpired()
 	for _, name := range gone {
-		r.journalDelete(name)
 		r.broker.Publish(wsrf.TopicResourceDestroyed, name, nil)
 	}
 	return gone
@@ -322,7 +236,6 @@ func (r *Registry) ExpireByType(typeName string) []string {
 	for _, d := range r.ByType(typeName) {
 		if r.home.Destroy(d.Name) {
 			gone = append(gone, d.Name)
-			r.journalDelete(d.Name)
 			r.broker.Publish(wsrf.TopicResourceDestroyed, d.Name, nil)
 		}
 	}

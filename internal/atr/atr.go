@@ -10,7 +10,9 @@
 //     access named resources. This eliminates XPath-based search
 //     requirements ... and significantly improves the performance.")
 //   - Non-named discovery uses the same XPath mechanism as the Index
-//     Service, over the WSRF service-group aggregation.
+//     Service, over the WSRF service-group aggregation — a document
+//     rendered from the registry's resource home on each query, not a
+//     second store.
 package atr
 
 import (
@@ -33,24 +35,13 @@ const KeyName = "ActivityTypeKey"
 // ServiceName is the transport mount point.
 const ServiceName = "ActivityTypeRegistry"
 
-// Journal receives every registry mutation for durable replay (the
-// write-ahead log of internal/store satisfies it). Implementations must
-// be safe for concurrent use; nil means no persistence.
-type Journal interface {
-	// RecordPut journals the full property document after a mutation.
-	RecordPut(key string, doc *xmlutil.Node, lut, term time.Time)
-	// RecordDelete journals a resource removal.
-	RecordDelete(key string)
-}
+// groupName names the aggregated document non-named queries run over.
+const groupName = "activity-types"
 
 // Registry is one site's Activity Type Registry.
 type Registry struct {
-	home    *wsrf.Home
-	group   *wsrf.ServiceGroup
-	broker  *wsrf.Broker
-	clock   simclock.Clock
-	stamp   func() time.Time // ordering-stamp source; nil = clock.Now
-	journal Journal
+	home   *wsrf.Home
+	broker *wsrf.Broker
 
 	// Hot-path counters; nil (no-op) until SetTelemetry is called.
 	lookups, registers, concrete *telemetry.Counter
@@ -67,13 +58,13 @@ func New(serviceURL string, clock simclock.Clock, broker *wsrf.Broker) *Registry
 	}
 	return &Registry{
 		home:   wsrf.NewHome(serviceURL, KeyName, clock),
-		group:  wsrf.NewServiceGroup("activity-types", clock),
 		broker: broker,
-		clock:  clock,
 	}
 }
 
-// Home exposes the resource home (for aggregation into indices).
+// Home exposes the resource home: the registry's only copy of its type
+// documents, and the point that stamps, journals, restores and adopts
+// them.
 func (r *Registry) Home() *wsrf.Home { return r.home }
 
 // Broker exposes the notification broker.
@@ -87,75 +78,6 @@ func (r *Registry) SetTelemetry(tel *telemetry.Telemetry) {
 	r.concrete = tel.Counter("glare_atr_concrete_queries_total")
 }
 
-// SetJournal binds the durability journal; call during site assembly,
-// before serving traffic. Mutations journal the resulting document so a
-// restarted site replays to exactly this state.
-func (r *Registry) SetJournal(j Journal) { r.journal = j }
-
-// SetStamp binds the source of LastUpdateTime stamps — the site's hybrid
-// logical clock — so cross-site newest-wins comparisons (anti-entropy,
-// replication) survive wall-clock skew. Call during site assembly, before
-// serving traffic. Expiry sweeps stay on the physical clock.
-func (r *Registry) SetStamp(fn func() time.Time) {
-	r.stamp = fn
-	r.home.SetStamp(fn)
-}
-
-// now returns the next ordering stamp.
-func (r *Registry) now() time.Time {
-	if r.stamp != nil {
-		return r.stamp()
-	}
-	return r.clock.Now()
-}
-
-// journalPut journals a resource's current document and timestamps.
-func (r *Registry) journalPut(name string) {
-	if r.journal == nil {
-		return
-	}
-	res := r.home.Find(name)
-	if res == nil {
-		return
-	}
-	r.journal.RecordPut(name, res.Document(), res.LastUpdate(), res.TerminationTime())
-}
-
-// journalDelete journals a resource removal.
-func (r *Registry) journalDelete(name string) {
-	if r.journal != nil {
-		r.journal.RecordDelete(name)
-	}
-}
-
-// Restore re-installs a journaled type resource during crash recovery:
-// the document and timestamps land exactly as journaled, and neither
-// counters, notifications, nor the journal itself observe it — replay is
-// not registration traffic.
-func (r *Registry) Restore(name string, doc *xmlutil.Node, lut, term time.Time) {
-	res := r.home.Restore(name, doc, lut, term)
-	r.group.AddEntry(r.home.EPR(name), res.Document())
-}
-
-// Adopt installs a replicated type entry as locally owned: the document
-// and timestamps land exactly as journaled at the origin site (like
-// Restore), but the adoption is journaled locally, so a promoted replica
-// survives this site's own restarts too.
-func (r *Registry) Adopt(name string, doc *xmlutil.Node, lut, term time.Time) {
-	r.Restore(name, doc, lut, term)
-	r.journalPut(name)
-}
-
-// Timestamps returns a type resource's LastUpdateTime and termination
-// time, the ordering fields replication compares copies on.
-func (r *Registry) Timestamps(name string) (lut, term time.Time, ok bool) {
-	res := r.home.Find(name)
-	if res == nil {
-		return time.Time{}, time.Time{}, false
-	}
-	return res.LastUpdate(), res.TerminationTime(), true
-}
-
 // Register adds an activity type; duplicate names are rejected.
 func (r *Registry) Register(t *activity.Type) (epr.EPR, error) {
 	r.registers.Inc()
@@ -165,8 +87,6 @@ func (r *Registry) Register(t *activity.Type) (epr.EPR, error) {
 	if _, err := r.home.Create(t.Name, t.ToXML()); err != nil {
 		return epr.EPR{}, err
 	}
-	r.group.AddEntry(r.home.EPR(t.Name), r.home.Find(t.Name).Document())
-	r.journalPut(t.Name)
 	r.broker.Publish(wsrf.TopicResourceCreated, t.Name, t.ToXML())
 	return r.home.EPR(t.Name), nil
 }
@@ -211,8 +131,6 @@ func (r *Registry) Remove(name string) bool {
 	if !r.home.Destroy(name) {
 		return false
 	}
-	r.group.RemoveEntry(name)
-	r.journalDelete(name)
 	r.broker.Publish(wsrf.TopicResourceDestroyed, name, nil)
 	return true
 }
@@ -258,11 +176,11 @@ func (r *Registry) ConcreteOf(name string) ([]*activity.Type, error) {
 	return h.ConcreteOf(name), nil
 }
 
-// Query evaluates an XPath expression over the aggregated document; the
-// group is refreshed first so results reflect current state.
+// Query evaluates an XPath expression over the aggregated document,
+// rendered from the home so results reflect current state. Every result
+// node is a private copy.
 func (r *Registry) Query(expr *xpath.Expr) xpath.Result {
-	r.group.Refresh(r.home)
-	return r.group.Query(expr)
+	return expr.Select(r.home.Aggregate(groupName))
 }
 
 // QueryString compiles and evaluates an XPath source string.
@@ -278,11 +196,7 @@ func (r *Registry) QueryString(src string) (xpath.Result, error) {
 // "The Endpoint Reference (EPR) of each activity deployment resource is
 // registered in its type resource presented in the type registry."
 func (r *Registry) AddDeploymentRef(typeName string, dep epr.EPR) error {
-	res := r.home.Find(typeName)
-	if res == nil {
-		return fmt.Errorf("atr: no such type %q", typeName)
-	}
-	res.Update(r.now(), func(doc *xmlutil.Node) {
+	updated := r.home.Update(typeName, func(doc *xmlutil.Node) {
 		refs := doc.First("DeploymentRefs")
 		if refs == nil {
 			refs = doc.Elem("DeploymentRefs")
@@ -296,19 +210,16 @@ func (r *Registry) AddDeploymentRef(typeName string, dep epr.EPR) error {
 		}
 		refs.Add(dep.ToXML("DeploymentEPR"))
 	})
-	r.group.AddEntry(r.home.EPR(typeName), res.Document())
-	r.journalPut(typeName)
+	if !updated {
+		return fmt.Errorf("atr: no such type %q", typeName)
+	}
 	r.broker.Publish(wsrf.TopicResourceUpdated, typeName, nil)
 	return nil
 }
 
 // RemoveDeploymentRef drops a deployment EPR from its type resource.
 func (r *Registry) RemoveDeploymentRef(typeName, deploymentKey string) {
-	res := r.home.Find(typeName)
-	if res == nil {
-		return
-	}
-	res.Update(r.now(), func(doc *xmlutil.Node) {
+	r.home.Update(typeName, func(doc *xmlutil.Node) {
 		refs := doc.First("DeploymentRefs")
 		if refs == nil {
 			return
@@ -320,8 +231,6 @@ func (r *Registry) RemoveDeploymentRef(typeName, deploymentKey string) {
 			}
 		}
 	})
-	r.group.AddEntry(r.home.EPR(typeName), res.Document())
-	r.journalPut(typeName)
 }
 
 // DeploymentRefs lists the deployment EPRs recorded in a type resource.
@@ -346,11 +255,7 @@ func (r *Registry) DeploymentRefs(typeName string) []epr.EPR {
 // MarkDeployed flags the type as deployed on a site ("After successful
 // installation, the activity type is marked as deployed").
 func (r *Registry) MarkDeployed(typeName, siteName string) error {
-	res := r.home.Find(typeName)
-	if res == nil {
-		return fmt.Errorf("atr: no such type %q", typeName)
-	}
-	res.Update(r.now(), func(doc *xmlutil.Node) {
+	updated := r.home.Update(typeName, func(doc *xmlutil.Node) {
 		for _, d := range doc.All("DeployedOn") {
 			if d.Text == siteName {
 				return
@@ -358,8 +263,9 @@ func (r *Registry) MarkDeployed(typeName, siteName string) error {
 		}
 		doc.Elem("DeployedOn", siteName)
 	})
-	r.group.AddEntry(r.home.EPR(typeName), res.Document())
-	r.journalPut(typeName)
+	if !updated {
+		return fmt.Errorf("atr: no such type %q", typeName)
+	}
 	return nil
 }
 
@@ -381,12 +287,9 @@ func (r *Registry) DeployedOn(typeName string) []string {
 // SetTermination schedules expiry of a type resource (lifecycle control by
 // the activity provider, paper §3.3).
 func (r *Registry) SetTermination(typeName string, at time.Time) error {
-	res := r.home.Find(typeName)
-	if res == nil {
+	if !r.home.SetTermination(typeName, at) {
 		return fmt.Errorf("atr: no such type %q", typeName)
 	}
-	res.SetTerminationTime(at)
-	r.journalPut(typeName)
 	return nil
 }
 
@@ -394,8 +297,6 @@ func (r *Registry) SetTermination(typeName string, at time.Time) error {
 func (r *Registry) SweepExpired() []string {
 	gone := r.home.SweepExpired()
 	for _, name := range gone {
-		r.group.RemoveEntry(name)
-		r.journalDelete(name)
 		r.broker.Publish(wsrf.TopicResourceDestroyed, name, nil)
 	}
 	return gone
@@ -442,10 +343,7 @@ func (r *Registry) Mount(srv *transport.Server) {
 			if err != nil {
 				return nil, err
 			}
-			out := xmlutil.NewNode("Results")
-			for _, n := range res.Nodes {
-				out.Add(n.Clone())
-			}
+			out := xmlutil.NewNode("Results").Add(res.Nodes...)
 			for _, s := range res.Strings {
 				out.Elem("Value", s)
 			}

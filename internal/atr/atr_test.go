@@ -2,14 +2,18 @@ package atr
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"glare/internal/activity"
+	"glare/internal/epr"
 	"glare/internal/simclock"
 	"glare/internal/transport"
 	"glare/internal/wsrf"
 	"glare/internal/xmlutil"
+	"glare/internal/xpath"
 )
 
 func fixture() (*Registry, *simclock.Virtual) {
@@ -279,5 +283,120 @@ func TestManyTypesNamedLookupStaysFast(t *testing.T) {
 	}
 	if got := len(r.Names()); got != 300 {
 		t.Fatalf("names = %d", got)
+	}
+}
+
+// renderResult serializes a query result for byte-level comparison.
+func renderResult(res xpath.Result) string {
+	var b strings.Builder
+	for _, n := range res.Nodes {
+		b.WriteString(n.String())
+		b.WriteByte('\n')
+	}
+	b.WriteString(strings.Join(res.Strings, "|"))
+	return b.String()
+}
+
+// TestQueryMatchesServiceGroupOracle is the differential test for Query
+// rendering its aggregate straight from the home. The oracle is the path
+// the registry used to take: a service group refreshed from the same home
+// before every query. After every step of seeded mutation sequences —
+// registration, deployment refs, deployment marks, lifetime expiry before
+// and after the sweep, removal, restore and adoption — both must return
+// byte-identical nodes for the three query_xpath predicate shapes, a ".."
+// step and an attribute-final path.
+func TestQueryMatchesServiceGroupOracle(t *testing.T) {
+	var exprs []*xpath.Expr
+	for _, src := range []string{
+		`//ActivityTypeEntry[@name='T03']`,
+		`//ActivityTypeEntry[BaseType='Base1']`,
+		`//ActivityTypeEntry[@type='Domain2']/Installation/Constraints[os='linux']`,
+		`//ActivityTypeEntry[DeployedOn='site-1']/..`,
+		`//ActivityTypeEntry[@type='Domain0']/@name`,
+	} {
+		exprs = append(exprs, xpath.MustCompile(src))
+	}
+	oses := []string{"linux", "aix"}
+	// hits counts non-empty answers per expression, so the comparison is
+	// known to have exercised every shape.
+	hits := make([]int, len(exprs))
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r, v := fixture()
+		oracle := wsrf.NewServiceGroup(groupName, v)
+		check := func(step string) {
+			t.Helper()
+			oracle.Refresh(r.Home())
+			doc := oracle.Document()
+			for i, e := range exprs {
+				res := r.Query(e)
+				if got, want := renderResult(res), renderResult(e.Select(doc)); got != want {
+					t.Fatalf("seed %d, after %s, %s:\n got %s\nwant %s", seed, step, e, got, want)
+				}
+				if !res.Empty() {
+					hits[i]++
+				}
+			}
+		}
+		// Documents of removed types, for Restore and Adopt to bring back.
+		removed := map[string]*xmlutil.Node{}
+		for i := 0; i < 120; i++ {
+			name := fmt.Sprintf("T%02d", rng.Intn(12))
+			dep := epr.New("http://s1/wsrf/services/ADR", "ActivityDeploymentKey", fmt.Sprintf("dep-%d", rng.Intn(3)))
+			dep.LastUpdateTime = v.Now()
+			op := ""
+			switch rng.Intn(9) {
+			case 0, 1:
+				op = "Register " + name
+				r.Register(&activity.Type{Name: name,
+					Domain: fmt.Sprintf("Domain%d", rng.Intn(3)),
+					Base:   []string{fmt.Sprintf("Base%d", rng.Intn(3))},
+					Installation: &activity.Installation{Mode: activity.ModeOnDemand,
+						Constraints: activity.Constraints{OS: oses[rng.Intn(len(oses))]}}})
+			case 2:
+				op = "AddDeploymentRef " + name
+				r.AddDeploymentRef(name, dep)
+			case 3:
+				op = "RemoveDeploymentRef " + name
+				r.RemoveDeploymentRef(name, dep.Key)
+			case 4:
+				op = "MarkDeployed " + name
+				r.MarkDeployed(name, fmt.Sprintf("site-%d", rng.Intn(3)))
+			case 5:
+				if r.SetTermination(name, v.Now().Add(time.Minute)) != nil {
+					continue
+				}
+				v.Advance(2 * time.Minute)
+				check("SetTermination " + name + " (expired, unswept)")
+				op = "SweepExpired"
+				r.SweepExpired()
+			case 6:
+				op = "Remove " + name
+				if doc, ok := r.LookupDocument(name); ok && r.Remove(name) {
+					removed[name] = doc
+				}
+			case 7, 8:
+				doc := removed[name]
+				if doc == nil {
+					continue
+				}
+				delete(removed, name)
+				lut := v.Now().Add(-time.Duration(rng.Intn(60)) * time.Second)
+				if rng.Intn(2) == 0 {
+					op = "Restore " + name
+					r.Home().Restore(name, doc, lut, time.Time{})
+				} else {
+					op = "Adopt " + name
+					r.Home().Adopt(name, doc, lut, time.Time{})
+				}
+			}
+			v.Advance(time.Duration(rng.Intn(1000)) * time.Millisecond)
+			check(op)
+		}
+	}
+	for i, e := range exprs {
+		if hits[i] == 0 {
+			t.Errorf("%s never matched anything: the comparison proved nothing for it", e)
+		}
 	}
 }

@@ -301,11 +301,6 @@ func ChecksumOfStep(s *Step) (algo, sum string) {
 	return "", ""
 }
 
-// MD5OfStep returns the md5sum property for download verification.
-//
-// Deprecated: use ChecksumOfStep, which also honors sha256sum.
-func MD5OfStep(s *Step) string { return s.Property("md5sum") }
-
 func expand(s string, lookup func(string) string) string {
 	var bld strings.Builder
 	for i := 0; i < len(s); {

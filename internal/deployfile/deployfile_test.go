@@ -195,20 +195,6 @@ func TestExpandBraces(t *testing.T) {
 	}
 }
 
-func TestMD5OfStep(t *testing.T) {
-	b, _ := ParseString(povrayBuild)
-	steps, _ := b.Order()
-	for _, s := range steps {
-		if s.Name == "Download" {
-			if MD5OfStep(s) != "abc123" {
-				t.Fatalf("md5 = %q", MD5OfStep(s))
-			}
-			return
-		}
-	}
-	t.Fatal("Download step not found")
-}
-
 func TestAbsentTimeoutDefaultsToCap(t *testing.T) {
 	old := DefaultStepTimeout
 	DefaultStepTimeout = 5 * time.Second

@@ -10,17 +10,17 @@ import (
 )
 
 // attachStore wires the durable store under the site's mutation paths.
-// Order matters: the recovered state is replayed into the registries and
-// lease service first — through the Restore paths, which bypass counters,
-// notifications, validation and the journal itself — and only then are the
-// journals bound, so replay is never re-journaled and recovery is not
-// observable as registration traffic.
+// Order matters: the recovered state is replayed into the registries'
+// homes and the lease service first — through the Restore paths, which
+// bypass counters, notifications, validation and the journal itself — and
+// only then are the journals bound, so replay is never re-journaled and
+// recovery is not observable as registration traffic.
 func (s *Service) attachStore(st *store.Store) {
 	s.store = st
 	st.SetTelemetry(s.tel)
 	s.restoreFromStore(st.State())
-	s.ATR.SetJournal(st.RegistryJournal(store.RegATR))
-	s.ADR.SetJournal(st.RegistryJournal(store.RegADR))
+	s.ATR.Home().SetJournal(st.RegistryJournal(store.RegATR))
+	s.ADR.Home().SetJournal(st.RegistryJournal(store.RegADR))
 	s.Leases.SetJournal(st.LeaseJournal())
 	s.deployJournal = st.DeployJournal()
 	s.historyJournal = st.HistoryJournal()
@@ -43,14 +43,14 @@ func (s *Service) restoreFromStore(state *store.State) {
 		if err != nil {
 			continue
 		}
-		s.ATR.Restore(key, doc, e.LUT, e.Term)
+		s.ATR.Home().Restore(key, doc, e.LUT, e.Term)
 	}
 	for key, e := range state.Registries[store.RegADR] {
 		doc, err := xmlutil.ParseString(e.Doc)
 		if err != nil {
 			continue
 		}
-		s.ADR.Restore(key, doc, e.LUT, e.Term)
+		s.ADR.Home().Restore(key, doc, e.LUT, e.Term)
 	}
 	for _, t := range state.Leases.Tickets {
 		s.Leases.Restore(t)

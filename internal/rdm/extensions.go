@@ -61,7 +61,7 @@ func (s *Service) WrapService(execName string) (*activity.Deployment, error) {
 // Kept separate from Mount so the baseline protocol matches the paper's
 // surface exactly; vo mounts both.
 func (s *Service) MountExtensions(srv *transport.Server) {
-	srv.RegisterCtxService(ServiceName, s.tracedTable(map[string]transport.CtxHandler{
+	srv.RegisterCtxService(ServiceName, map[string]transport.CtxHandler{
 		"SearchTypes": func(_ context.Context, _ *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
 			q := semantic.Query{}
 			if body != nil {
@@ -97,5 +97,5 @@ func (s *Service) MountExtensions(srv *transport.Server) {
 			}
 			return d.ToXML(), nil
 		},
-	}))
+	})
 }

@@ -14,36 +14,6 @@ import (
 	"glare/internal/xmlutil"
 )
 
-// traced wraps an RDM operation handler with the request-manager
-// instrumentation: per-op request/error counters and a latency histogram,
-// all on the site's registry. The server-side span opened by the transport
-// middleware and the request context carrying the caller's propagated
-// deadline are passed through so handlers fan out under both.
-func (s *Service) traced(op string, h transport.CtxHandler) transport.CtxHandler {
-	reqs := s.tel.Counter("glare_rdm_requests_total", telemetry.L("op", op))
-	errs := s.tel.Counter("glare_rdm_errors_total", telemetry.L("op", op))
-	lat := s.tel.Histogram("glare_rdm_latency", telemetry.L("op", op))
-	return func(ctx context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
-		start := time.Now()
-		resp, err := h(ctx, sp, body)
-		lat.Observe(time.Since(start))
-		reqs.Inc()
-		if err != nil {
-			errs.Inc()
-		}
-		return resp, err
-	}
-}
-
-// tracedTable instruments a whole operation table.
-func (s *Service) tracedTable(ops map[string]transport.CtxHandler) map[string]transport.CtxHandler {
-	out := make(map[string]transport.CtxHandler, len(ops))
-	for op, h := range ops {
-		out[op] = s.traced(op, h)
-	}
-	return out
-}
-
 // Mount exposes the RDM service (and the site's registries) on a transport
 // server. The RDM operation table is the protocol the distributed GLARE
 // framework speaks between sites. The server also gets the site's
@@ -59,7 +29,7 @@ func (s *Service) Mount(srv *transport.Server) {
 	if s.localIndex != nil {
 		s.localIndex.Mount(srv)
 	}
-	srv.RegisterCtxService(ServiceName, s.tracedTable(map[string]transport.CtxHandler{
+	srv.RegisterCtxService(ServiceName, map[string]transport.CtxHandler{
 		// --- client entry points -------------------------------------
 		"GetDeployments": func(ctx context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
 			if body == nil {
@@ -305,7 +275,7 @@ func (s *Service) Mount(srv *transport.Server) {
 			n.SetAttr("topic", topic)
 			return n, nil
 		},
-	}))
+	})
 	if s.repl != nil {
 		s.MountReplication(srv)
 	}

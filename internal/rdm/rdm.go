@@ -313,8 +313,8 @@ func New(cfg Config) (*Service, error) {
 	// accepted after any message exchange orders after every stamp that
 	// message carried, however skewed this site's wall clock is. Expiry
 	// sweeps and lease validity stay on the site's physical clock.
-	s.ATR.SetStamp(hybrid.Now)
-	s.ADR.SetStamp(hybrid.Now)
+	s.ATR.Home().SetStamp(hybrid.Now)
+	s.ADR.Home().SetStamp(hybrid.Now)
 	if cfg.Agent != nil {
 		cfg.Agent.SetTelemetry(tel)
 	}
@@ -387,9 +387,14 @@ func New(cfg Config) (*Service, error) {
 		s.rollupPoints = tel.Counter("glare_history_rollup_points_total")
 	}
 	tel.SetHealthSource(s.healthSnapshot)
-	// Expiry cascade: destroying a type expires its deployments (§3.3).
+	// Expiry cascade: destroying a type — removal or lifetime expiry —
+	// expires its deployments (§3.3) and drops it from the site's index,
+	// which forwards the removal to the community index upstream.
 	s.ATR.OnRemove(func(typeName string) {
 		s.ADR.ExpireByType(typeName)
+		if s.localIndex != nil {
+			s.localIndex.Unregister(typeName)
+		}
 	})
 	// Durability last: replay the journal into the assembled registries,
 	// then bind the journals so new traffic is logged.

@@ -1,12 +1,14 @@
 package rdm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"glare/internal/activity"
 	"glare/internal/deployfile"
+	"glare/internal/mds"
 	"glare/internal/simclock"
 	"glare/internal/site"
 	"glare/internal/workload"
@@ -294,6 +296,53 @@ func TestTypeExpiryCascadesToDeployments(t *testing.T) {
 	// Java/Ant remain: only the expired type cascades.
 	if len(s.ADR.ByType("Java")) == 0 {
 		t.Fatal("unrelated deployments were removed")
+	}
+}
+
+// TestTypeRemovalUnregistersFromIndices pins that a type leaving the ATR
+// — by removal or by lifetime expiry — also leaves the site's local index
+// and, through it, the community index upstream, so type churn does not
+// leak index entries.
+func TestTypeRemovalUnregistersFromIndices(t *testing.T) {
+	v := simclock.NewVirtual(time.Time{})
+	st := site.New(site.Attributes{Name: "solo.uibk", OS: "Linux"}, v, site.StandardUniverse())
+	local := mds.New("local", mds.DefaultIndex, v)
+	community := mds.New("community", mds.CommunityIndex, v)
+	local.AddUpstream(community)
+	s, err := New(Config{Site: st, Clock: v, LocalIndex: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Stop)
+	registerImaging(t, s)
+	baseLocal, baseCommunity := local.Len(), community.Len()
+
+	const n = 10
+	for i := 0; i < n; i++ {
+		if _, err := s.RegisterType(&activity.Type{Name: fmt.Sprintf("Churn%02d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if local.Len() != baseLocal+n || community.Len() != baseCommunity+n {
+		t.Fatalf("after registering %d types: local %d, community %d; want %d, %d",
+			n, local.Len(), community.Len(), baseLocal+n, baseCommunity+n)
+	}
+	// Half go by removal, half by expiry.
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("Churn%02d", i)
+		if i%2 == 0 {
+			if !s.ATR.Remove(name) {
+				t.Fatalf("remove %s failed", name)
+			}
+		} else if err := s.ATR.SetTermination(name, v.Now().Add(time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v.Advance(2 * time.Minute)
+	s.CheckDeployments() // sweeps the expired half
+	if local.Len() != baseLocal || community.Len() != baseCommunity {
+		t.Fatalf("after removing and expiring them: local %d, community %d; want %d, %d",
+			local.Len(), community.Len(), baseLocal, baseCommunity)
 	}
 }
 

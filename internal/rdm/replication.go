@@ -16,6 +16,7 @@ import (
 	"glare/internal/superpeer"
 	"glare/internal/telemetry"
 	"glare/internal/transport"
+	"glare/internal/wsrf"
 	"glare/internal/xmlutil"
 )
 
@@ -59,12 +60,11 @@ func parseReplicaReg(name string) (origin, reg string, ok bool) {
 	return origin, reg, ok && origin != "" && reg != ""
 }
 
-// replJournal composes a registry's durable journal with the replication
-// fan-out: the local write lands first (it is the owner's quorum vote),
-// then the mutation ships to the replica set asynchronously. It satisfies
-// both atr.Journal and adr.Journal.
+// replJournal composes a registry home's durable journal with the
+// replication fan-out: the local write lands first (it is the owner's
+// quorum vote), then the mutation ships to the replica set asynchronously.
 type replJournal struct {
-	next replicate.Journal // the store's WAL adapter; nil on memory-only sites
+	next wsrf.Journal // the store's WAL adapter; nil on memory-only sites
 	repl *replicate.Replicator
 	reg  string
 }
@@ -137,8 +137,8 @@ func ticketFromDoc(doc *xmlutil.Node) (lease.Ticket, error) {
 	return t, err
 }
 
-// setupReplication assembles the replicator and re-binds the registry and
-// lease journals through it. Runs after attachStore, so the wrapped
+// setupReplication assembles the replicator and re-binds the registry
+// homes' and the lease service's journals through it. Runs after attachStore, so the wrapped
 // journals compose with (not replace) the WAL adapters, and the shadow
 // registries recovered from the WAL are replayed into the holder.
 func (s *Service) setupReplication(cfg Config) {
@@ -164,7 +164,7 @@ func (s *Service) setupReplication(cfg Config) {
 		Now:      s.hlc.Now,
 		Tel:      s.tel,
 	})
-	var atrNext, adrNext replicate.Journal
+	var atrNext, adrNext wsrf.Journal
 	var leaseNext lease.Journal
 	if s.store != nil {
 		atrNext = s.store.RegistryJournal(store.RegATR)
@@ -172,8 +172,8 @@ func (s *Service) setupReplication(cfg Config) {
 		leaseNext = s.store.LeaseJournal()
 		s.restoreReplicas(s.store.State())
 	}
-	s.ATR.SetJournal(replJournal{next: atrNext, repl: s.repl, reg: replRegATR})
-	s.ADR.SetJournal(replJournal{next: adrNext, repl: s.repl, reg: replRegADR})
+	s.ATR.Home().SetJournal(replJournal{next: atrNext, repl: s.repl, reg: replRegATR})
+	s.ADR.Home().SetJournal(replJournal{next: adrNext, repl: s.repl, reg: replRegADR})
 	s.Leases.SetJournal(replLeaseJournal{next: leaseNext, repl: s.repl, now: s.hlc.Now})
 	// The overlay carries the factor: every coordinated view is stamped
 	// with it, so all sites derive the same replica-set assignment.
@@ -206,7 +206,7 @@ func (s *Service) Replicator() *replicate.Replicator { return s.repl }
 // MountReplication adds the replication wire operations to the RDM's
 // service table. Mount calls it when replication is enabled.
 func (s *Service) MountReplication(srv *transport.Server) {
-	srv.RegisterCtxService(ServiceName, s.tracedTable(map[string]transport.CtxHandler{
+	srv.RegisterCtxService(ServiceName, map[string]transport.CtxHandler{
 		// Replicate applies one mutation from an owner. The epoch fence
 		// inside Apply rejects writes stamped with a view older than ours.
 		"Replicate": func(_ context.Context, _ *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
@@ -263,7 +263,7 @@ func (s *Service) MountReplication(srv *transport.Server) {
 			resp.SetAttr("adopted", strconv.Itoa(adopted))
 			return resp, nil
 		},
-	}))
+	})
 }
 
 // ownEntries snapshots this site's own registries in replication-entry
@@ -272,27 +272,11 @@ func (s *Service) MountReplication(srv *transport.Server) {
 // the journal fan-out only.
 func (s *Service) ownEntries() map[string][]replicate.Entry {
 	out := map[string][]replicate.Entry{}
-	for _, name := range s.ATR.Names() {
-		doc, ok := s.ATR.LookupDocument(name)
-		if !ok {
-			continue
+	for reg, home := range map[string]*wsrf.Home{replRegATR: s.ATR.Home(), replRegADR: s.ADR.Home()} {
+		for _, res := range home.All() {
+			out[reg] = append(out[reg], replicate.Entry{Key: res.Key(), Doc: res.Document(),
+				LUT: res.LastUpdate(), Term: res.TerminationTime()})
 		}
-		lut, term, ok := s.ATR.Timestamps(name)
-		if !ok {
-			continue
-		}
-		out[replRegATR] = append(out[replRegATR], replicate.Entry{Key: name, Doc: doc.Clone(), LUT: lut, Term: term})
-	}
-	for _, name := range s.ADR.Names() {
-		doc, ok := s.ADR.GetDocument(name)
-		if !ok {
-			continue
-		}
-		lut, term, ok := s.ADR.Timestamps(name)
-		if !ok {
-			continue
-		}
-		out[replRegADR] = append(out[replRegADR], replicate.Entry{Key: name, Doc: doc.Clone(), LUT: lut, Term: term})
 	}
 	return out
 }
@@ -310,34 +294,36 @@ func (s *Service) heldEntries(origin string) map[string][]replicate.Entry {
 }
 
 // adoptEntries folds replicated entries into this site's own registries,
-// newest copy wins. Adoption goes through Adopt — journaled like a
-// registration, so the adopted entries are durable here AND re-replicate
-// to this site's own replica set — and adopted types re-register with the
-// local index so resolution re-routes to the new owner transparently.
+// newest copy wins. Adoption goes through the homes' Adopt — journaled
+// like a registration, so the adopted entries are durable here AND
+// re-replicate to this site's own replica set — and adopted types
+// re-register with the local index so resolution re-routes to the new
+// owner transparently.
 func (s *Service) adoptEntries(regs map[string][]replicate.Entry) int {
+	adopt := func(home *wsrf.Home, e replicate.Entry) bool {
+		if e.Doc == nil {
+			return false
+		}
+		if lut, _, ok := home.Timestamps(e.Key); ok && !e.LUT.After(lut) {
+			return false
+		}
+		home.Adopt(e.Key, e.Doc.Clone(), e.LUT, e.Term)
+		return true
+	}
 	adopted := 0
 	for _, e := range regs[replRegATR] {
-		if e.Doc == nil {
+		if !adopt(s.ATR.Home(), e) {
 			continue
 		}
-		if lut, _, ok := s.ATR.Timestamps(e.Key); ok && !e.LUT.After(lut) {
-			continue
-		}
-		s.ATR.Adopt(e.Key, e.Doc.Clone(), e.LUT, e.Term)
 		if s.localIndex != nil {
 			s.localIndex.Register(s.ATR.EPR(e.Key), e.Doc.Clone())
 		}
 		adopted++
 	}
 	for _, e := range regs[replRegADR] {
-		if e.Doc == nil {
-			continue
+		if adopt(s.ADR.Home(), e) {
+			adopted++
 		}
-		if lut, _, ok := s.ADR.Timestamps(e.Key); ok && !e.LUT.After(lut) {
-			continue
-		}
-		s.ADR.Adopt(e.Key, e.Doc.Clone(), e.LUT, e.Term)
-		adopted++
 	}
 	for _, e := range regs[replRegLease] {
 		t, err := ticketFromDoc(e.Doc)

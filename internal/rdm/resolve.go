@@ -82,20 +82,14 @@ func (s *Service) RegisterDeployment(d *activity.Deployment) (epr.EPR, error) {
 // it — deploy on demand. The returned deployments are ready for selection
 // by a scheduler.
 func (s *Service) GetDeployments(typeName string, method Method, allowDeploy bool) ([]*activity.Deployment, error) {
-	return s.GetDeploymentsSpan(nil, typeName, method, allowDeploy)
-}
-
-// GetDeploymentsSpan is GetDeployments running under an existing trace
-// span; the transport layer passes the server-side span of the incoming
-// call here so the whole VO-wide resolution shares one correlation ID.
-// A nil parent starts a fresh trace.
-func (s *Service) GetDeploymentsSpan(parent *telemetry.Span, typeName string, method Method, allowDeploy bool) ([]*activity.Deployment, error) {
-	return s.GetDeploymentsCtx(context.Background(), parent, typeName, method, allowDeploy)
+	return s.GetDeploymentsCtx(context.Background(), nil, typeName, method, allowDeploy)
 }
 
 // GetDeploymentsCtx is the fullest entry point: ctx carries the caller's
 // propagated deadline, so a resolution forwarded across sites works
-// against the remaining budget rather than each hop's own timeout.
+// against the remaining budget rather than each hop's own timeout, and
+// parent — the server-side span of the incoming call, or nil for a fresh
+// trace — makes the whole VO-wide resolution share one correlation ID.
 func (s *Service) GetDeploymentsCtx(ctx context.Context, parent *telemetry.Span, typeName string, method Method, allowDeploy bool) ([]*activity.Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -572,12 +572,13 @@ func (s *Store) Close() error {
 
 // --- journal adapters ---------------------------------------------------
 //
-// The registries and the lease service journal through tiny interfaces
-// they each declare (atr.Journal, adr.Journal, lease.Journal); the types
-// below satisfy them. Append errors do not bubble into registry calls —
-// a mutation that served traffic is not failed because its journal write
-// did not; the error is sticky, counted on glare_store_append_errors_total
-// and visible in Status, and the site degrades to memory-only durability.
+// The registries' resource homes and the lease service journal through
+// tiny interfaces their packages declare (wsrf.Journal, lease.Journal);
+// the types below satisfy them. Append errors do not bubble into registry
+// calls — a mutation that served traffic is not failed because its journal
+// write did not; the error is sticky, counted on
+// glare_store_append_errors_total and visible in Status, and the site
+// degrades to memory-only durability.
 
 // RegistryLog journals one registry's mutations into the store.
 type RegistryLog struct {

@@ -85,7 +85,7 @@ func TestTracePropagationAcrossHop(t *testing.T) {
 	srv := NewServer()
 	srv.SetTelemetry(telB)
 	var gotSpan *telemetry.Span
-	srv.RegisterTraced("T", "Op", func(sp *telemetry.Span, _ *xmlutil.Node) (*xmlutil.Node, error) {
+	srv.RegisterCtx("T", "Op", func(_ context.Context, sp *telemetry.Span, _ *xmlutil.Node) (*xmlutil.Node, error) {
 		gotSpan = sp
 		return xmlutil.NewNode("OK"), nil
 	})

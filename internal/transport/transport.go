@@ -68,17 +68,13 @@ const (
 // <Body/>.
 type Handler func(body *xmlutil.Node) (*xmlutil.Node, error)
 
-// TracedHandler is a Handler that additionally receives the server span
-// opened for the incoming call (nil when the server has no telemetry).
-// Handlers that make further service calls pass the span down so child
-// spans on other sites link into the same trace.
-type TracedHandler func(sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error)
-
 // CtxHandler is the fullest handler form: it additionally receives the
-// request context, which carries the caller's propagated deadline (see
-// the Deadline envelope element) and the HTTP request's cancellation.
-// Handlers that forward calls pass ctx down through Client.CallCtx so
-// every hop shrinks the remaining budget instead of resetting it.
+// server span opened for the incoming call (nil when the server has no
+// telemetry) and the request context, which carries the caller's
+// propagated deadline (see the Deadline envelope element) and the HTTP
+// request's cancellation. Handlers that forward calls pass both down
+// through Client.CallCtx, so child spans on other sites link into the same
+// trace and every hop shrinks the remaining budget instead of resetting it.
 type CtxHandler func(ctx context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error)
 
 // Fault is an application-level error returned by a remote service.
@@ -177,13 +173,6 @@ func (s *Server) Register(service, operation string, h Handler) {
 	})
 }
 
-// RegisterTraced mounts a span-aware operation handler on a service.
-func (s *Server) RegisterTraced(service, operation string, h TracedHandler) {
-	s.RegisterCtx(service, operation, func(_ context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
-		return h(sp, body)
-	})
-}
-
 // RegisterCtx mounts a context-aware operation handler on a service.
 func (s *Server) RegisterCtx(service, operation string, h CtxHandler) {
 	s.mu.Lock()
@@ -200,13 +189,6 @@ func (s *Server) RegisterCtx(service, operation string, h CtxHandler) {
 func (s *Server) RegisterService(service string, ops map[string]Handler) {
 	for op, h := range ops {
 		s.Register(service, op, h)
-	}
-}
-
-// RegisterTracedService mounts a whole span-aware operation table at once.
-func (s *Server) RegisterTracedService(service string, ops map[string]TracedHandler) {
-	for op, h := range ops {
-		s.RegisterTraced(service, op, h)
 	}
 }
 

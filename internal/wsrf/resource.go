@@ -21,13 +21,26 @@ import (
 	"glare/internal/xmlutil"
 )
 
+// Journal receives every mutation of a Home for durable replay (the
+// write-ahead log of internal/store satisfies it). Implementations must be
+// safe for concurrent use and must not call back into the Home: records
+// are written under the mutated resource's lock, so a key's records reach
+// the journal in the order its mutations applied and a replay ends in the
+// live state.
+type Journal interface {
+	// RecordPut journals the full property document after a mutation.
+	RecordPut(key string, doc *xmlutil.Node, lut, term time.Time)
+	// RecordDelete journals a resource removal.
+	RecordDelete(key string)
+}
+
 // Resource is one stateful WS-Resource: a keyed resource-property document
-// with an optional termination time.
+// with an optional termination time. It is mutated only through its Home,
+// which journals every change.
 type Resource struct {
 	mu          sync.RWMutex
 	key         string
 	doc         *xmlutil.Node
-	created     time.Time
 	lastUpdate  time.Time
 	termination time.Time // zero = never expires
 	destroyed   bool
@@ -53,22 +66,6 @@ func (r *Resource) Read(fn func(doc *xmlutil.Node)) {
 	fn(r.doc)
 }
 
-// Update atomically mutates the property document and bumps LastUpdate.
-func (r *Resource) Update(now time.Time, fn func(doc *xmlutil.Node)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fn(r.doc)
-	r.lastUpdate = now
-}
-
-// Replace swaps in a whole new property document.
-func (r *Resource) Replace(now time.Time, doc *xmlutil.Node) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.doc = doc
-	r.lastUpdate = now
-}
-
 // LastUpdate returns the last modification instant.
 func (r *Resource) LastUpdate() time.Time {
 	r.mu.RLock()
@@ -76,21 +73,11 @@ func (r *Resource) LastUpdate() time.Time {
 	return r.lastUpdate
 }
 
-// Created returns the creation instant.
-func (r *Resource) Created() time.Time { return r.created }
-
 // TerminationTime returns the scheduled termination time (zero = never).
 func (r *Resource) TerminationTime() time.Time {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.termination
-}
-
-// SetTerminationTime schedules (or cancels, with zero) expiry.
-func (r *Resource) SetTerminationTime(t time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.termination = t
 }
 
 // Expired reports whether the resource is past its termination time.
@@ -107,16 +94,28 @@ func (r *Resource) Destroyed() bool {
 	return r.destroyed
 }
 
+// recordPut journals r's current state. The caller holds r.mu, so a
+// resource's records reach the journal in the order its mutations applied.
+func (r *Resource) recordPut(j Journal) {
+	if j != nil {
+		j.RecordPut(r.key, r.doc.Clone(), r.lastUpdate, r.termination)
+	}
+}
+
 // Home is a collection of WS-Resources of one kind (e.g. all activity-type
-// resources of one registry), addressed by key through a hash table.
+// resources of one registry), addressed by key through a hash table. It is
+// the single holder of those documents and the single point that journals
+// their mutations.
 type Home struct {
 	mu        sync.RWMutex
 	service   string // service address used when minting EPRs
 	keyName   string // reference property name, e.g. "ActivityTypeKey"
 	clock     simclock.Clock
-	stamp     func() time.Time // ordering-stamp source; nil = clock.Now
+	stamp     func() time.Time // ordering-stamp source, called under the stamped resource's lock
+	journal   Journal          // nil = no persistence
 	resources map[string]*Resource
-	destroyed []func(*Resource) // destruction listeners
+	retiring  map[string]*Resource // destroyed, removal not yet journaled
+	destroyed []func(*Resource)    // destruction listeners
 }
 
 // NewHome creates a resource home. service and keyName are used to mint
@@ -129,38 +128,54 @@ func NewHome(service, keyName string, clock simclock.Clock) *Home {
 		service:   service,
 		keyName:   keyName,
 		clock:     clock,
+		stamp:     clock.Now,
 		resources: make(map[string]*Resource),
+		retiring:  make(map[string]*Resource),
 	}
 }
 
 // Service returns the home's service address.
 func (h *Home) Service() string { return h.service }
 
-// SetStamp overrides the source of LastUpdate stamps for new resources —
-// the site's hybrid logical clock, so cross-site newest-wins comparisons on
-// LastUpdate survive wall-clock skew. Expiry decisions (SweepExpired) stay
-// on the home's physical clock: HLC stamps may lead it by observed peer
-// skew and must never be compared against local time. Restore is also
-// unaffected: recovery replays journaled stamps verbatim.
+// SetStamp overrides the source of LastUpdate stamps — the site's hybrid
+// logical clock, so cross-site newest-wins comparisons on LastUpdate
+// survive wall-clock skew. Expiry decisions (SweepExpired) stay on the
+// home's physical clock: HLC stamps may lead it by observed peer skew and
+// must never be compared against local time. Restore and Adopt are also
+// unaffected: they install journaled stamps verbatim.
 func (h *Home) SetStamp(fn func() time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.stamp = fn
 }
 
-// now returns the next ordering stamp. Callers hold h.mu.
-func (h *Home) now() time.Time {
-	if h.stamp != nil {
-		return h.stamp()
+// SetJournal binds the durability journal: from then on Create, Update,
+// Replace, SetTermination, Destroy (and so expiry sweeps) and Adopt each
+// journal one record. Call during site assembly, after Restore has
+// replayed the recovered state and before serving traffic.
+func (h *Home) SetJournal(j Journal) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.journal = j
+}
+
+// awaitRetired waits until a destroyed resource still reserving key has
+// journaled its removal, so a new resource under key cannot journal ahead
+// of that delete. Callers hold h.mu; Destroy never takes h.mu while holding
+// the retired resource's lock.
+func (h *Home) awaitRetired(key string) {
+	if old := h.retiring[key]; old != nil {
+		old.mu.Lock()
+		old.mu.Unlock()
+		delete(h.retiring, key)
 	}
-	return h.clock.Now()
 }
 
 // KeyName returns the reference-property name for resource keys.
 func (h *Home) KeyName() string { return h.keyName }
 
-// Create adds a resource with the given key and document. It fails if the
-// key already exists.
+// Create adds a resource with the given key and document and journals it.
+// It fails if the key already exists.
 func (h *Home) Create(key string, doc *xmlutil.Node) (*Resource, error) {
 	if key == "" {
 		return nil, fmt.Errorf("wsrf: empty resource key")
@@ -168,39 +183,120 @@ func (h *Home) Create(key string, doc *xmlutil.Node) (*Resource, error) {
 	if doc == nil {
 		doc = xmlutil.NewNode("Properties")
 	}
+	// r is unreachable until published, so locking it first cannot
+	// deadlock; holding it until journaled keeps any later mutation of r
+	// from reaching the journal ahead of its creation.
+	r := &Resource{key: key, doc: doc}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	h.mu.Lock()
-	defer h.mu.Unlock()
 	if _, ok := h.resources[key]; ok {
+		h.mu.Unlock()
 		return nil, fmt.Errorf("wsrf: resource %q already exists", key)
 	}
-	now := h.now()
-	r := &Resource{key: key, doc: doc, created: now, lastUpdate: now}
+	h.awaitRetired(key)
+	r.lastUpdate = h.stamp()
 	h.resources[key] = r
+	j := h.journal
+	h.mu.Unlock()
+	r.recordPut(j)
 	return r, nil
-}
-
-// CreateOrReplace adds a resource, replacing any existing one with the key.
-func (h *Home) CreateOrReplace(key string, doc *xmlutil.Node) *Resource {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	now := h.now()
-	r := &Resource{key: key, doc: doc, created: now, lastUpdate: now}
-	h.resources[key] = r
-	return r
 }
 
 // Restore installs a resource with explicit timestamps, replacing any
 // existing resource with the key. It is the crash-recovery path: replay
 // must reproduce the journaled LastUpdate exactly (cache revival and
 // anti-entropy order on it) instead of stamping "now", and it fires no
-// listeners — recovery is not observable as resource churn.
+// listeners and journals nothing — recovery is not observable as resource
+// churn.
 func (h *Home) Restore(key string, doc *xmlutil.Node, lastUpdate, termination time.Time) *Resource {
+	return h.install(key, doc, lastUpdate, termination, false)
+}
+
+// Adopt installs a replicated resource as locally owned: the document and
+// timestamps land exactly as journaled at the origin site (like Restore),
+// but the adoption is journaled, so a promoted replica survives this
+// site's own restarts too.
+func (h *Home) Adopt(key string, doc *xmlutil.Node, lastUpdate, termination time.Time) *Resource {
+	return h.install(key, doc, lastUpdate, termination, true)
+}
+
+func (h *Home) install(key string, doc *xmlutil.Node, lastUpdate, termination time.Time, journal bool) *Resource {
+	r := &Resource{key: key, doc: doc, lastUpdate: lastUpdate, termination: termination}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	r := &Resource{key: key, doc: doc, created: lastUpdate,
-		lastUpdate: lastUpdate, termination: termination}
+	h.awaitRetired(key)
+	if old := h.resources[key]; old != nil {
+		// The replaced resource is retired, so a mutation still holding it
+		// cannot journal its stale state after this one.
+		old.mu.Lock()
+		old.destroyed = true
+		old.mu.Unlock()
+	}
 	h.resources[key] = r
+	j := h.journal
+	h.mu.Unlock()
+	if journal {
+		r.recordPut(j)
+	}
 	return r
+}
+
+// Update runs fn against the property document of the resource for key
+// under its write lock, stamps LastUpdate with the home's ordering clock
+// and journals the result. It reports false when no such resource exists.
+func (h *Home) Update(key string, fn func(doc *xmlutil.Node)) bool {
+	return h.mutate(key, true, func(r *Resource) { fn(r.doc) })
+}
+
+// Replace swaps in a whole new property document, stamped and journaled
+// like Update.
+func (h *Home) Replace(key string, doc *xmlutil.Node) bool {
+	return h.mutate(key, true, func(r *Resource) { r.doc = doc })
+}
+
+// SetTermination schedules (or cancels, with zero) a resource's expiry and
+// journals it. A lifetime change is not a content change: LastUpdate is
+// kept.
+func (h *Home) SetTermination(key string, at time.Time) bool {
+	return h.mutate(key, false, func(r *Resource) { r.termination = at })
+}
+
+// mutate applies fn to the live resource for key under its write lock,
+// optionally stamps it, and journals the result before unlocking. The stamp
+// is drawn under that lock too, so a resource's stamps increase in the
+// order its mutations apply and journal.
+func (h *Home) mutate(key string, stamp bool, fn func(r *Resource)) bool {
+	h.mu.RLock()
+	r, j, now := h.resources[key], h.journal, h.stamp
+	h.mu.RUnlock()
+	if r == nil {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.destroyed {
+		return false
+	}
+	fn(r)
+	if stamp {
+		r.lastUpdate = now()
+	}
+	r.recordPut(j)
+	return true
+}
+
+// Timestamps returns a resource's LastUpdate and termination time, the
+// ordering fields replication compares copies on.
+func (h *Home) Timestamps(key string) (lastUpdate, termination time.Time, ok bool) {
+	r := h.Find(key)
+	if r == nil {
+		return time.Time{}, time.Time{}, false
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.lastUpdate, r.termination, true
 }
 
 // Find returns the resource for key, or nil. This is the O(1) hash-table
@@ -211,21 +307,34 @@ func (h *Home) Find(key string) *Resource {
 	return h.resources[key]
 }
 
-// Destroy removes a resource and fires destruction listeners.
+// Destroy removes a resource, journals the removal and fires destruction
+// listeners. The removal is journaled under the resource's lock alone, not
+// the home's, so lookups never wait on the journal; the retired resource
+// reserves the key until then, so it cannot be created or adopted again
+// ahead of the delete.
 func (h *Home) Destroy(key string) bool {
 	h.mu.Lock()
 	r, ok := h.resources[key]
-	if ok {
-		delete(h.resources, key)
-	}
-	listeners := append([]func(*Resource){}, h.destroyed...)
-	h.mu.Unlock()
 	if !ok {
+		h.mu.Unlock()
 		return false
 	}
+	delete(h.resources, key)
+	listeners := append([]func(*Resource){}, h.destroyed...)
+	j := h.journal
 	r.mu.Lock()
 	r.destroyed = true
+	h.retiring[key] = r
+	h.mu.Unlock()
+	if j != nil {
+		j.RecordDelete(key)
+	}
 	r.mu.Unlock()
+	h.mu.Lock()
+	if h.retiring[key] == r {
+		delete(h.retiring, key)
+	}
+	h.mu.Unlock()
 	for _, fn := range listeners {
 		fn(r)
 	}

@@ -104,14 +104,20 @@ func (g *ServiceGroup) Document() *xmlutil.Node {
 	sort.Strings(keys)
 	for _, k := range keys {
 		e := g.entries[k]
-		en := root.Elem("Entry")
-		en.SetAttr("key", k)
-		en.Add(e.EPR.ToXML("MemberEPR"))
-		if e.Content != nil {
-			en.Add(e.Content.Clone())
-		}
+		appendEntry(root, k, e.EPR, e.Content)
 	}
 	return root
+}
+
+// appendEntry renders one aggregated entry — its member EPR and a private
+// copy of its content — under a service-group document root.
+func appendEntry(root *xmlutil.Node, key string, member epr.EPR, content *xmlutil.Node) {
+	en := root.Elem("Entry")
+	en.SetAttr("key", key)
+	en.Add(member.ToXML("MemberEPR"))
+	if content != nil {
+		en.Add(content.Clone())
+	}
 }
 
 // Query evaluates an XPath expression over the aggregated document.
@@ -148,4 +154,20 @@ func (g *ServiceGroup) Refresh(h *Home) {
 			delete(g.entries, k)
 		}
 	}
+}
+
+// Aggregate renders every resource of the home as a service-group
+// document named name: the same shape, entries and key order as the
+// Document of a ServiceGroup just refreshed from h, built straight from
+// the home with one private copy per resource document.
+func (h *Home) Aggregate(name string) *xmlutil.Node {
+	root := xmlutil.NewNode("ServiceGroup").SetAttr("name", name)
+	for _, r := range h.All() {
+		member := epr.New(h.service, h.keyName, r.key)
+		r.mu.RLock()
+		member.LastUpdateTime = r.lastUpdate
+		appendEntry(root, r.key, member, r.doc)
+		r.mu.RUnlock()
+	}
+	return root
 }

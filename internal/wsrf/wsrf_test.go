@@ -2,7 +2,10 @@ package wsrf
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,7 +64,9 @@ func TestUpdateBumpsLastUpdate(t *testing.T) {
 	r, _ := h.Create("a", nil)
 	t0 := r.LastUpdate()
 	v.Advance(time.Second)
-	r.Update(v.Now(), func(doc *xmlutil.Node) { doc.Elem("x") })
+	if !h.Update("a", func(doc *xmlutil.Node) { doc.Elem("x") }) {
+		t.Fatal("update of a live resource reported missing")
+	}
 	if !r.LastUpdate().After(t0) {
 		t.Fatal("LastUpdate not bumped")
 	}
@@ -77,7 +82,7 @@ func TestLifetimeAndSweep(t *testing.T) {
 	h := newHome(v)
 	a, _ := h.Create("a", nil)
 	b, _ := h.Create("b", nil)
-	a.SetTerminationTime(v.Now().Add(10 * time.Second))
+	h.SetTermination("a", v.Now().Add(10*time.Second))
 	if a.Expired(v.Now()) {
 		t.Fatal("not yet expired")
 	}
@@ -323,5 +328,289 @@ func TestRestoreExpiredResource(t *testing.T) {
 	}
 	if h.Find("fresh") == nil {
 		t.Fatal("unexpired resource reaped by the sweep")
+	}
+}
+
+// recordingJournal keeps every record a Home journals, in order.
+type recordingJournal struct {
+	mu      sync.Mutex
+	records []string // "put <key> <lut> <doc>" or "delete <key>"
+}
+
+func (j *recordingJournal) RecordPut(key string, doc *xmlutil.Node, lut, _ time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.records = append(j.records, fmt.Sprintf("put %s %s %s", key, lut.Format(time.RFC3339Nano), doc))
+}
+
+func (j *recordingJournal) RecordDelete(key string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.records = append(j.records, "delete "+key)
+}
+
+// take returns and clears the records journaled since the last call.
+func (j *recordingJournal) take() []string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	out := j.records
+	j.records = nil
+	return out
+}
+
+// TestHomeJournalsEachMutationOnce pins the Home as the single journaling
+// point: every mutator journals exactly one record carrying the state it
+// left behind, a mutator that finds no resource journals nothing, and
+// Restore — the recovery path — never journals.
+func TestHomeJournalsEachMutationOnce(t *testing.T) {
+	v := simclock.NewVirtual(time.Date(2005, 11, 12, 0, 0, 0, 0, time.UTC))
+	h := newHome(v)
+	j := &recordingJournal{}
+	h.SetJournal(j)
+	restoredLUT := v.Now().Add(-time.Hour)
+	// put renders the record a put of key's current state must produce.
+	put := func(key string) string {
+		r := h.Find(key)
+		return fmt.Sprintf("put %s %s %s", key, r.LastUpdate().Format(time.RFC3339Nano), r.Document())
+	}
+	steps := []struct {
+		name string
+		do   func() bool
+		want func() []string
+	}{
+		{"Restore", func() bool {
+			h.Restore("r", xmlutil.MustParse(`<P>restored</P>`), restoredLUT, time.Time{})
+			return true
+		}, func() []string { return nil }},
+		{"Create", func() bool { _, err := h.Create("a", xmlutil.MustParse(`<P/>`)); return err == nil },
+			func() []string { return []string{put("a")} }},
+		{"Create duplicate", func() bool { _, err := h.Create("a", nil); return err != nil },
+			func() []string { return nil }},
+		{"Update", func() bool { return h.Update("a", func(doc *xmlutil.Node) { doc.Elem("x") }) },
+			func() []string { return []string{put("a")} }},
+		{"Replace", func() bool { return h.Replace("a", xmlutil.MustParse(`<P><y/></P>`)) },
+			func() []string { return []string{put("a")} }},
+		{"SetTermination", func() bool { return h.SetTermination("a", v.Now().Add(time.Minute)) },
+			func() []string { return []string{put("a")} }},
+		{"Adopt", func() bool {
+			h.Adopt("b", xmlutil.MustParse(`<P>adopted</P>`), v.Now().Add(-time.Minute), time.Time{})
+			return true
+		}, func() []string { return []string{put("b")} }},
+		{"Destroy", func() bool { return h.Destroy("b") }, func() []string { return []string{"delete b"} }},
+		{"SweepExpired", func() bool {
+			v.Advance(2 * time.Minute)
+			gone := h.SweepExpired()
+			return len(gone) == 1 && gone[0] == "a"
+		}, func() []string { return []string{"delete a"} }},
+		{"mutators on a missing key", func() bool {
+			return !h.Update("a", func(*xmlutil.Node) {}) && !h.Replace("a", nil) &&
+				!h.SetTermination("a", time.Time{}) && !h.Destroy("a")
+		}, func() []string { return nil }},
+	}
+	for _, s := range steps {
+		v.Advance(time.Second)
+		if !s.do() {
+			t.Fatalf("%s: unexpected outcome", s.name)
+		}
+		if got, want := j.take(), s.want(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s journaled %q, want %q", s.name, got, want)
+		}
+	}
+	// Timestamps reads what Restore installed, verbatim.
+	if lut, term, ok := h.Timestamps("r"); !ok || !term.IsZero() || !lut.Equal(restoredLUT) {
+		t.Fatalf("Timestamps(r) = %v, %v, %v", lut, term, ok)
+	}
+}
+
+// foldingJournal folds records into the state a replay would rebuild:
+// last write wins per key, a delete removes the key. Each record yields
+// before it lands, widening the window in which a home that did not hold
+// its locks across the call would let another record overtake it.
+type foldingJournal struct {
+	mu   sync.Mutex
+	docs map[string]string
+}
+
+func (j *foldingJournal) RecordPut(key string, doc *xmlutil.Node, _, _ time.Time) {
+	runtime.Gosched()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.docs[key] = doc.String()
+}
+
+func (j *foldingJournal) RecordDelete(key string) {
+	runtime.Gosched()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	delete(j.docs, key)
+}
+
+// TestConcurrentMutationsReplayToLiveState races every journaling mutator
+// over a few shared keys and checks that replaying the journal rebuilds
+// exactly the live home: a key's records must reach the journal in the
+// order its mutations applied, across destroys, re-creations and
+// adoptions.
+func TestConcurrentMutationsReplayToLiveState(t *testing.T) {
+	h := newHome(nil)
+	j := &foldingJournal{docs: map[string]string{}}
+	h.SetJournal(j)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				key := fmt.Sprintf("k%d", (g+i)%4)
+				tag := fmt.Sprintf("%d-%d", g, i)
+				switch (g*7 + i) % 6 {
+				case 0:
+					h.Create(key, xmlutil.NewNode("P").SetAttr("v", tag))
+				case 1:
+					h.Update(key, func(doc *xmlutil.Node) { doc.SetAttr("v", tag) })
+				case 2:
+					h.Replace(key, xmlutil.NewNode("P").SetAttr("v", tag))
+				case 3:
+					h.SetTermination(key, time.Unix(int64(i), 0))
+				case 4:
+					h.Destroy(key)
+				case 5:
+					h.Adopt(key, xmlutil.NewNode("P").SetAttr("v", tag), time.Unix(int64(i), 0), time.Time{})
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	live := map[string]string{}
+	for _, r := range h.All() {
+		live[r.Key()] = r.Document().String()
+	}
+	if fmt.Sprint(live) != fmt.Sprint(j.docs) {
+		t.Fatalf("journal replays to %v, live home is %v", j.docs, live)
+	}
+}
+
+// blockingJournal records puts and deletes in order; a delete signals
+// entered and then waits for release before it lands.
+type blockingJournal struct {
+	recordingJournal
+	entered, release chan struct{}
+}
+
+func (j *blockingJournal) RecordDelete(key string) {
+	close(j.entered)
+	<-j.release
+	j.recordingJournal.RecordDelete(key)
+}
+
+// TestDestroyJournalsWithoutBlockingLookups holds a Destroy inside its
+// journal write. Lookups of the home must not wait on it, and a Create or
+// Adopt reusing the key must wait, so its put lands after the delete and a
+// replay does not end with the key missing.
+func TestDestroyJournalsWithoutBlockingLookups(t *testing.T) {
+	reusers := map[string]func(h *Home){
+		"Create": func(h *Home) { h.Create("k", nil) },
+		"Adopt":  func(h *Home) { h.Adopt("k", xmlutil.NewNode("P"), time.Unix(1, 0), time.Time{}) },
+	}
+	for name, reuse := range reusers {
+		t.Run(name, func(t *testing.T) {
+			h := newHome(nil)
+			h.Create("k", nil)
+			h.Create("other", nil)
+			j := &blockingJournal{entered: make(chan struct{}), release: make(chan struct{})}
+			h.SetJournal(j)
+			destroyed := make(chan struct{})
+			go func() { h.Destroy("k"); close(destroyed) }()
+			<-j.entered
+			looked := make(chan bool)
+			go func() { looked <- h.Find("other") != nil && h.Find("k") == nil && h.Len() == 1 }()
+			select {
+			case ok := <-looked:
+				if !ok {
+					t.Fatal("lookups during the delete saw the wrong resources")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("lookups waited on the delete's journal write")
+			}
+			reused := make(chan struct{})
+			go func() { reuse(h); close(reused) }()
+			select {
+			case <-reused:
+				t.Fatal("the key was reused before its delete was journaled")
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(j.release)
+			<-destroyed
+			<-reused
+			if got := j.take(); len(got) != 2 || got[0] != "delete k" || !strings.HasPrefix(got[1], "put k ") {
+				t.Fatalf("journal = %q, want the delete of k before its new put", got)
+			}
+		})
+	}
+}
+
+// lutJournal records the LastUpdate of every put, per key, in journal
+// order.
+type lutJournal struct {
+	mu   sync.Mutex
+	luts map[string][]time.Time
+}
+
+func (j *lutJournal) RecordPut(key string, _ *xmlutil.Node, lut, _ time.Time) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.luts[key] = append(j.luts[key], lut)
+}
+
+func (j *lutJournal) RecordDelete(string) {}
+
+// TestConcurrentUpdatesJournalStampsInOrder races stamped mutations of a
+// few keys against a stamp source that yields between drawing and
+// returning a stamp. A key's journaled LastUpdates must never decrease,
+// and the live LastUpdate must be the last one journaled: replica holders
+// keep the newest stamp, so a mutation journaled behind a newer stamp
+// would be dropped on failover.
+func TestConcurrentUpdatesJournalStampsInOrder(t *testing.T) {
+	h := newHome(nil)
+	var tick atomic.Int64
+	h.SetStamp(func() time.Time {
+		n := tick.Add(1)
+		runtime.Gosched()
+		return time.Unix(0, n)
+	})
+	keys := []string{"k0", "k1", "k2"}
+	for _, k := range keys {
+		if _, err := h.Create(k, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j := &lutJournal{luts: map[string][]time.Time{}}
+	h.SetJournal(j)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				key := keys[(g+i)%len(keys)]
+				if i%2 == 0 {
+					h.Update(key, func(doc *xmlutil.Node) { doc.SetAttr("v", fmt.Sprint(g, i)) })
+				} else {
+					h.Replace(key, xmlutil.NewNode("P"))
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, k := range keys {
+		luts := j.luts[k]
+		for i := 1; i < len(luts); i++ {
+			if luts[i].Before(luts[i-1]) {
+				t.Fatalf("%s: journaled stamp %d (%v) is older than the one before it (%v)",
+					k, i, luts[i].UnixNano(), luts[i-1].UnixNano())
+			}
+		}
+		if live := h.Find(k).LastUpdate(); !live.Equal(luts[len(luts)-1]) {
+			t.Fatalf("%s: live stamp %v, last journaled %v", k, live.UnixNano(), luts[len(luts)-1].UnixNano())
+		}
 	}
 }
