@@ -151,6 +151,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 func startDaemon(t *testing.T, bin string, args ...string) string {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
+	dieWithParent(cmd)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
+
+	"glare/internal/atr"
+	"glare/internal/mds"
+	"glare/internal/xmlutil"
 )
 
 // Table 1's qualitative shape: CoG totals exceed Expect totals for every
@@ -86,35 +93,66 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
-// Fig. 10's security effect: HTTPS throughput is lower than HTTP for the
-// same service and client count.
+// Fig. 10's security effect: transport-level security costs. The cost is
+// CPU, so it is measured as process CPU per ATR lookup from one client with
+// no modeled container delay, over interleaved plain/TLS rounds on two
+// long-lived testbeds. Unlike two raced throughputs, CPU per op does not
+// depend on what else the host runs; the median of the per-round
+// TLS/plain ratios must exceed 1.
 func TestFig10SecurityPenalty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TLS sweep")
 	}
-	// CPU-bound configuration (no modeled container delay): the TLS cost
-	// is CPU, so it must show up as a throughput drop here.
-	cfg := Fig10Config{
-		Clients:   []int{16},
-		Resources: 40,
-		Duration:  250 * time.Millisecond,
-		Secure:    []bool{false, true},
+	const rounds, ops = 15, 1000
+	var beds [2]*testbed // plain, TLS
+	for i, secure := range []bool{false, true} {
+		tb, err := newTestbedDelay(40, secure, mds.CollapseConfig{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.close()
+		beds[i] = tb
+		cpuPerLookup(t, tb, ops) // warm up: connections, TLS handshakes, pools
 	}
-	pts, err := RunFig10(cfg)
-	if err != nil {
+	ratios := make([]float64, rounds)
+	for r := range ratios {
+		var cpu [2]float64
+		for k := 0; k < 2; k++ {
+			i := (r + k) % 2 // alternate which transport goes first
+			cpu[i] = cpuPerLookup(t, beds[i], ops)
+		}
+		ratios[r] = cpu[1] / cpu[0]
+	}
+	sorted := slices.Clone(ratios)
+	slices.Sort(sorted)
+	median := sorted[rounds/2]
+	t.Logf("TLS/plain CPU per lookup by round %.2f, median %.2f", ratios, median)
+	if median <= 1 {
+		t.Errorf("TLS must cost CPU per lookup: median TLS/plain ratio %.2f over %d rounds %.2f", median, rounds, ratios)
+	}
+}
+
+// cpuPerLookup runs ops named lookups, one at a time, against tb's ATR
+// and returns the process's user+system CPU per lookup in µs.
+func cpuPerLookup(t *testing.T, tb *testbed, ops int) float64 {
+	runtime.GC() // start every window from the same heap state
+	url := tb.server.ServiceURL(atr.ServiceName)
+	before := cpuTime(t)
+	for i := 0; i < ops; i++ {
+		if _, err := tb.client.Call(url, "GetType", xmlutil.NewNode("Name", tb.names[i%len(tb.names)])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return float64((cpuTime(t) - before).Microseconds()) / float64(ops)
+}
+
+// cpuTime is the process's user+system CPU time.
+func cpuTime(t *testing.T) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
 		t.Fatal(err)
 	}
-	rate := map[string]float64{}
-	for _, p := range pts {
-		key := p.Service
-		if p.Secure {
-			key += "+tls"
-		}
-		rate[key] = p.OpsPerSec
-	}
-	if rate["ATR+tls"] >= rate["ATR"] {
-		t.Errorf("TLS must cost throughput: %f vs %f", rate["ATR+tls"], rate["ATR"])
-	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // Fig. 11's qualitative shape: the index degrades with resource count and

@@ -389,8 +389,7 @@ func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	if resp != nil {
 		b.Add(resp)
 	}
-	w.Header().Set("Content-Type", "application/xml")
-	_, _ = io.WriteString(w, out.String())
+	writeEnvelope(w, http.StatusOK, out)
 }
 
 // stampHLC adds this site's hybrid-logical-clock stamp to an envelope;
@@ -443,12 +442,31 @@ func (s *Server) serveAdmin(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxPooledEnvelope caps the response buffers kept for reuse, so one large
+// answer (a Query over a big registry) cannot pin its buffer in the pool.
+const maxPooledEnvelope = 64 << 10
+
+var envelopeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeEnvelope encodes env into a pooled buffer and sends it with status.
+// The buffer is reusable as soon as Write returns: a ResponseWriter, like
+// every io.Writer, does not retain what it is given.
+func writeEnvelope(w http.ResponseWriter, status int, env *xmlutil.Node) {
+	bp := envelopeBufs.Get().(*[]byte)
+	buf := env.AppendTo((*bp)[:0])
+	w.Header().Set("Content-Type", "application/xml")
+	w.WriteHeader(status)
+	_, _ = w.Write(buf)
+	if cap(buf) <= maxPooledEnvelope {
+		*bp = buf
+		envelopeBufs.Put(bp)
+	}
+}
+
 func writeFault(w http.ResponseWriter, status int, msg string) {
 	out := xmlutil.NewNode("Envelope")
 	out.Elem("Fault", msg)
-	w.Header().Set("Content-Type", "application/xml")
-	w.WriteHeader(status)
-	_, _ = io.WriteString(w, out.String())
+	writeEnvelope(w, status, out)
 }
 
 // writeOverloadFault answers an overload refusal: a fault envelope whose
@@ -461,9 +479,7 @@ func writeOverloadFault(w http.ResponseWriter, reason string) {
 	fn := out.Elem("Fault", "overloaded: "+reason)
 	fn.SetAttr("code", "unavailable")
 	fn.SetAttr("reason", reason)
-	w.Header().Set("Content-Type", "application/xml")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_, _ = io.WriteString(w, out.String())
+	writeEnvelope(w, http.StatusServiceUnavailable, out)
 }
 
 // DefaultCallTimeout bounds one Call when the client was not configured
@@ -789,8 +805,10 @@ func (c *Client) post(ctx context.Context, address string, env *xmlutil.Node, ti
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
+	// The body is encoded afresh for every attempt and never pooled: the
+	// HTTP client may still be reading it after Do returns.
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, address,
-		bytes.NewReader([]byte(env.String())))
+		bytes.NewReader(env.AppendTo(nil)))
 	if err != nil {
 		return nil, fmt.Errorf("transport: call %s: %w", address, err)
 	}

@@ -8,12 +8,15 @@
 package xmlutil
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/xml"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"unicode/utf8"
 )
 
 // Attr is a single XML attribute. Attributes keep insertion order so that
@@ -193,77 +196,146 @@ func (n *Node) Equal(o *Node) bool {
 	return true
 }
 
-// String serializes the subtree as compact XML.
-func (n *Node) String() string {
-	var b bytes.Buffer
-	n.write(&b, -1, 0)
-	return b.String()
+// AppendTo appends the compact XML encoding of the subtree to dst and
+// returns the extended slice. It is the one encoder: String, the wire
+// envelopes and the WAL records all go through it. dst is grown up front
+// to hold the tree's unescaped size, so most encodings allocate once.
+func (n *Node) AppendTo(dst []byte) []byte {
+	return n.appendXML(slices.Grow(dst, n.size()), false, 0)
 }
+
+// String serializes the subtree as compact XML.
+func (n *Node) String() string { return string(n.AppendTo(nil)) }
 
 // Indent serializes the subtree as indented XML.
-func (n *Node) Indent() string {
-	var b bytes.Buffer
-	n.write(&b, 0, 0)
-	return b.String()
+func (n *Node) Indent() string { return string(n.appendXML(nil, true, 0)) }
+
+// size is the length of the compact encoding before escaping.
+func (n *Node) size() int {
+	s := 2*len(n.Name) + 5 + len(n.Text)
+	for _, a := range n.Attrs {
+		s += len(a.Name) + len(a.Value) + 4
+	}
+	for _, c := range n.Children {
+		s += c.size()
+	}
+	return s
 }
 
-func (n *Node) write(b *bytes.Buffer, indent, depth int) {
-	pad := ""
-	if indent >= 0 {
-		pad = strings.Repeat("  ", depth)
-		b.WriteString(pad)
+func (n *Node) appendXML(b []byte, indent bool, depth int) []byte {
+	if indent {
+		b = appendPad(b, depth)
 	}
-	b.WriteByte('<')
-	b.WriteString(n.Name)
+	b = append(b, '<')
+	b = append(b, n.Name...)
 	for _, a := range n.Attrs {
-		fmt.Fprintf(b, " %s=\"%s\"", a.Name, escapeAttr(a.Value))
+		b = append(b, ' ')
+		b = append(b, a.Name...)
+		b = append(b, '=', '"')
+		b = appendAttrValue(b, a.Value)
+		b = append(b, '"')
 	}
 	if len(n.Children) == 0 && n.Text == "" {
-		b.WriteString("/>")
-		if indent >= 0 {
-			b.WriteByte('\n')
+		b = append(b, '/', '>')
+		if indent {
+			b = append(b, '\n')
 		}
-		return
+		return b
 	}
-	b.WriteByte('>')
-	if n.Text != "" {
-		b.WriteString(escapeText(n.Text))
-	}
+	b = append(b, '>')
+	b = appendText(b, n.Text)
 	if len(n.Children) > 0 {
-		if indent >= 0 {
-			b.WriteByte('\n')
+		if indent {
+			b = append(b, '\n')
 		}
 		for _, c := range n.Children {
-			c.write(b, indent, depth+1)
+			b = c.appendXML(b, indent, depth+1)
 		}
-		if indent >= 0 {
-			b.WriteString(pad)
+		if indent {
+			b = appendPad(b, depth)
 		}
 	}
-	b.WriteString("</")
-	b.WriteString(n.Name)
-	b.WriteByte('>')
-	if indent >= 0 {
-		b.WriteByte('\n')
+	b = append(b, '<', '/')
+	b = append(b, n.Name...)
+	b = append(b, '>')
+	if indent {
+		b = append(b, '\n')
 	}
+	return b
 }
 
-func escapeText(s string) string {
-	var b bytes.Buffer
-	if err := xml.EscapeText(&b, []byte(s)); err != nil {
-		return s
+func appendPad(b []byte, depth int) []byte {
+	for i := 0; i < depth; i++ {
+		b = append(b, ' ', ' ')
 	}
-	return b.String()
+	return b
 }
 
-func escapeAttr(s string) string {
-	return strings.NewReplacer(
-		"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;",
-	).Replace(s)
+// appendAttrValue escapes & < > and " and passes every other byte through,
+// invalid UTF-8 and control characters included.
+func appendAttrValue(b []byte, s string) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch s[i] {
+		case '&':
+			esc = "&amp;"
+		case '<':
+			esc = "&lt;"
+		case '>':
+			esc = "&gt;"
+		case '"':
+			esc = "&quot;"
+		default:
+			continue
+		}
+		b = append(b, s[last:i]...)
+		b = append(b, esc...)
+		last = i + 1
+	}
+	return append(b, s[last:]...)
 }
+
+// appendText copies text verbatim when xml.EscapeText would leave it
+// unchanged (printable ASCII other than " ' & < >) and otherwise lets
+// xml.EscapeText write straight into b.
+func appendText(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\'', c == '&', c == '<', c == '>':
+			w := sliceWriter{b}
+			_ = xml.EscapeText(&w, []byte(s)) // sliceWriter never fails
+			return w.b
+		}
+	}
+	return append(b, s...)
+}
+
+// sliceWriter appends everything written to it to b.
+type sliceWriter struct{ b []byte }
+
+func (w *sliceWriter) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
+// readers recycles the bufio.Reader encoding/xml would otherwise allocate
+// for every Parse of a reader that is not an io.ByteReader.
+var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
 
 // Parse reads one XML document (or fragment with a single root) into a tree.
+// Every string in the tree is a copy, so nothing refers to r or to the
+// recycled read buffer once Parse returns.
 func Parse(r io.Reader) (*Node, error) {
+	if _, ok := r.(io.ByteReader); !ok {
+		br := readers.Get().(*bufio.Reader)
+		br.Reset(r)
+		defer func() {
+			br.Reset(nil) // the pool must not keep r reachable
+			readers.Put(br)
+		}()
+		r = br
+	}
 	dec := xml.NewDecoder(r)
 	var stack []*Node
 	var root *Node
@@ -277,10 +349,16 @@ func Parse(r io.Reader) (*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if !localName(t.Name) {
+				return nil, fmt.Errorf("xmlutil: element %s:%s: local part is not a name", t.Name.Space, t.Name.Local)
+			}
 			n := NewNode(t.Name.Local)
 			for _, a := range t.Attr {
 				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
 					continue
+				}
+				if !localName(a.Name) {
+					return nil, fmt.Errorf("xmlutil: attribute %s:%s: local part is not a name", a.Name.Space, a.Name.Local)
 				}
 				n.SetAttr(a.Name.Local, a.Value)
 			}
@@ -314,6 +392,22 @@ func Parse(r io.Reader) (*Node, error) {
 	}
 	trimWhitespace(root)
 	return root, nil
+}
+
+// localName reports whether name's local part is an XML name on its own.
+// The tree keeps only local names, so <p:0/> (a name, but one whose local
+// part starts with a digit) would encode as the malformed <0/>. The
+// decoder has already checked every character as a name character; only
+// the first can still be wrong, and past ASCII the decoder itself decides.
+func localName(name xml.Name) bool {
+	if name.Space == "" || name.Local == "" {
+		return true
+	}
+	if c := name.Local[0]; c < utf8.RuneSelf {
+		return c != '-' && c != '.' && (c < '0' || c > '9')
+	}
+	_, err := xml.NewDecoder(strings.NewReader("<" + name.Local + "/>")).RawToken()
+	return err == nil
 }
 
 // ParseString parses XML from a string.

@@ -1,6 +1,16 @@
 package xmlutil
 
 import (
+	"bytes"
+	"encoding/xml"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io"
+	"math/rand"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,6 +114,8 @@ func TestParseErrors(t *testing.T) {
 		"<a><b></a>",
 		"<a/><b/>",
 		"no xml at all<",
+		"<p:0/>",        // the tree keeps "0", which is not a name
+		`<a p:-x="1"/>`, // likewise for an attribute
 	}
 	for _, c := range cases {
 		if _, err := ParseString(c); err == nil {
@@ -223,4 +235,223 @@ func TestSortChildrenByName(t *testing.T) {
 			t.Fatalf("order = %v, want %v", got, want)
 		}
 	}
+}
+
+// The escapers and writer the encoder had before it escaped in place; they
+// are the oracle the in-place encoder must match byte for byte.
+func oracleEscapeText(s string) string {
+	var b bytes.Buffer
+	if err := xml.EscapeText(&b, []byte(s)); err != nil {
+		return s
+	}
+	return b.String()
+}
+
+func oracleEscapeAttr(s string) string {
+	return strings.NewReplacer(
+		"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;",
+	).Replace(s)
+}
+
+func oracleWrite(n *Node, b *bytes.Buffer, indent, depth int) {
+	pad := ""
+	if indent >= 0 {
+		pad = strings.Repeat("  ", depth)
+		b.WriteString(pad)
+	}
+	b.WriteByte('<')
+	b.WriteString(n.Name)
+	for _, a := range n.Attrs {
+		fmt.Fprintf(b, " %s=\"%s\"", a.Name, oracleEscapeAttr(a.Value))
+	}
+	if len(n.Children) == 0 && n.Text == "" {
+		b.WriteString("/>")
+		if indent >= 0 {
+			b.WriteByte('\n')
+		}
+		return
+	}
+	b.WriteByte('>')
+	if n.Text != "" {
+		b.WriteString(oracleEscapeText(n.Text))
+	}
+	if len(n.Children) > 0 {
+		if indent >= 0 {
+			b.WriteByte('\n')
+		}
+		for _, c := range n.Children {
+			oracleWrite(c, b, indent, depth+1)
+		}
+		if indent >= 0 {
+			b.WriteString(pad)
+		}
+	}
+	b.WriteString("</")
+	b.WriteString(n.Name)
+	b.WriteByte('>')
+	if indent >= 0 {
+		b.WriteByte('\n')
+	}
+}
+
+func oracleString(n *Node, indent int) string {
+	var b bytes.Buffer
+	oracleWrite(n, &b, indent, 0)
+	return b.String()
+}
+
+// hostile is what random names, attribute values and texts are made of:
+// every byte class the two escapers treat differently.
+var hostile = []string{
+	"a", "Z", "0", " ", "-", "&", "<", ">", `"`, "'", "\t", "\n", "\r",
+	"\x00", "\x01", "\x08", "\x0b", "\x1b", "\x1f", "\x7f",
+	"é", "世", "😀", "\u2028", "\ufffd", "\xff", "\xc3", "\xed\xa0\x80",
+	"&amp;", "]]>",
+}
+
+func randomString(r *rand.Rand) string {
+	var b strings.Builder
+	for i, n := 0, r.Intn(8); i < n; i++ {
+		b.WriteString(hostile[r.Intn(len(hostile))])
+	}
+	return b.String()
+}
+
+func randomTree(r *rand.Rand, depth int) *Node {
+	n := NewNode(randomString(r))
+	for i, k := 0, r.Intn(4); i < k; i++ {
+		n.Attrs = append(n.Attrs, Attr{Name: randomString(r), Value: randomString(r)})
+	}
+	if r.Intn(3) > 0 {
+		n.Text = randomString(r)
+	}
+	if depth < 4 {
+		for i, k := 0, r.Intn(4); i < k; i++ {
+			n.Children = append(n.Children, randomTree(r, depth+1))
+		}
+	}
+	return n
+}
+
+// Property: for trees over hostile names, attributes and text, String and
+// Indent are byte-identical to the replacer/EscapeText oracle.
+func TestEncoderMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < 100; i++ {
+			n := randomTree(r, 0)
+			if got, want := n.String(), oracleString(n, -1); got != want {
+				t.Fatalf("seed %d tree %d: String\n got %q\nwant %q", seed, i, got, want)
+			}
+			if got, want := n.Indent(), oracleString(n, 0); got != want {
+				t.Fatalf("seed %d tree %d: Indent\n got %q\nwant %q", seed, i, got, want)
+			}
+			if got := string(n.AppendTo([]byte("prefix"))); got != "prefix"+n.String() {
+				t.Fatalf("seed %d tree %d: AppendTo dropped its prefix: %q", seed, i, got)
+			}
+		}
+	}
+}
+
+// hideByteReader strips io.ByteReader from r, so Parse takes its pooled
+// bufio.Reader path.
+func hideByteReader(s string) io.Reader { return struct{ io.Reader }{strings.NewReader(s)} }
+
+// A tree returned by Parse shares nothing with the pooled reader: later
+// parses that reuse the reader leave it unchanged.
+func TestParsedTreeSurvivesReaderReuse(t *testing.T) {
+	first, err := Parse(hideByteReader(`<Doc id="first"><Item k="v">one</Item><Item>two &amp; three</Item></Doc>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := first.String()
+	for i := 0; i < 50; i++ {
+		doc := fmt.Sprintf(`<Other n="%d">%s</Other>`, i, strings.Repeat("overwrite ", 500))
+		if _, err := Parse(hideByteReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := first.String(); after != before {
+		t.Fatalf("tree changed after reader reuse:\n%s\n%s", before, after)
+	}
+}
+
+// xmlLiterals returns the string literals that look like XML documents in
+// the Go files matching pattern.
+func xmlLiterals(tb testing.TB, pattern string) []string {
+	files, err := filepath.Glob(pattern)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var out []string
+	fset := token.NewFileSet()
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(strings.TrimSpace(s), "<") {
+					out = append(out, s)
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// Envelope shapes the transport exchanges (its tests build them as trees,
+// not literals): a request with trace, clock and deadline headers, an
+// answer, an application fault and an overload fault.
+var envelopeSeeds = []string{
+	`<Envelope><Operation>Say</Operation><Trace trace="t1" span="s1"/><HLC t="2026-01-02T03:04:05.123456789Z" site="a"/><Deadline budget_ms="142.512"/><Body><Msg>hello</Msg></Body></Envelope>`,
+	`<Envelope><HLC t="2026-01-02T03:04:05Z" site="b"/><Body><Said>hello</Said></Body></Envelope>`,
+	`<Envelope><Fault>nothing to say</Fault></Envelope>`,
+	`<Envelope><Fault code="unavailable" reason="shed">overloaded: shed</Fault></Envelope>`,
+	`<a x="&#xD;&#xA;y&#xD;"/>`,
+}
+
+// attrCRToLF is what a second parse makes of n. The encoder writes a CR in
+// an attribute value raw, as it always has, and the decoder normalises a
+// raw CR or CRLF to LF; text escapes CR as &#xD; and keeps it.
+func attrCRToLF(n *Node) *Node {
+	c := n.Clone()
+	c.Walk(func(d *Node) bool {
+		for i := range d.Attrs {
+			v := strings.ReplaceAll(d.Attrs[i].Value, "\r\n", "\n")
+			d.Attrs[i].Value = strings.ReplaceAll(v, "\r", "\n")
+		}
+		return true
+	})
+	return c
+}
+
+// Parse never panics, and whatever it accepts survives String and a second
+// Parse structurally intact, up to the CR normalisation in attribute values
+// that attrCRToLF describes.
+func FuzzParse(f *testing.F) {
+	for _, pattern := range []string{"*_test.go", "../deployfile/*_test.go", "../transport/*_test.go"} {
+		for _, s := range xmlLiterals(f, pattern) {
+			f.Add(s)
+		}
+	}
+	for _, s := range envelopeSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		n, err := Parse(hideByteReader(doc))
+		if err != nil {
+			return
+		}
+		enc := n.String()
+		again, err := ParseString(enc)
+		if err != nil {
+			t.Fatalf("re-parse of %q: %v", enc, err)
+		}
+		if !again.Equal(attrCRToLF(n)) {
+			t.Fatalf("round trip changed the tree:\n  doc %q\n  enc %q\nagain %q", doc, enc, again.String())
+		}
+	})
 }
