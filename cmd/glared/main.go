@@ -159,7 +159,7 @@ func main() {
 		index.Register(siteEPR, info.ToXML())
 	}
 
-	svc.StartMonitors(rdm.DefaultIntervals())
+	svc.StartMonitors()
 	fmt.Printf("glared: site %s up at %s (index: %s)\n", attrs.Name, srv.BaseURL(), kind)
 	fmt.Printf("RDM service: %s\n", srv.ServiceURL(rdm.ServiceName))
 	fmt.Printf("admin: %s/metrics %s/healthz %s/tracez\n",

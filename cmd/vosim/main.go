@@ -58,7 +58,7 @@ func main() {
 		}
 	}
 	for _, n := range v.Nodes {
-		n.RDM.StartMonitors(rdm.DefaultIntervals())
+		n.RDM.StartMonitors()
 	}
 
 	fmt.Printf("VO up: %d sites\n", len(v.Nodes))

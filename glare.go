@@ -84,9 +84,6 @@ type (
 	Telemetry = telemetry.Telemetry
 	// TraceSpan is one recorded span of a distributed trace.
 	TraceSpan = telemetry.SpanRecord
-	// FsyncPolicy selects when the durable registry store forces appended
-	// records to stable storage (FsyncInterval, FsyncAlways, FsyncNever).
-	FsyncPolicy = store.FsyncPolicy
 	// StoreStatus summarizes one site's durable store (segments, live and
 	// snapshot record counts, replay and truncation accounting).
 	StoreStatus = store.Status
@@ -98,7 +95,7 @@ type (
 	// builds, queue depth, transfer retry, quarantine policy).
 	DeployLimits = rdm.DeployLimits
 	// HistoryConfig tunes a site's round-robin telemetry history: base
-	// step, retention ladder, alert rules and rollup set.
+	// step and retention ladder.
 	HistoryConfig = rdm.HistoryConfig
 	// HistoryStore is a site's round-robin time-series store; Fetch and
 	// Xport read consolidated history out of it.
@@ -130,10 +127,6 @@ const (
 
 	LeaseExclusive = lease.Exclusive
 	LeaseShared    = lease.Shared
-
-	FsyncInterval = store.FsyncInterval
-	FsyncAlways   = store.FsyncAlways
-	FsyncNever    = store.FsyncNever
 )
 
 // ImagingTypes returns the paper's Section-2 example hierarchy (Imaging →
@@ -177,16 +170,13 @@ type GridOptions struct {
 	// DataDir/site-NN, and RestartSite replays the journal instead of
 	// losing the site's state. Empty keeps sites memory-only.
 	DataDir string
-	// StoreFsync is the store's fsync policy (default FsyncInterval).
-	StoreFsync FsyncPolicy
 	// Deploy tunes every site's deployment execution engine — concurrent
-	// build slots, queue depth, follower deadline, transfer retry and
-	// quarantine policy. Zero values use the engine defaults.
+	// build slots, queue depth, transfer retry and quarantine policy. Zero
+	// values use the engine defaults.
 	Deploy DeployLimits
-	// History tunes every site's round-robin telemetry history: base step,
-	// retention archives, alert rules and the super-peer rollup metric
-	// set. The zero value enables the defaults; set History.Disabled to
-	// turn the subsystem off.
+	// History tunes every site's round-robin telemetry history: base step
+	// and retention archives. The zero value enables the defaults; set
+	// History.Disabled to turn the subsystem off.
 	History HistoryConfig
 	// Admission overrides every site's overload admission controller
 	// (per-class concurrency limits, queue depths, AIMD target); nil uses
@@ -206,10 +196,6 @@ type GridOptions struct {
 	// simultaneous permanent site losses cannot lose acknowledged writes.
 	// Zero or one disables replication.
 	Replicas int
-	// CASBudget is each site's content-addressed artifact store byte
-	// budget. Zero selects the default budget; negative disables the
-	// artifact grid, so every transfer goes to origin.
-	CASBudget int64
 }
 
 // Grid is a running Virtual Organization.
@@ -239,14 +225,12 @@ func NewGrid(opts GridOptions) (*Grid, error) {
 		ChaosSeed:         opts.ChaosSeed,
 		Breaker:           breaker,
 		DataDir:           opts.DataDir,
-		StoreFsync:        opts.StoreFsync,
 		Deploy:            opts.Deploy,
 		History:           opts.History,
 		Admission:         opts.Admission,
 		AdmissionOff:      opts.AdmissionOff,
 		ScanDelayPerEntry: opts.ScanDelayPerEntry,
 		ReplicaK:          opts.Replicas,
-		CASBudget:         opts.CASBudget,
 	})
 	if err != nil {
 		return nil, err
@@ -542,7 +526,7 @@ func (g *Grid) IsSuperPeer(i int) bool {
 func (g *Grid) StartMonitors() {
 	for i, n := range g.vo.Nodes {
 		if !g.vo.Stopped(i) {
-			n.RDM.StartMonitors(rdm.DefaultIntervals())
+			n.RDM.StartMonitors()
 		}
 	}
 }

@@ -196,9 +196,12 @@ func TestLookAheadReducesMakespan(t *testing.T) {
 	// installations serialize (stage one's, then stage two's); with
 	// look-ahead both start at submission time and overlap, so the
 	// makespan approaches the longer of the two instead of their sum.
-	// The scaled clock (1000x) preserves real concurrency.
+	// The scaled clock preserves real concurrency. It runs 100x rather than
+	// 1000x: every real millisecond the host spends elsewhere lands in the
+	// makespan multiplied by the factor, and at 1000x a 10 ms stall on a
+	// loaded host is the whole 20% margin.
 	run := func(lookAhead bool) time.Duration {
-		clock := simclock.NewScaled(1000)
+		clock := simclock.NewScaled(100)
 		v, err := vo.Build(vo.Options{Sites: 1, Clock: clock})
 		if err != nil {
 			t.Fatal(err)

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"glare/internal/activity"
-	"glare/internal/metrics"
 	"glare/internal/rdm"
 	"glare/internal/simclock"
 	"glare/internal/superpeer"
+	"glare/internal/telemetry"
 	"glare/internal/vo"
 	"glare/internal/xmlutil"
 )
@@ -55,7 +55,7 @@ func RunAblationOverlay(sites, entries, requests int) ([]AblationPoint, error) {
 	}
 	client := v.Nodes[0].RDM
 
-	var overlay metrics.LatencyRecorder
+	var overlay telemetry.Histogram
 	// Warm-up resolves types and populates caches along the overlay path.
 	if _, err := client.GetDeployments("AblApp", rdm.MethodExpect, false); err != nil {
 		return nil, err
@@ -69,7 +69,7 @@ func RunAblationOverlay(sites, entries, requests int) ([]AblationPoint, error) {
 	}
 
 	// Flat broadcast: the client must know and query every site directly.
-	var flat metrics.LatencyRecorder
+	var flat telemetry.Histogram
 	for r := 0; r < requests; r++ {
 		t0 := time.Now()
 		total := 0
@@ -129,7 +129,7 @@ func RunAblationCache(entries, requests int) ([]AblationPoint, error) {
 			v.Close()
 			return nil, err
 		}
-		var rec metrics.LatencyRecorder
+		var rec telemetry.Histogram
 		for r := 0; r < requests; r++ {
 			t0 := time.Now()
 			if _, err := client.GetDeployments("CacheApp", rdm.MethodExpect, false); err != nil {

@@ -96,14 +96,17 @@ func TestFig10Shape(t *testing.T) {
 // Fig. 10's security effect: transport-level security costs. The cost is
 // CPU, so it is measured as process CPU per ATR lookup from one client with
 // no modeled container delay, over interleaved plain/TLS rounds on two
-// long-lived testbeds. Unlike two raced throughputs, CPU per op does not
-// depend on what else the host runs; the median of the per-round
-// TLS/plain ratios must exceed 1.
+// long-lived testbeds. Each lookup opens its own connection, as the paper's
+// GT4 clients did, so the TLS handshake is part of what is measured; on a
+// kept-alive connection TLS adds only record encryption, a few percent that
+// the run-to-run CPU noise of a loaded host can hide. Unlike two raced
+// throughputs, CPU per op does not depend on what else the host runs; the
+// median of the per-round TLS/plain ratios must exceed 1.
 func TestFig10SecurityPenalty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TLS sweep")
 	}
-	const rounds, ops = 15, 1000
+	const rounds, ops = 15, 100
 	var beds [2]*testbed // plain, TLS
 	for i, secure := range []bool{false, true} {
 		tb, err := newTestbedDelay(40, secure, mds.CollapseConfig{}, 0)
@@ -132,13 +135,15 @@ func TestFig10SecurityPenalty(t *testing.T) {
 	}
 }
 
-// cpuPerLookup runs ops named lookups, one at a time, against tb's ATR
-// and returns the process's user+system CPU per lookup in µs.
+// cpuPerLookup runs ops named lookups, one at a time and each on a new
+// connection, against tb's ATR and returns the process's user+system CPU
+// per lookup in µs.
 func cpuPerLookup(t *testing.T, tb *testbed, ops int) float64 {
 	runtime.GC() // start every window from the same heap state
 	url := tb.server.ServiceURL(atr.ServiceName)
 	before := cpuTime(t)
 	for i := 0; i < ops; i++ {
+		tb.client.CloseIdle()
 		if _, err := tb.client.Call(url, "GetType", xmlutil.NewNode("Name", tb.names[i%len(tb.names)])); err != nil {
 			t.Fatal(err)
 		}

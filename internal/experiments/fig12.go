@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"glare/internal/activity"
-	"glare/internal/metrics"
 	"glare/internal/rdm"
 	"glare/internal/simclock"
+	"glare/internal/telemetry"
 	"glare/internal/vo"
 )
 
@@ -92,7 +92,7 @@ func RunFig12(cfg Fig12Config) ([]Fig12Point, error) {
 		} else if len(ds) != cfg.Entries {
 			return p, fmt.Errorf("fig12: got %d deployments, want %d", len(ds), cfg.Entries)
 		}
-		var rec metrics.LatencyRecorder
+		var rec telemetry.Histogram
 		for r := 0; r < cfg.Requests; r++ {
 			t0 := time.Now()
 			if _, err := client.GetDeployments("Fig12App", rdm.MethodExpect, false); err != nil {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"glare/internal/atr"
-	"glare/internal/metrics"
 	"glare/internal/transport"
 	"glare/internal/workload"
 	"glare/internal/xmlutil"
@@ -96,14 +95,14 @@ func measureRequesterLoad(cfg Fig13Config, requesters int) (float64, error) {
 		}
 		names = append(names, ty.Name)
 	}
-	tracker := metrics.NewLoadTrackerWith(cfg.real(5*time.Second), cfg.real(cfg.Window))
+	tracker := newLoadTracker(cfg.real(5*time.Second), cfg.real(cfg.Window))
 	srv := transport.NewServer()
 	// The measured service: a named type lookup with the run queue
 	// bracketed, plus a small amount of paper-time work so that queueing
 	// is visible at all (the paper's GT4 stack did far more per request).
 	srv.Register(atr.ServiceName, "GetType", func(body *xmlutil.Node) (*xmlutil.Node, error) {
-		tracker.Enter()
-		defer tracker.Exit()
+		tracker.enter()
+		defer tracker.exit()
 		time.Sleep(cfg.real(12 * time.Millisecond))
 		doc, ok := reg.LookupDocument(body.Text)
 		if !ok {
@@ -119,7 +118,7 @@ func measureRequesterLoad(cfg Fig13Config, requesters int) (float64, error) {
 	defer client.CloseIdle()
 
 	stopSampler := make(chan struct{})
-	tracker.Start(stopSampler)
+	tracker.start(stopSampler)
 	stopAt := time.Now().Add(cfg.real(cfg.RunFor))
 	var wg sync.WaitGroup
 	for c := 0; c < requesters; c++ {
@@ -137,7 +136,7 @@ func measureRequesterLoad(cfg Fig13Config, requesters int) (float64, error) {
 	}
 	wg.Wait()
 	close(stopSampler)
-	return tracker.Load(), nil
+	return tracker.average(), nil
 }
 
 // RunFig13Sinks measures the registry's load average as the number of
@@ -167,9 +166,9 @@ func measureSinkLoad(cfg Fig13Config, sinks int, paperRate time.Duration) (float
 	if deliveryCost <= 0 {
 		deliveryCost = 50 * time.Millisecond
 	}
-	tracker := metrics.NewLoadTrackerWith(cfg.real(5*time.Second), cfg.real(cfg.Window))
+	tracker := newLoadTracker(cfg.real(5*time.Second), cfg.real(cfg.Window))
 	stopSampler := make(chan struct{})
-	tracker.Start(stopSampler)
+	tracker.start(stopSampler)
 	defer close(stopSampler)
 
 	// Thread-per-delivery notifier: every tick the notifier dispatches one
@@ -194,13 +193,13 @@ func measureSinkLoad(cfg Fig13Config, sinks int, paperRate time.Duration) (float
 				if startDelay > 0 {
 					time.Sleep(startDelay)
 				}
-				tracker.Enter()
-				defer tracker.Exit()
+				tracker.enter()
+				defer tracker.exit()
 				time.Sleep(cfg.real(deliveryCost))
 			}(time.Duration(i) * gap)
 		}
 	}
-	load := tracker.Load()
+	load := tracker.average()
 	wg.Wait()
 	return load, nil
 }

@@ -229,7 +229,7 @@ func (s *Service) deployLocal(parent *telemetry.Span, t *activity.Type, method M
 	// Activity Type Addition: make the type known to this site's registry.
 	sw := simclock.NewStopwatch(s.clock)
 	if _, known := s.ATR.Lookup(t.Name); !known {
-		s.clock.Sleep(s.costs.TypeAddition)
+		s.clock.Sleep(typeAdditionCost)
 		if _, err := s.RegisterType(t); err != nil {
 			return nil, err
 		}
@@ -293,7 +293,7 @@ func (s *Service) deployLocal(parent *telemetry.Span, t *activity.Type, method M
 
 	// Identify and register the new deployments.
 	sw.Reset()
-	s.clock.Sleep(s.costs.Registration)
+	s.clock.Sleep(registrationCost)
 	deps, err := s.identifyAndRegister(t)
 	if err != nil {
 		return nil, err
@@ -303,7 +303,7 @@ func (s *Service) deployLocal(parent *telemetry.Span, t *activity.Type, method M
 
 	// Mark deployed and notify.
 	sw.Reset()
-	s.clock.Sleep(s.costs.Notification)
+	s.clock.Sleep(notificationCost)
 	if err := s.ATR.MarkDeployed(t.Name, s.site.Attrs.Name); err != nil {
 		return nil, err
 	}

@@ -47,9 +47,6 @@ type DeployLimits struct {
 	// is full new builds are shed with transport.Unavailable. Negative
 	// means no queue at all.
 	QueueDepth int
-	// FollowerWait bounds (in real time) how long a deduplicated request
-	// waits for the in-flight build of the same type before giving up.
-	FollowerWait time.Duration
 	// StepGrace is added (in real time) to each step's timeout before the
 	// watchdog kills it.
 	StepGrace time.Duration
@@ -60,22 +57,28 @@ type DeployLimits struct {
 	// which a type is quarantined.
 	QuarantineAfter int
 	// QuarantineCooldown is the base cool-down (virtual time); it doubles
-	// with every further failure, capped at QuarantineMax.
+	// with every further failure, capped at quarantineMax.
 	QuarantineCooldown time.Duration
-	QuarantineMax      time.Duration
 }
+
+const (
+	// followerWait bounds (in real time) how long a deduplicated request
+	// waits for the in-flight build of the same type before giving up.
+	followerWait = 2 * time.Minute
+	// quarantineMax caps a type's doubling quarantine cool-down (virtual
+	// time).
+	quarantineMax = time.Hour
+)
 
 // DefaultDeployLimits is the stock engine configuration.
 func DefaultDeployLimits() DeployLimits {
 	return DeployLimits{
 		MaxConcurrent:      2,
 		QueueDepth:         8,
-		FollowerWait:       2 * time.Minute,
 		StepGrace:          2 * time.Second,
 		Retry:              transport.DefaultRetryPolicy(),
 		QuarantineAfter:    3,
 		QuarantineCooldown: time.Minute,
-		QuarantineMax:      time.Hour,
 	}
 }
 
@@ -90,9 +93,6 @@ func (l DeployLimits) withDefaults() DeployLimits {
 	if d.QueueDepth < 0 {
 		d.QueueDepth = 0
 	}
-	if l.FollowerWait > 0 {
-		d.FollowerWait = l.FollowerWait
-	}
 	if l.StepGrace > 0 {
 		d.StepGrace = l.StepGrace
 	}
@@ -104,9 +104,6 @@ func (l DeployLimits) withDefaults() DeployLimits {
 	}
 	if l.QuarantineCooldown > 0 {
 		d.QuarantineCooldown = l.QuarantineCooldown
-	}
-	if l.QuarantineMax > 0 {
-		d.QuarantineMax = l.QuarantineMax
 	}
 	return d
 }
@@ -232,6 +229,8 @@ func (s *Service) joinOrLead(typeName string) (call *buildCall, join func() (*De
 		s.mu.Unlock()
 		s.deployTel.dedupHits.Inc()
 		return nil, func() (*DeployReport, error) {
+			wait := time.NewTimer(followerWait)
+			defer wait.Stop()
 			select {
 			case <-existing.done:
 				if existing.err != nil {
@@ -239,7 +238,7 @@ func (s *Service) joinOrLead(typeName string) (call *buildCall, join func() (*De
 				}
 				rep := *existing.report
 				return &rep, nil
-			case <-time.After(s.limits.FollowerWait):
+			case <-wait.C:
 				return nil, &transport.Unavailable{
 					Address: s.site.Attrs.Name, Operation: "DeployLocal",
 					Reason: "deploy-wait-timeout",
@@ -298,8 +297,8 @@ func (s *Service) noteBuildFailure(typeName string) {
 	cool := s.limits.QuarantineCooldown
 	for i := s.limits.QuarantineAfter; i < q.fails; i++ {
 		cool *= 2
-		if cool >= s.limits.QuarantineMax {
-			cool = s.limits.QuarantineMax
+		if cool >= quarantineMax {
+			cool = quarantineMax
 			break
 		}
 	}
@@ -353,7 +352,7 @@ func (s *Service) sweepQuarantine() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, q := range s.quarantined {
-		if !q.until.IsZero() && now.After(q.until.Add(s.limits.QuarantineMax)) {
+		if !q.until.IsZero() && now.After(q.until.Add(quarantineMax)) {
 			delete(s.quarantined, name)
 		}
 	}
@@ -766,10 +765,7 @@ func (s *Service) openExecutor(method Method, chargeOverhead bool) (stepExecutor
 	switch method {
 	case MethodExpect:
 		sw := simclock.NewStopwatch(s.clock)
-		login := s.costs.ExpectLogin
-		if login <= 0 {
-			login = expectLoginDefault
-		}
+		login := expectLoginCost
 		if !chargeOverhead {
 			login = -1 // session reuse: no additional login cost
 		}
@@ -777,10 +773,7 @@ func (s *Service) openExecutor(method Method, chargeOverhead bool) (stepExecutor
 		res.Overhead = sw.Elapsed()
 		return &expectExecutor{svc: s, sess: sess}, res, nil
 	case MethodCoG:
-		cfg := s.cogCfg
-		if cfg == (cog.Config{}) {
-			cfg = cog.DefaultConfig()
-		}
+		cfg := cog.DefaultConfig()
 		if !chargeOverhead {
 			cfg.StartupOverhead = 0 // kit already started by the parent
 		}

@@ -37,12 +37,6 @@ type HistoryConfig struct {
 	Step time.Duration
 	// Archives is the retention ladder (default rrd.DefaultArchives).
 	Archives []rrd.ArchiveSpec
-	// Rules are the alert rules; nil uses DefaultAlertRules, an explicit
-	// empty slice disables alerting.
-	Rules []rrd.Rule
-	// RollupMetrics are the per-site series super-peers consolidate into
-	// grid-wide ones; nil uses DefaultRollupMetrics.
-	RollupMetrics []string
 }
 
 func (c HistoryConfig) withDefaults() HistoryConfig {
@@ -51,12 +45,6 @@ func (c HistoryConfig) withDefaults() HistoryConfig {
 	}
 	if len(c.Archives) == 0 {
 		c.Archives = rrd.DefaultArchives()
-	}
-	if c.Rules == nil {
-		c.Rules = DefaultAlertRules(c.Step)
-	}
-	if c.RollupMetrics == nil {
-		c.RollupMetrics = DefaultRollupMetrics()
 	}
 	return c
 }
@@ -298,7 +286,7 @@ func (s *Service) RollupHistory() int {
 	}
 	sp := s.tel.StartSpan("rdm.RollupHistory", nil)
 	folded := 0
-	for _, metric := range s.historyCfg.RollupMetrics {
+	for _, metric := range DefaultRollupMetrics() {
 		gridName := GridSeriesPrefix + metric
 		var sinceNs int64
 		if last, ok := s.history.LastTS(gridName); ok {

@@ -13,97 +13,70 @@ import (
 	"glare/internal/xmlutil"
 )
 
-// MonitorIntervals configures the background components.
-type MonitorIntervals struct {
-	CacheRefresh time.Duration
-	IndexProbe   time.Duration
-	StatusCheck  time.Duration
-	PeerLiveness time.Duration
-	// RegistrySync paces the anti-entropy reconciler (SyncRegistries);
-	// only super-peers act on it.
-	RegistrySync time.Duration
-	// HistorySample paces the telemetry-history sampler (SampleTelemetry),
-	// which also evaluates the alert rules.
-	HistorySample time.Duration
-	// HistoryRollup paces the grid-wide series consolidation
-	// (RollupHistory); only super-peers act on it.
-	HistoryRollup time.Duration
-	// ReplicaCheck paces replica failure detection and promotion
-	// (CheckReplicas); only super-peers act on it. Failover completes
-	// within replSuspicionThreshold of these intervals plus one
-	// promotion round-trip.
-	ReplicaCheck time.Duration
-	// ReplicaRepair paces read repair and promoted-data hand-off
-	// (RepairReplicas); every replicating site acts on it.
-	ReplicaRepair time.Duration
-	// ClockSkew paces the clock-skew gauge refresh (CheckClockSkew); every
-	// site acts on it.
-	ClockSkew time.Duration
-}
-
-// DefaultIntervals suits interactive use; tests call the single-pass
+// Background component intervals (real time). Tests call the single-pass
 // methods directly for determinism.
-func DefaultIntervals() MonitorIntervals {
-	return MonitorIntervals{
-		CacheRefresh:  5 * time.Second,
-		IndexProbe:    3 * time.Second,
-		StatusCheck:   5 * time.Second,
-		PeerLiveness:  2 * time.Second,
-		RegistrySync:  5 * time.Second,
-		HistorySample: 2 * time.Second,
-		HistoryRollup: 5 * time.Second,
-		ReplicaCheck:  2 * time.Second,
-		ReplicaRepair: 5 * time.Second,
-		ClockSkew:     5 * time.Second,
-	}
-}
+const (
+	cacheRefreshEvery = 5 * time.Second
+	indexProbeEvery   = 3 * time.Second
+	statusCheckEvery  = 5 * time.Second
+	peerLivenessEvery = 2 * time.Second
+	// registrySyncEvery paces the anti-entropy reconciler (SyncRegistries);
+	// only super-peers act on it.
+	registrySyncEvery = 5 * time.Second
+	// historySampleEvery paces the telemetry-history sampler
+	// (SampleTelemetry), which also evaluates the alert rules.
+	historySampleEvery = 2 * time.Second
+	// historyRollupEvery paces the grid-wide series consolidation
+	// (RollupHistory); only super-peers act on it.
+	historyRollupEvery = 5 * time.Second
+	// replicaCheckEvery paces replica failure detection and promotion
+	// (CheckReplicas); only super-peers act on it. Failover completes
+	// within replSuspicionThreshold of these intervals plus one promotion
+	// round-trip.
+	replicaCheckEvery = 2 * time.Second
+	// replicaRepairEvery paces read repair and promoted-data hand-off
+	// (RepairReplicas); every replicating site acts on it.
+	replicaRepairEvery = 5 * time.Second
+	// clockSkewEvery paces the clock-skew gauge refresh (CheckClockSkew);
+	// every site acts on it.
+	clockSkewEvery = 5 * time.Second
+)
 
 // StartMonitors launches the Cache Refresher, Index Monitor, Deployment
 // Status Monitor and super-peer liveness checks until Stop is called.
-// Intervals are real time.
-func (s *Service) StartMonitors(iv MonitorIntervals) {
-	if iv.CacheRefresh > 0 {
-		go s.loop(iv.CacheRefresh, func() { s.RefreshCaches() })
-	}
-	if iv.IndexProbe > 0 {
-		go s.loop(iv.IndexProbe, func() { s.CheckIndex() })
-	}
-	if iv.StatusCheck > 0 {
-		go s.loop(iv.StatusCheck, func() { s.CheckDeployments() })
-	}
-	if iv.PeerLiveness > 0 && s.agent != nil {
-		s.agent.StartMonitor(iv.PeerLiveness, s.stop)
-	}
-	if iv.RegistrySync > 0 && s.agent != nil {
-		go s.loop(iv.RegistrySync, func() {
+func (s *Service) StartMonitors() {
+	go s.loop(cacheRefreshEvery, func() { s.RefreshCaches() })
+	go s.loop(indexProbeEvery, func() { s.CheckIndex() })
+	go s.loop(statusCheckEvery, func() { s.CheckDeployments() })
+	if s.agent != nil {
+		s.agent.StartMonitor(peerLivenessEvery, s.stop)
+		go s.loop(registrySyncEvery, func() {
 			if s.agent.IsSuperPeer() {
 				s.SyncRegistries()
 			}
 		})
 	}
-	if iv.HistorySample > 0 && s.history != nil {
-		go s.loop(iv.HistorySample, func() { s.SampleTelemetry() })
+	if s.history != nil {
+		go s.loop(historySampleEvery, func() { s.SampleTelemetry() })
 	}
-	if iv.HistoryRollup > 0 && s.history != nil && s.agent != nil {
-		go s.loop(iv.HistoryRollup, func() {
+	if s.history != nil && s.agent != nil {
+		go s.loop(historyRollupEvery, func() {
 			if s.agent.IsSuperPeer() {
 				s.RollupHistory()
 			}
 		})
 	}
-	if iv.ReplicaCheck > 0 && s.repl != nil && s.agent != nil {
-		go s.loop(iv.ReplicaCheck, func() {
+	if s.repl != nil && s.agent != nil {
+		go s.loop(replicaCheckEvery, func() {
 			if s.agent.IsSuperPeer() {
 				s.CheckReplicas()
 			}
 		})
 	}
-	if iv.ReplicaRepair > 0 && s.repl != nil {
-		go s.loop(iv.ReplicaRepair, func() { s.RepairReplicas() })
+	if s.repl != nil {
+		go s.loop(replicaRepairEvery, func() { s.RepairReplicas() })
 	}
-	if iv.ClockSkew > 0 {
-		go s.loop(iv.ClockSkew, func() { s.CheckClockSkew() })
-	}
+	go s.loop(clockSkewEvery, func() { s.CheckClockSkew() })
 }
 
 func (s *Service) loop(interval time.Duration, fn func()) {

@@ -20,14 +20,12 @@ import (
 	"glare/internal/atr"
 	"glare/internal/cache"
 	"glare/internal/cas"
-	"glare/internal/cog"
 	"glare/internal/deployfile"
 	"glare/internal/gram"
 	"glare/internal/gridftp"
 	"glare/internal/hlc"
 	"glare/internal/lease"
 	"glare/internal/mds"
-	"glare/internal/metrics"
 	"glare/internal/replicate"
 	"glare/internal/rrd"
 	"glare/internal/simclock"
@@ -50,27 +48,15 @@ const (
 	MethodCoG    Method = "cog"
 )
 
-// DeployCosts models the WSRF interaction costs of the deployment phases
-// that are not otherwise simulated (remote resource creation, notification
-// delivery). Values calibrated against Table 1.
-type DeployCosts struct {
-	TypeAddition time.Duration // "Activity Type Addition"  (~630-665 ms)
-	Registration time.Duration // "Activity Deployment Registration" (~350 ms)
-	Notification time.Duration // "Notification" (345 ms)
-	ExpectLogin  time.Duration // "Expect Overhead" (2,100 ms)
-}
-
-// DefaultDeployCosts matches the Table 1 calibration.
-func DefaultDeployCosts() DeployCosts {
-	return DeployCosts{
-		TypeAddition: 640 * time.Millisecond,
-		Registration: 352 * time.Millisecond,
-		Notification: 345 * time.Millisecond,
-		ExpectLogin:  expectLoginDefault,
-	}
-}
-
-const expectLoginDefault = 2100 * time.Millisecond
+// The modeled WSRF interaction costs of the deployment phases that are not
+// otherwise simulated (remote resource creation, notification delivery),
+// calibrated against Table 1.
+const (
+	typeAdditionCost = 640 * time.Millisecond  // "Activity Type Addition" (~630-665 ms)
+	registrationCost = 352 * time.Millisecond  // "Activity Deployment Registration" (~350 ms)
+	notificationCost = 345 * time.Millisecond  // "Notification" (345 ms)
+	expectLoginCost  = 2100 * time.Millisecond // "Expect Overhead" (2,100 ms)
+)
 
 // Config assembles one site's RDM service.
 type Config struct {
@@ -88,15 +74,8 @@ type Config struct {
 	GroupSize int
 	// DeployFiles resolves deploy-file URLs published by providers.
 	DeployFiles func(url string) (*deployfile.Build, error)
-	// Costs are the modeled WSRF operation costs (Table 1 calibration).
-	Costs DeployCosts
 	// CacheTTL bounds cached remote resources; zero = cache.DefaultTTL.
 	CacheTTL time.Duration
-	// StaleFor retains expired cache entries beyond their TTL so
-	// resolution can degrade to them when peers are unreachable (breaker
-	// open or retries exhausted) instead of failing. Zero uses
-	// DefaultStaleFor; negative disables degraded serving.
-	StaleFor time.Duration
 	// CacheDisabled turns local caching off (the Fig. 12 "without cache"
 	// configuration).
 	CacheDisabled bool
@@ -105,10 +84,6 @@ type Config struct {
 	// It is a blocking delay, so scans on different (simulated) sites
 	// overlap like real machines would; zero disables the model.
 	ScanDelayPerEntry time.Duration
-	// TransferCost configures the Expect path's direct GridFTP transfers.
-	TransferCost gridftp.CostModel
-	// CoG configures the JavaCoG deployment path.
-	CoG cog.Config
 	// Telemetry is the site's observability bundle. Nil creates a private
 	// bundle named after the site, so the RDM is always instrumented.
 	Telemetry *telemetry.Telemetry
@@ -125,8 +100,8 @@ type Config struct {
 	// nil disables injection.
 	DeployHook DeployHook
 	// History tunes the round-robin telemetry history (sampling step,
-	// retention ladder, alert rules, rollup set); the zero value enables
-	// it with defaults, Disabled turns it off.
+	// retention ladder); the zero value enables it with defaults, Disabled
+	// turns it off.
 	History HistoryConfig
 	// ReplicaK is the registry replication factor: total copies of every
 	// ATR/ADR/lease entry, owner included, spread over the site's peer
@@ -139,17 +114,20 @@ type Config struct {
 	// negative disables the CAS entirely (every transfer goes to origin,
 	// the pre-artifact-grid behaviour).
 	CASBudget int64
-	// SkewAlarm is the clock-disagreement bound beyond which an observed
-	// peer offset (sender HLC stamp vs this site's physical clock) raises
-	// the skew alarm (glare_clock_skew_detected_total). Zero uses
-	// DefaultSkewAlarm; negative disables the alarm.
-	SkewAlarm time.Duration
 }
 
-// DefaultSkewAlarm is the default clock-disagreement alarm bound: wide
-// enough to absorb network latency between stamp and observation, far
-// tighter than the multi-minute skews operators must hear about.
-const DefaultSkewAlarm = 10 * time.Second
+const (
+	// staleFor retains expired cache entries beyond their TTL so
+	// resolution can degrade to them when peers are unreachable (breaker
+	// open or retries exhausted) instead of failing.
+	staleFor = 30 * time.Minute
+	// skewAlarm is the clock-disagreement bound beyond which an observed
+	// peer offset (sender HLC stamp vs this site's physical clock) raises
+	// the skew alarm (glare_clock_skew_detected_total): wide enough to
+	// absorb network latency between stamp and observation, far tighter
+	// than the multi-minute skews operators must hear about.
+	skewAlarm = 10 * time.Second
+)
 
 // Service is one site's GLARE RDM.
 type Service struct {
@@ -190,12 +168,10 @@ type Service struct {
 	skewDetected *telemetry.Counter
 
 	deployFiles func(url string) (*deployfile.Build, error)
-	costs       DeployCosts
-	cogCfg      cog.Config
 
-	// Load is the request-manager run-queue tracker (Fig. 13); its queue
-	// depth doubles as the glare_rdm_run_queue gauge on /metrics.
-	Load *metrics.LoadTracker
+	// runQueue is the request manager's run queue (Fig. 13): requests
+	// currently being resolved, exposed as glare_rdm_run_queue.
+	runQueue *telemetry.Gauge
 
 	tel   *telemetry.Telemetry
 	store *store.Store
@@ -235,10 +211,6 @@ type Service struct {
 	stopOnce       sync.Once
 }
 
-// DefaultStaleFor is how long expired cache entries stay reachable for
-// degraded resolution after their TTL.
-const DefaultStaleFor = 30 * time.Minute
-
 // New assembles the service (does not start background monitors; call
 // StartMonitors for that).
 func New(cfg Config) (*Service, error) {
@@ -248,9 +220,6 @@ func New(cfg Config) (*Service, error) {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simclock.Real
-	}
-	if cfg.Costs == (DeployCosts{}) {
-		cfg.Costs = DefaultDeployCosts()
 	}
 	broker := wsrf.NewBroker(clock)
 	hybrid := hlc.New(cfg.Site.Attrs.Name, clock)
@@ -262,7 +231,7 @@ func New(cfg Config) (*Service, error) {
 	adrURL := agentSelf.ServiceURL(adr.ServiceName)
 	typesReg := atr.New(atrURL, clock, broker)
 	depsReg := adr.New(adrURL, typesReg, clock, broker)
-	ftp := gridftp.NewClient(clock, cfg.Site.Repo, cfg.TransferCost)
+	ftp := gridftp.NewClient(clock, cfg.Site.Repo, gridftp.DefaultCost)
 	ftp.Attach(cfg.Site)
 	tel := cfg.Telemetry
 	if tel == nil {
@@ -290,10 +259,7 @@ func New(cfg Config) (*Service, error) {
 		depCache:    cache.New(clock, cfg.CacheTTL),
 		cacheOff:    cfg.CacheDisabled,
 		deployFiles: cfg.DeployFiles,
-		costs:       cfg.Costs,
-		cogCfg:      cfg.CoG,
-		Load: metrics.NewLoadTrackerOn(tel.Gauge("glare_rdm_run_queue"),
-			5*time.Second, time.Minute),
+		runQueue:    tel.Gauge("glare_rdm_run_queue"),
 		tel:         tel,
 		limits:      cfg.Deploy.withDefaults(),
 		deployHook:  cfg.DeployHook,
@@ -331,16 +297,10 @@ func New(cfg Config) (*Service, error) {
 	// Stale retention backs graceful degradation: when a peer is down,
 	// resolution serves expired entries (marked degraded) instead of
 	// failing.
-	staleFor := cfg.StaleFor
-	if staleFor == 0 {
-		staleFor = DefaultStaleFor
-	}
-	if staleFor > 0 {
-		s.typeCache.SetStaleFor(staleFor)
-		s.depCache.SetStaleFor(staleFor)
-		s.typeCache.InstrumentStale(tel.Counter("glare_rdm_cache_stale_served_total", telemetry.L("cache", "types")))
-		s.depCache.InstrumentStale(tel.Counter("glare_rdm_cache_stale_served_total", telemetry.L("cache", "deps")))
-	}
+	s.typeCache.SetStaleFor(staleFor)
+	s.depCache.SetStaleFor(staleFor)
+	s.typeCache.InstrumentStale(tel.Counter("glare_rdm_cache_stale_served_total", telemetry.L("cache", "types")))
+	s.depCache.InstrumentStale(tel.Counter("glare_rdm_cache_stale_served_total", telemetry.L("cache", "deps")))
 	s.degraded = tel.Counter("glare_rdm_resolve_degraded_total")
 	s.syncPulled = tel.Counter("glare_sync_entries_pulled_total")
 	// Clock-skew surveillance: every envelope exchange lets the HLC compare
@@ -350,16 +310,10 @@ func New(cfg Config) (*Service, error) {
 	// column). The worst observation per peer is retained for the
 	// CheckClockSkew monitor pass.
 	s.skewDetected = tel.Counter("glare_clock_skew_detected_total")
-	skewAlarm := cfg.SkewAlarm
-	if skewAlarm == 0 {
-		skewAlarm = DefaultSkewAlarm
-	}
-	if skewAlarm > 0 {
-		hybrid.SetSkewBound(skewAlarm)
-		hybrid.OnSkew(func(peer string, offset time.Duration) {
-			s.skewDetected.Inc()
-		})
-	}
+	hybrid.SetSkewBound(skewAlarm)
+	hybrid.OnSkew(func(peer string, offset time.Duration) {
+		s.skewDetected.Inc()
+	})
 	if cfg.Agent != nil {
 		cfg.Agent.SetSkewSource(hybrid.MaxPeerOffset)
 	}
@@ -382,7 +336,7 @@ func New(cfg Config) (*Service, error) {
 	s.historyCfg = cfg.History.withDefaults()
 	if !cfg.History.Disabled {
 		s.history = rrd.NewStore(s.historyCfg.Step)
-		s.alerts = rrd.NewAlerts(s.history, s.historyCfg.Rules)
+		s.alerts = rrd.NewAlerts(s.history, DefaultAlertRules(s.historyCfg.Step))
 		s.historySamples = tel.Counter("glare_history_samples_total")
 		s.rollupPoints = tel.Counter("glare_history_rollup_points_total")
 	}
@@ -426,17 +380,6 @@ func (s *Service) Clock() simclock.Clock { return s.clock }
 // piggybacks its stamps on every envelope and merges the stamps it
 // receives, so any message exchange bounds inter-site divergence.
 func (s *Service) HLC() *hlc.Clock { return s.hlc }
-
-// SetCacheDisabled toggles local caching (Fig. 12 configurations).
-func (s *Service) SetCacheDisabled(off bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cacheOff = off
-	if off {
-		s.typeCache.Clear()
-		s.depCache.Clear()
-	}
-}
 
 // CacheStats reports the combined type+deployment cache statistics.
 func (s *Service) CacheStats() (types, deps cache.Stats) {

@@ -349,11 +349,11 @@ func TestTypeRemovalUnregistersFromIndices(t *testing.T) {
 func TestLoadTrackerCountsRequests(t *testing.T) {
 	s, _ := single(t)
 	registerImaging(t, s)
-	if s.Load.Queue() != 0 {
+	if s.runQueue.Value() != 0 {
 		t.Fatal("queue not empty at rest")
 	}
 	s.GetDeployments("JPOVray", MethodExpect, false) // errors, but still tracked
-	if s.Load.Queue() != 0 {
+	if s.runQueue.Value() != 0 {
 		t.Fatal("queue leaked")
 	}
 }

@@ -96,8 +96,8 @@ func (s *Service) GetDeploymentsCtx(ctx context.Context, parent *telemetry.Span,
 	}
 	sp := s.tel.StartSpan("rdm.GetDeployments", parent)
 	sp.SetNote(typeName)
-	s.Load.Enter()
-	defer s.Load.Exit()
+	s.runQueue.Inc()
+	defer s.runQueue.DecFloor()
 	out, err := s.getDeployments(ctx, sp, typeName, method, allowDeploy)
 	sp.End(err)
 	return out, err

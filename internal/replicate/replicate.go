@@ -224,9 +224,11 @@ func (r *Replicator) AwaitQuorum(reg, key string) error {
 	if p == nil {
 		return nil
 	}
+	timeout := time.NewTimer(r.cfg.Timeout)
+	defer timeout.Stop()
 	select {
 	case <-p.done:
-	case <-time.After(r.cfg.Timeout):
+	case <-timeout.C:
 		// Raced the last settle? Check once more before declaring failure.
 		select {
 		case <-p.done:

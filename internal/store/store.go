@@ -39,7 +39,7 @@ type FsyncPolicy int
 
 const (
 	// FsyncInterval batches fsyncs: an append syncs only when
-	// Options.FsyncInterval has elapsed since the last sync. The default —
+	// syncInterval has elapsed since the last sync. The default —
 	// bounded loss window, near-FsyncNever throughput.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways syncs after every append: no acknowledged mutation is
@@ -83,8 +83,10 @@ var ErrCrashed = errors.New("store: crashed (simulated)")
 const (
 	DefaultSegmentMaxBytes = 1 << 20
 	DefaultSnapshotEvery   = 1024
-	DefaultFsyncInterval   = 100 * time.Millisecond
 )
+
+// syncInterval bounds the loss window under the FsyncInterval policy.
+const syncInterval = 100 * time.Millisecond
 
 // Options configures a store.
 type Options struct {
@@ -92,9 +94,6 @@ type Options struct {
 	Dir string
 	// Fsync is the sync policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// FsyncInterval bounds the loss window under FsyncInterval policy
-	// (default DefaultFsyncInterval).
-	FsyncInterval time.Duration
 	// SegmentMaxBytes rotates the active WAL segment past this size
 	// (default DefaultSegmentMaxBytes).
 	SegmentMaxBytes int64
@@ -184,9 +183,6 @@ func Open(opts Options) (*Store, error) {
 	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = DefaultSnapshotEvery
-	}
-	if opts.FsyncInterval <= 0 {
-		opts.FsyncInterval = DefaultFsyncInterval
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
@@ -396,7 +392,7 @@ func (s *Store) maybeSyncLocked() error {
 		return s.syncLocked()
 	case FsyncInterval:
 		now := s.clock.Now()
-		if now.Sub(s.lastSync) >= s.opts.FsyncInterval {
+		if now.Sub(s.lastSync) >= syncInterval {
 			return s.syncLocked()
 		}
 	}

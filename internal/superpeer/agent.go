@@ -66,10 +66,9 @@ type Agent struct {
 	bestCommunity int
 	onViewChange  []func(View)
 	// suspicion counts consecutive missed super-peer probes; recovery
-	// starts only once it reaches suspicionK, so one dropped packet under
-	// chaos does not trigger an election storm.
-	suspicion  int
-	suspicionK int
+	// starts only once it reaches DefaultSuspicionThreshold, so one dropped
+	// packet under chaos does not trigger an election storm.
+	suspicion int
 	// replicaK is this site's configured registry replication factor; the
 	// election coordinator stamps it into every view it assigns, so the
 	// whole overlay agrees on one K per epoch.
@@ -96,19 +95,7 @@ func NewAgent(self SiteInfo, client *transport.Client, broker *wsrf.Broker) *Age
 		broker = wsrf.NewBroker(nil)
 	}
 	return &Agent{self: self, client: client, broker: broker,
-		pingTimeout: DefaultPingTimeout, suspicionK: DefaultSuspicionThreshold}
-}
-
-// SetSuspicionThreshold overrides how many consecutive missed probes
-// DetectAndRecover needs before initiating recovery (k <= 0 restores the
-// default). Call during site assembly, before monitors start.
-func (a *Agent) SetSuspicionThreshold(k int) {
-	if k <= 0 {
-		k = DefaultSuspicionThreshold
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.suspicionK = k
+		pingTimeout: DefaultPingTimeout}
 }
 
 // SetPingTimeout overrides the liveness-probe timeout (d <= 0 restores
@@ -550,7 +537,7 @@ func (a *Agent) handleRejoin(body *xmlutil.Node) (*xmlutil.Node, error) {
 }
 
 // DetectAndRecover is the member-side failure path: if the super-peer has
-// missed suspicionK consecutive probes, compute the ranks of the surviving
+// missed DefaultSuspicionThreshold consecutive probes, compute the ranks of the surviving
 // members and notify the highest-ranked *reachable* one (or run the
 // takeover directly if that is us). It reports whether recovery was
 // initiated; below the suspicion threshold a missed probe only raises
@@ -568,7 +555,7 @@ func (a *Agent) DetectAndRecover() (bool, error) {
 	}
 	a.mu.Lock()
 	a.suspicion++
-	tripped := a.suspicion >= a.suspicionK
+	tripped := a.suspicion >= DefaultSuspicionThreshold
 	if tripped {
 		a.suspicion = 0
 	}

@@ -45,9 +45,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("class-%d", int(c))
 }
 
-// Classifier maps an incoming (service, operation) pair to its class.
-type Classifier func(service, operation string) Class
-
 // DefaultClassify is the grid's standard operation taxonomy: everything
 // on the PeerService (plus view/liveness reads) is control plane,
 // anti-entropy digests and history exports are bulk, and everything else
@@ -118,8 +115,6 @@ type AdmissionConfig struct {
 	// AIMDWindow is the number of completions per class between
 	// adaptations (default 64).
 	AIMDWindow int
-	// Classify overrides the operation taxonomy (default DefaultClassify).
-	Classify Classifier
 	// Now overrides the time source (tests).
 	Now func() time.Time
 }
@@ -181,10 +176,9 @@ type classState struct {
 // brownout ladder across priority classes. One controller guards one
 // Server's whole service tree.
 type Admission struct {
-	cfg      AdmissionConfig
-	classify Classifier
-	now      func() time.Time
-	tel      *telemetry.Telemetry
+	cfg AdmissionConfig
+	now func() time.Time
+	tel *telemetry.Telemetry
 
 	mu      sync.Mutex
 	classes [numClasses]*classState
@@ -195,10 +189,7 @@ func NewAdmission(cfg AdmissionConfig, tel *telemetry.Telemetry) *Admission {
 	if cfg.AIMDWindow <= 0 {
 		cfg.AIMDWindow = 64
 	}
-	a := &Admission{cfg: cfg, classify: cfg.Classify, now: cfg.Now, tel: tel}
-	if a.classify == nil {
-		a.classify = DefaultClassify
-	}
+	a := &Admission{cfg: cfg, now: cfg.Now, tel: tel}
 	if a.now == nil {
 		a.now = time.Now
 	}
@@ -249,7 +240,7 @@ func sooner(a, b time.Time) bool {
 // request completes; on refusal it returns an *Overload. Admit blocks
 // while the request waits in its class's queue.
 func (a *Admission) Admit(service, operation string, deadline time.Time) (func(), error) {
-	class := a.classify(service, operation)
+	class := DefaultClassify(service, operation)
 	cs := a.classes[class]
 	a.mu.Lock()
 	// Brownout ladder: while any higher-priority class has waiters

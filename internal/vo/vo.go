@@ -18,10 +18,8 @@ import (
 	"sync"
 	"time"
 
-	"glare/internal/cog"
 	"glare/internal/epr"
 	"glare/internal/faultinject"
-	"glare/internal/gridftp"
 	"glare/internal/gsi"
 	"glare/internal/mds"
 	"glare/internal/rdm"
@@ -51,21 +49,9 @@ type Options struct {
 	// ScanDelayPerEntry models remote registry processing per scanned
 	// entry (see rdm.Config).
 	ScanDelayPerEntry time.Duration
-	// Costs overrides the Table 1 cost calibration.
-	Costs rdm.DeployCosts
-	// TransferCost configures direct GridFTP transfers.
-	TransferCost gridftp.CostModel
-	// CoG configures the JavaCoG path.
-	CoG cog.Config
-	// IndexCollapse configures the community index's overload behaviour;
-	// zero disables it (keep it disabled unless reproducing Fig. 11).
-	IndexCollapse mds.CollapseConfig
 	// CallTimeout overrides the transport per-request timeout (zero uses
 	// transport.DefaultCallTimeout).
 	CallTimeout time.Duration
-	// Retry overrides the per-site clients' retry policy; nil uses
-	// transport.DefaultRetryPolicy.
-	Retry *transport.RetryPolicy
 	// Breaker overrides the per-site clients' circuit-breaker config; nil
 	// uses transport.DefaultBreakerConfig.
 	Breaker *transport.BreakerConfig
@@ -77,13 +63,11 @@ type Options struct {
 	// ADR and lease mutations under DataDir/site-NN and replays them on
 	// restart (see RestartSite). Empty keeps every site memory-only.
 	DataDir string
-	// StoreFsync is the durability fsync policy (default store.FsyncInterval).
-	StoreFsync store.FsyncPolicy
 	// Deploy tunes every site's deployment execution engine (concurrency,
 	// queue depth, retry, quarantine); zero uses rdm.DefaultDeployLimits.
 	Deploy rdm.DeployLimits
 	// History tunes every site's round-robin telemetry history (sampling
-	// step, retention, alert rules); the zero value enables defaults.
+	// step, retention); the zero value enables defaults.
 	History rdm.HistoryConfig
 	// Admission overrides every site's overload admission controller
 	// (per-class concurrency limits, queue depths, AIMD target); nil uses
@@ -98,10 +82,6 @@ type Options struct {
 	// included) and registrations acknowledge only after a write quorum.
 	// Zero or one keeps replication off.
 	ReplicaK int
-	// CASBudget is each site's content-addressed artifact store byte
-	// budget: zero selects the cas package default, negative disables the
-	// artifact grid.
-	CASBudget int64
 }
 
 // Node is one Grid site's full stack.
@@ -242,11 +222,7 @@ func (v *VO) newClient(opts Options, tel *telemetry.Telemetry, source string) *t
 		tlsConf = v.CA.ClientConfig()
 	}
 	c := transport.NewClientTimeout(tlsConf, opts.CallTimeout)
-	retry := transport.DefaultRetryPolicy()
-	if opts.Retry != nil {
-		retry = *opts.Retry
-	}
-	c.SetRetryPolicy(retry)
+	c.SetRetryPolicy(transport.DefaultRetryPolicy())
 	c.SetRetryBudget(transport.NewRetryBudget(0, 0))
 	breaker := transport.DefaultBreakerConfig()
 	if opts.Breaker != nil {
@@ -313,9 +289,6 @@ func (v *VO) buildNode(i int, opts Options, addr string) (*Node, error) {
 		kind = mds.CommunityIndex
 	}
 	index := mds.New(fmt.Sprintf("index-%s", attrs.Name), kind, siteClock)
-	if i == 0 && opts.IndexCollapse != (mds.CollapseConfig{}) {
-		index.SetCollapse(opts.IndexCollapse)
-	}
 
 	// Durability: open (and recover) the site's journal before the RDM is
 	// assembled, so rdm.New replays it into the fresh registries.
@@ -324,7 +297,6 @@ func (v *VO) buildNode(i int, opts Options, addr string) (*Node, error) {
 		var err error
 		durable, err = store.Open(store.Options{
 			Dir:   filepath.Join(opts.DataDir, fmt.Sprintf("site-%02d", i+1)),
-			Fsync: opts.StoreFsync,
 			Clock: siteClock,
 		})
 		if err != nil {
@@ -349,19 +321,15 @@ func (v *VO) buildNode(i int, opts Options, addr string) (*Node, error) {
 		LocalIndex:        index,
 		DeployFiles:       v.Resolver.Fetch,
 		GroupSize:         opts.GroupSize,
-		Costs:             opts.Costs,
 		CacheTTL:          opts.CacheTTL,
 		ScanDelayPerEntry: opts.ScanDelayPerEntry,
 		CacheDisabled:     opts.CacheDisabled,
-		TransferCost:      opts.TransferCost,
-		CoG:               opts.CoG,
 		Telemetry:         tel,
 		Store:             durable,
 		Deploy:            opts.Deploy,
 		DeployHook:        chaos.Step,
 		History:           opts.History,
 		ReplicaK:          opts.ReplicaK,
-		CASBudget:         opts.CASBudget,
 	})
 	if err != nil {
 		if durable != nil {
