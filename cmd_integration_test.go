@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"glare/internal/childproc"
 )
 
 // TestCommandsEndToEnd builds the real glared and glarectl binaries, boots
@@ -151,7 +153,7 @@ func TestCommandsEndToEnd(t *testing.T) {
 func startDaemon(t *testing.T, bin string, args ...string) string {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
-	dieWithParent(cmd)
+	childproc.DieWithParent(cmd)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

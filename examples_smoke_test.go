@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"glare/internal/childproc"
 )
 
 // TestExamplesRun executes every example main to completion; examples are
@@ -34,7 +36,7 @@ func TestExamplesRun(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 			defer cancel()
 			cmd := exec.CommandContext(ctx, filepath.Join(bin, ex))
-			dieWithParent(cmd)
+			childproc.DieWithParent(cmd)
 			// Bounds the wait for output pipes after the kill on timeout.
 			cmd.WaitDelay = 5 * time.Second
 			out, err := cmd.CombinedOutput()

@@ -176,11 +176,11 @@ func (r *Registry) ConcreteOf(name string) ([]*activity.Type, error) {
 	return h.ConcreteOf(name), nil
 }
 
-// Query evaluates an XPath expression over the aggregated document,
-// rendered from the home so results reflect current state. Every result
-// node is a private copy.
+// Query evaluates an XPath expression over the service-group aggregation
+// of the registered types, read in place from the home so results reflect
+// current state. Every result node is a private copy.
 func (r *Registry) Query(expr *xpath.Expr) xpath.Result {
-	return expr.Select(r.home.Aggregate(groupName))
+	return r.home.Select(groupName, expr)
 }
 
 // QueryString compiles and evaluates an XPath source string.

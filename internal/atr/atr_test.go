@@ -297,39 +297,48 @@ func renderResult(res xpath.Result) string {
 	return b.String()
 }
 
+// oracleQueries are the expressions Query is compared with its oracle on:
+// the three query_xpath predicate shapes, a ".." step, an attribute-final
+// path, and shapes that reach an entry, its member EPR or the root.
+var oracleQueries = []string{
+	`//ActivityTypeEntry[@name='T03']`,
+	`//ActivityTypeEntry[BaseType='Base1']`,
+	`//ActivityTypeEntry[@type='Domain2']/Installation/Constraints[os='linux']`,
+	`//ActivityTypeEntry[DeployedOn='site-1']/..`,
+	`//ActivityTypeEntry[@type='Domain0']/@name`,
+	`//Entry[@key='T03']`,
+	`//Entry/MemberEPR/Address`,
+	`//*[@name='T03']`,
+	`//ReferenceProperties[LastUpdateTime]`,
+	`/ServiceGroup`,
+	`//Entry[2]`,
+	`//Entry/*[1]`,
+}
+
 // TestQueryMatchesServiceGroupOracle is the differential test for Query
-// rendering its aggregate straight from the home. The oracle is the path
+// reading the aggregation in place from the home. The oracle is the path
 // the registry used to take: a service group refreshed from the same home
 // before every query. After every step of seeded mutation sequences —
 // registration, deployment refs, deployment marks, lifetime expiry before
 // and after the sweep, removal, restore and adoption — both must return
-// byte-identical nodes for the three query_xpath predicate shapes, a ".."
-// step and an attribute-final path.
+// byte-identical nodes for every expression of oracleQueries.
 func TestQueryMatchesServiceGroupOracle(t *testing.T) {
 	var exprs []*xpath.Expr
-	for _, src := range []string{
-		`//ActivityTypeEntry[@name='T03']`,
-		`//ActivityTypeEntry[BaseType='Base1']`,
-		`//ActivityTypeEntry[@type='Domain2']/Installation/Constraints[os='linux']`,
-		`//ActivityTypeEntry[DeployedOn='site-1']/..`,
-		`//ActivityTypeEntry[@type='Domain0']/@name`,
-	} {
+	for _, src := range oracleQueries {
 		exprs = append(exprs, xpath.MustCompile(src))
 	}
-	oses := []string{"linux", "aix"}
 	// hits counts non-empty answers per expression, so the comparison is
 	// known to have exercised every shape.
 	hits := make([]int, len(exprs))
 	for seed := int64(1); seed <= 6; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		r, v := fixture()
-		oracle := wsrf.NewServiceGroup(groupName, v)
+		m := newMutator(seed)
+		oracle := wsrf.NewServiceGroup(groupName, m.v)
 		check := func(step string) {
 			t.Helper()
-			oracle.Refresh(r.Home())
+			oracle.Refresh(m.r.Home())
 			doc := oracle.Document()
 			for i, e := range exprs {
-				res := r.Query(e)
+				res := m.r.Query(e)
 				if got, want := renderResult(res), renderResult(e.Select(doc)); got != want {
 					t.Fatalf("seed %d, after %s, %s:\n got %s\nwant %s", seed, step, e, got, want)
 				}
@@ -338,60 +347,8 @@ func TestQueryMatchesServiceGroupOracle(t *testing.T) {
 				}
 			}
 		}
-		// Documents of removed types, for Restore and Adopt to bring back.
-		removed := map[string]*xmlutil.Node{}
 		for i := 0; i < 120; i++ {
-			name := fmt.Sprintf("T%02d", rng.Intn(12))
-			dep := epr.New("http://s1/wsrf/services/ADR", "ActivityDeploymentKey", fmt.Sprintf("dep-%d", rng.Intn(3)))
-			dep.LastUpdateTime = v.Now()
-			op := ""
-			switch rng.Intn(9) {
-			case 0, 1:
-				op = "Register " + name
-				r.Register(&activity.Type{Name: name,
-					Domain: fmt.Sprintf("Domain%d", rng.Intn(3)),
-					Base:   []string{fmt.Sprintf("Base%d", rng.Intn(3))},
-					Installation: &activity.Installation{Mode: activity.ModeOnDemand,
-						Constraints: activity.Constraints{OS: oses[rng.Intn(len(oses))]}}})
-			case 2:
-				op = "AddDeploymentRef " + name
-				r.AddDeploymentRef(name, dep)
-			case 3:
-				op = "RemoveDeploymentRef " + name
-				r.RemoveDeploymentRef(name, dep.Key)
-			case 4:
-				op = "MarkDeployed " + name
-				r.MarkDeployed(name, fmt.Sprintf("site-%d", rng.Intn(3)))
-			case 5:
-				if r.SetTermination(name, v.Now().Add(time.Minute)) != nil {
-					continue
-				}
-				v.Advance(2 * time.Minute)
-				check("SetTermination " + name + " (expired, unswept)")
-				op = "SweepExpired"
-				r.SweepExpired()
-			case 6:
-				op = "Remove " + name
-				if doc, ok := r.LookupDocument(name); ok && r.Remove(name) {
-					removed[name] = doc
-				}
-			case 7, 8:
-				doc := removed[name]
-				if doc == nil {
-					continue
-				}
-				delete(removed, name)
-				lut := v.Now().Add(-time.Duration(rng.Intn(60)) * time.Second)
-				if rng.Intn(2) == 0 {
-					op = "Restore " + name
-					r.Home().Restore(name, doc, lut, time.Time{})
-				} else {
-					op = "Adopt " + name
-					r.Home().Adopt(name, doc, lut, time.Time{})
-				}
-			}
-			v.Advance(time.Duration(rng.Intn(1000)) * time.Millisecond)
-			check(op)
+			m.step(check)
 		}
 	}
 	for i, e := range exprs {
@@ -399,4 +356,105 @@ func TestQueryMatchesServiceGroupOracle(t *testing.T) {
 			t.Errorf("%s never matched anything: the comparison proved nothing for it", e)
 		}
 	}
+}
+
+// FuzzHomeSelect is the differential fuzz target for Query: whatever
+// xpath.Compile accepts, Query answers without panicking and renders
+// byte-identically to Select over the Document of a service group
+// refreshed from the same (fixed, seeded) home.
+func FuzzHomeSelect(f *testing.F) {
+	for _, src := range oracleQueries {
+		f.Add(src)
+	}
+	m := newMutator(1)
+	for i := 0; i < 120; i++ {
+		m.step(func(string) {})
+	}
+	oracle := wsrf.NewServiceGroup(groupName, m.v)
+	oracle.Refresh(m.r.Home())
+	doc := oracle.Document()
+	f.Fuzz(func(t *testing.T, src string) {
+		e, err := xpath.Compile(src)
+		if err != nil {
+			return
+		}
+		if got, want := renderResult(m.r.Query(e)), renderResult(e.Select(doc)); got != want {
+			t.Fatalf("%s:\n got %s\nwant %s", src, got, want)
+		}
+	})
+}
+
+// mutator drives a registry through a seeded sequence of mutations over
+// twelve type names: registration, deployment refs, deployment marks,
+// lifetime expiry before and after the sweep, removal, restore and
+// adoption.
+type mutator struct {
+	rng     *rand.Rand
+	r       *Registry
+	v       *simclock.Virtual
+	removed map[string]*xmlutil.Node // documents of removed types, for Restore and Adopt
+}
+
+func newMutator(seed int64) *mutator {
+	r, v := fixture()
+	return &mutator{rng: rand.New(rand.NewSource(seed)), r: r, v: v, removed: map[string]*xmlutil.Node{}}
+}
+
+// step draws and applies one mutation, then calls check naming it; an
+// expiry is also checked before the sweep that follows it. A drawn
+// mutation with nothing to act on is skipped without a check.
+func (m *mutator) step(check func(op string)) {
+	oses := []string{"linux", "aix"}
+	rng, r, v := m.rng, m.r, m.v
+	name := fmt.Sprintf("T%02d", rng.Intn(12))
+	dep := epr.New("http://s1/wsrf/services/ADR", "ActivityDeploymentKey", fmt.Sprintf("dep-%d", rng.Intn(3)))
+	dep.LastUpdateTime = v.Now()
+	op := ""
+	switch rng.Intn(9) {
+	case 0, 1:
+		op = "Register " + name
+		r.Register(&activity.Type{Name: name,
+			Domain: fmt.Sprintf("Domain%d", rng.Intn(3)),
+			Base:   []string{fmt.Sprintf("Base%d", rng.Intn(3))},
+			Installation: &activity.Installation{Mode: activity.ModeOnDemand,
+				Constraints: activity.Constraints{OS: oses[rng.Intn(len(oses))]}}})
+	case 2:
+		op = "AddDeploymentRef " + name
+		r.AddDeploymentRef(name, dep)
+	case 3:
+		op = "RemoveDeploymentRef " + name
+		r.RemoveDeploymentRef(name, dep.Key)
+	case 4:
+		op = "MarkDeployed " + name
+		r.MarkDeployed(name, fmt.Sprintf("site-%d", rng.Intn(3)))
+	case 5:
+		if r.SetTermination(name, v.Now().Add(time.Minute)) != nil {
+			return
+		}
+		v.Advance(2 * time.Minute)
+		check("SetTermination " + name + " (expired, unswept)")
+		op = "SweepExpired"
+		r.SweepExpired()
+	case 6:
+		op = "Remove " + name
+		if doc, ok := r.LookupDocument(name); ok && r.Remove(name) {
+			m.removed[name] = doc
+		}
+	case 7, 8:
+		doc := m.removed[name]
+		if doc == nil {
+			return
+		}
+		delete(m.removed, name)
+		lut := v.Now().Add(-time.Duration(rng.Intn(60)) * time.Second)
+		if rng.Intn(2) == 0 {
+			op = "Restore " + name
+			r.Home().Restore(name, doc, lut, time.Time{})
+		} else {
+			op = "Adopt " + name
+			r.Home().Adopt(name, doc, lut, time.Time{})
+		}
+	}
+	v.Advance(time.Duration(rng.Intn(1000)) * time.Millisecond)
+	check(op)
 }

@@ -12,7 +12,9 @@ package wsrf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -106,6 +108,14 @@ func (r *Resource) recordPut(j Journal) {
 // resources of one registry), addressed by key through a hash table. It is
 // the single holder of those documents and the single point that journals
 // their mutations.
+//
+// Lock order: a writer holds at most one published resource's lock at a
+// time, and never waits for the home's lock while holding it (Destroy
+// takes the home's lock first; Create and install hold only a resource no
+// reader can reach yet). Select read-locks many resources at once, in key
+// order, and takes no other lock while holding them, so readers and
+// writers cannot wait on each other in a cycle. No code may read-lock a
+// resource it already holds: a waiting writer blocks the second RLock.
 type Home struct {
 	mu        sync.RWMutex
 	service   string // service address used when minting EPRs
@@ -114,8 +124,10 @@ type Home struct {
 	stamp     func() time.Time // ordering-stamp source, called under the stamped resource's lock
 	journal   Journal          // nil = no persistence
 	resources map[string]*Resource
+	sorted    []*Resource          // All's answer; nil once resources change, never modified in place
 	retiring  map[string]*Resource // destroyed, removal not yet journaled
 	destroyed []func(*Resource)    // destruction listeners
+	member    []string             // element names of a rendered member EPR
 }
 
 // NewHome creates a resource home. service and keyName are used to mint
@@ -131,6 +143,7 @@ func NewHome(service, keyName string, clock simclock.Clock) *Home {
 		stamp:     clock.Now,
 		resources: make(map[string]*Resource),
 		retiring:  make(map[string]*Resource),
+		member:    memberNames(service, keyName),
 	}
 }
 
@@ -197,6 +210,7 @@ func (h *Home) Create(key string, doc *xmlutil.Node) (*Resource, error) {
 	h.awaitRetired(key)
 	r.lastUpdate = h.stamp()
 	h.resources[key] = r
+	h.sorted = nil
 	j := h.journal
 	h.mu.Unlock()
 	r.recordPut(j)
@@ -235,6 +249,7 @@ func (h *Home) install(key string, doc *xmlutil.Node, lastUpdate, termination ti
 		old.mu.Unlock()
 	}
 	h.resources[key] = r
+	h.sorted = nil
 	j := h.journal
 	h.mu.Unlock()
 	if journal {
@@ -320,6 +335,7 @@ func (h *Home) Destroy(key string) bool {
 		return false
 	}
 	delete(h.resources, key)
+	h.sorted = nil
 	listeners := append([]func(*Resource){}, h.destroyed...)
 	j := h.journal
 	r.mu.Lock()
@@ -357,30 +373,35 @@ func (h *Home) Len() int {
 
 // Keys returns all resource keys in sorted order.
 func (h *Home) Keys() []string {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	keys := make([]string, 0, len(h.resources))
-	for k := range h.resources {
-		keys = append(keys, k)
+	all := h.All()
+	keys := make([]string, len(all))
+	for i, r := range all {
+		keys[i] = r.key
 	}
-	sort.Strings(keys)
 	return keys
 }
 
-// All returns the live resources in key order.
+// All returns the live resources in key order. The slice is shared by
+// every caller until the next Create, install or Destroy replaces it, so
+// callers must not modify it; mutations of the resources themselves keep
+// it.
 func (h *Home) All() []*Resource {
 	h.mu.RLock()
-	defer h.mu.RUnlock()
-	keys := make([]string, 0, len(h.resources))
-	for k := range h.resources {
-		keys = append(keys, k)
+	all := h.sorted
+	h.mu.RUnlock()
+	if all != nil {
+		return all
 	}
-	sort.Strings(keys)
-	out := make([]*Resource, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, h.resources[k])
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.sorted == nil {
+		h.sorted = make([]*Resource, 0, len(h.resources))
+		for _, r := range h.resources {
+			h.sorted = append(h.sorted, r)
+		}
+		slices.SortFunc(h.sorted, func(a, b *Resource) int { return strings.Compare(a.key, b.key) })
 	}
-	return out
+	return h.sorted
 }
 
 // EPR mints an endpoint reference for a contained resource.

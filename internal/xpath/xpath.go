@@ -21,6 +21,7 @@ package xpath
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,6 +33,7 @@ type Expr struct {
 	src      string
 	absolute bool
 	steps    []step
+	parents  bool // some step is "..", so Select needs a parent map
 }
 
 type axis int
@@ -92,6 +94,26 @@ func MustCompile(src string) *Expr {
 // String returns the original expression source.
 func (e *Expr) String() string { return e.src }
 
+// Tests reports whether the expression can test an element named one of
+// names: a child or descendant step or a child predicate names one, or a
+// step is the wildcard "*". When it reports false, removing from a document
+// subtrees whose elements are all named from names leaves every other
+// node's match unchanged.
+func (e *Expr) Tests(names ...string) bool {
+	named := func(n string) bool { return n == "*" || slices.Contains(names, n) }
+	for _, st := range e.steps {
+		if (st.axis == axisChild || st.axis == axisDescendant) && named(st.name) {
+			return true
+		}
+		for _, p := range st.preds {
+			if (p.kind == predChildExists || p.kind == predChildEquals || p.kind == predContains && !p.onAttr) && named(p.name) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Result holds matched nodes and, for attribute-final paths, strings.
 type Result struct {
 	Nodes   []*xmlutil.Node
@@ -112,8 +134,11 @@ func (e *Expr) Select(root *xmlutil.Node) Result {
 	// virtual document node whose only child is root.
 	doc := &xmlutil.Node{Name: "#doc", Children: []*xmlutil.Node{root}}
 	cur := []*xmlutil.Node{doc}
-	parents := map[*xmlutil.Node]*xmlutil.Node{root: doc}
-	registerParents(root, parents)
+	var parents map[*xmlutil.Node]*xmlutil.Node
+	if e.parents {
+		parents = map[*xmlutil.Node]*xmlutil.Node{root: doc}
+		registerParents(root, parents)
+	}
 
 	var attrOut []string
 	for i, st := range e.steps {
@@ -301,6 +326,7 @@ func (p *parser) parse() (*Expr, error) {
 			return nil, err
 		}
 		e.steps = append(e.steps, st)
+		e.parents = e.parents || st.axis == axisParent
 		if p.rest == "" {
 			break
 		}

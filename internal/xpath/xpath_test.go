@@ -227,3 +227,26 @@ func TestLargeDocument(t *testing.T) {
 		t.Fatalf("large doc lookup = %d", len(r.Nodes))
 	}
 }
+
+func TestTests(t *testing.T) {
+	names := []string{"MemberEPR", "Address"}
+	for src, want := range map[string]bool{
+		`//ActivityTypeEntry[@name='x']`:            false,
+		`//ActivityTypeEntry[BaseType='x']/..`:      false,
+		`/ServiceGroup/Entry[2]/@key`:               false,
+		`//Entry[contains(@Address, 'x')]`:          false,
+		`//Entry/.`:                                 false,
+		`//Entry/MemberEPR`:                         true,
+		`Address`:                                   true,
+		`//Entry[MemberEPR]`:                        true,
+		`//Entry[Address='x']/ActivityTypeEntry`:    true,
+		`//Entry[contains(Address, 'x')]`:           true,
+		`//Entry/*[1]`:                              true,
+		`//*[@name='x']`:                            true,
+		`//ActivityTypeEntry[DeployedOn='s']/../..`: false,
+	} {
+		if got := MustCompile(src).Tests(names...); got != want {
+			t.Errorf("%s: Tests = %v, want %v", src, got, want)
+		}
+	}
+}
