@@ -494,9 +494,6 @@ func (g *Grid) DriftSite(i int, rate float64) { g.vo.DriftSite(i, rate) }
 // accrued drift) from the shared grid clock.
 func (g *Grid) ClockOffset(i int) time.Duration { return g.vo.ClockOffset(i) }
 
-// RestoreClock zeroes site i's skew and drift.
-func (g *Grid) RestoreClock(i int) { g.vo.RestoreClock(i) }
-
 // SkewGrid arms a deterministic seeded skew schedule across every site:
 // offsets drawn uniformly from [-max, +max] plus a small drift in the same
 // direction. Returns the offsets applied, keyed by site name.

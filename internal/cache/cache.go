@@ -278,10 +278,3 @@ func (c *Cache) Refresh(probe func(key string, source epr.EPR) (time.Time, error
 	}
 	return revived, discarded
 }
-
-// Clear empties the cache.
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*Entry)
-}

@@ -131,16 +131,12 @@ func TestPeekDoesNotCountOrEvict(t *testing.T) {
 	}
 }
 
-func TestKeysAndClear(t *testing.T) {
+func TestKeys(t *testing.T) {
 	c, v := fixture()
 	c.Put("a", src("a", v.Now()), nil)
 	c.Put("b", src("b", v.Now()), nil)
 	if len(c.Keys()) != 2 {
 		t.Fatal("keys wrong")
-	}
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatal("clear failed")
 	}
 }
 

@@ -16,7 +16,6 @@ package cas
 import (
 	"container/list"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -40,15 +39,6 @@ func (k Key) String() string { return k.Algo + ":" + k.Sum }
 
 // IsZero reports whether the key is empty.
 func (k Key) IsZero() bool { return k.Algo == "" || k.Sum == "" }
-
-// ParseKey inverts Key.String.
-func ParseKey(s string) (Key, bool) {
-	algo, sum, ok := strings.Cut(s, ":")
-	if !ok || algo == "" || sum == "" {
-		return Key{}, false
-	}
-	return Key{Algo: algo, Sum: sum}, true
-}
 
 // Entry is one held blob.
 type Entry struct {

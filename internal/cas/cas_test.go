@@ -102,14 +102,10 @@ func TestCorruptDetectableAndDeletable(t *testing.T) {
 	}
 }
 
-func TestKeyStringRoundTrip(t *testing.T) {
+func TestKeyStringAndIsZero(t *testing.T) {
 	k := Key{Algo: "sha256", Sum: "abc123"}
-	got, ok := ParseKey(k.String())
-	if !ok || got != k {
-		t.Fatalf("ParseKey(%q) = %+v, %v", k.String(), got, ok)
-	}
-	if _, ok := ParseKey("nosum"); ok {
-		t.Fatal("ParseKey accepted keyless string")
+	if got := k.String(); got != "sha256:abc123" {
+		t.Fatalf("String = %q", got)
 	}
 	if !(Key{}).IsZero() || k.IsZero() {
 		t.Fatal("IsZero wrong")

@@ -188,12 +188,8 @@ func (s *Session) InteractContext(ctx context.Context, cmdline string, script Sc
 	return s.engine.RunContext(ctx, p, script)
 }
 
-// Exec runs a non-interactive command, failing on a nonzero exit.
-func (s *Session) Exec(cmdline string) ([]string, error) {
-	return s.ExecContext(context.Background(), cmdline)
-}
-
-// ExecContext is Exec with a kill deadline (see RunContext).
+// ExecContext runs a non-interactive command, failing on a nonzero exit;
+// ctx carries the kill deadline (see RunContext).
 func (s *Session) ExecContext(ctx context.Context, cmdline string) ([]string, error) {
 	p := s.shell.Spawn(cmdline)
 	return s.engine.RunContext(ctx, p, nil)

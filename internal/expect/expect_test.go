@@ -50,7 +50,7 @@ func TestInteractiveInstallWithScript(t *testing.T) {
 	if err := sh.Chdir("/tmp/p"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Exec("tar xvfz povray.tgz"); err != nil {
+	if _, err := sess.ExecContext(context.Background(), "tar xvfz povray.tgz"); err != nil {
 		t.Fatal(err)
 	}
 	if err := sh.Chdir("povray-3.6.1"); err != nil {
@@ -84,7 +84,7 @@ func TestWrongAnswerFailsInstall(t *testing.T) {
 	s.FS.Mkdir("/tmp/p")
 	stage(s, "POVray", "/tmp/p/povray.tgz")
 	sh.Chdir("/tmp/p")
-	sess.Exec("tar xvfz povray.tgz")
+	sess.ExecContext(context.Background(), "tar xvfz povray.tgz")
 	sh.Chdir("povray-3.6.1")
 	script := Script{
 		{Expect: "Accept POV-Ray license", Send: "n"}, // refuse
@@ -126,7 +126,7 @@ func TestRegexPattern(t *testing.T) {
 func TestExecFailurePropagates(t *testing.T) {
 	s, v := testSite()
 	sess := Open(s, v, time.Millisecond)
-	if _, err := sess.Exec("nonexistent-command"); err == nil {
+	if _, err := sess.ExecContext(context.Background(), "nonexistent-command"); err == nil {
 		t.Fatal("failing command must propagate error")
 	}
 }
@@ -153,7 +153,7 @@ func TestContextKillsNeverMatchingDialogue(t *testing.T) {
 	s.FS.Mkdir("/tmp/p")
 	stage(s, "POVray", "/tmp/p/povray.tgz")
 	sh.Chdir("/tmp/p")
-	sess.Exec("tar xvfz povray.tgz")
+	sess.ExecContext(context.Background(), "tar xvfz povray.tgz")
 	sh.Chdir("povray-3.6.1")
 
 	// ./configure emits its license prompt and then blocks awaiting input;
@@ -182,7 +182,7 @@ func TestContextKillWhileDraining(t *testing.T) {
 	s.FS.Mkdir("/tmp/p")
 	stage(s, "POVray", "/tmp/p/povray.tgz")
 	sh.Chdir("/tmp/p")
-	sess.Exec("tar xvfz povray.tgz")
+	sess.ExecContext(context.Background(), "tar xvfz povray.tgz")
 	sh.Chdir("povray-3.6.1")
 
 	// Match the first prompt but answer a question the installer did not

@@ -1,13 +1,4 @@
-// Flood is the overload request generator: the paper's Fig. 10/11
-// experiment shape, where a growing crowd of schedulers hammers one
-// community until its index collapses — except here the point is to show
-// the admission layer *preventing* the collapse. A flood runs several
-// operation mixes at once (control probes, interactive resolutions, bulk
-// scans), each with its own closed-loop client fleet and deadline
-// budget, and reports per-class goodput, shed/expiry counts and latency
-// quantiles so a test can assert the brownout ladder: control and
-// interactive hold their SLOs while bulk sheds.
-package workload
+package experiments
 
 import (
 	"context"
@@ -162,7 +153,17 @@ func quantile(lats []time.Duration, q float64) time.Duration {
 	return s[i]
 }
 
-// RunFlood runs every mix's client fleet for cfg.Duration (or until ctx
+// RunFlood is the overload request generator: the paper's Fig. 10/11
+// experiment shape, where a growing crowd of schedulers hammers one
+// community until its index collapses — except here the point is to show
+// the admission layer *preventing* the collapse. A flood runs several
+// operation mixes at once (control probes, interactive resolutions, bulk
+// scans), each with its own closed-loop client fleet and deadline
+// budget, and reports per-class goodput, shed/expiry counts and latency
+// quantiles so a test can assert the brownout ladder: control and
+// interactive hold their SLOs while bulk sheds.
+//
+// It runs every mix's client fleet for cfg.Duration (or until ctx
 // cancels) and tallies the outcomes.
 func RunFlood(ctx context.Context, cfg FloodConfig) FloodResult {
 	if ctx == nil {
@@ -183,8 +184,8 @@ func RunFlood(ctx context.Context, cfg FloodConfig) FloodResult {
 			}
 			start := time.Now()
 			err := op.Do(callCtx)
-			// Classify here rather than via OnResult so the latency and
-			// the verdict land in the tally atomically. A call aborted by
+			// Classify inside the operation so the latency and the
+			// verdict land in the tally atomically. A call aborted by
 			// flood shutdown (surge context, not its own budget) is not an
 			// outcome and stays untallied.
 			if surgeCtx.Err() == nil || err == nil {

@@ -76,18 +76,6 @@ func (c *ClockChaos) Offset(site string) time.Duration {
 	return v.Offset()
 }
 
-// Restore zeroes the named site's offset and drift.
-func (c *ClockChaos) Restore(site string) {
-	c.mu.Lock()
-	v := c.views[site]
-	c.mu.Unlock()
-	if v == nil {
-		return
-	}
-	v.SetDrift(0)
-	v.SetOffset(0)
-}
-
 // ScheduleSkew arms a deterministic seeded skew schedule across every view
 // built so far: each site gets an offset drawn uniformly from [-max, +max]
 // and a small proportional drift in the same direction, so clocks both

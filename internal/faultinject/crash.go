@@ -14,7 +14,6 @@ type StoreCrasher struct {
 	mu        sync.Mutex
 	countdown int     // appends left before the crash; 0 = disarmed
 	cut       float64 // fraction of the fatal frame that reaches disk
-	appends   int
 	crashed   bool
 }
 
@@ -45,7 +44,6 @@ func (c *StoreCrasher) ArmAfter(n int, cut float64) {
 func (c *StoreCrasher) Hook(frame []byte) (keep int, crash bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.appends++
 	if c.countdown == 0 {
 		return len(frame), false
 	}
@@ -62,11 +60,4 @@ func (c *StoreCrasher) Crashed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.crashed
-}
-
-// Appends returns how many appends the hook has observed.
-func (c *StoreCrasher) Appends() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.appends
 }

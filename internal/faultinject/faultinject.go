@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 )
@@ -169,15 +168,8 @@ func (in *Injector) Heal() {
 	in.partA, in.partB = nil, nil
 }
 
-// Partitioned reports whether a source→dest request would currently be
-// severed by the active partition.
-func (in *Injector) Partitioned(source, dest string) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.severed(source, dest)
-}
-
-// severed is Partitioned without locking; callers hold in.mu.
+// severed reports whether a source→dest request is cut by the active
+// partition; callers hold in.mu.
 func (in *Injector) severed(source, dest string) bool {
 	if in.partA == nil || source == "" {
 		return false
@@ -293,8 +285,3 @@ func (rt *roundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	return rt.base.RoundTrip(req)
 }
-
-// ChaosEnabled reports whether heavyweight randomized chaos tests should
-// run (GLARE_CHAOS=1 in the environment, as set by the CI chaos job).
-// Cheap deterministic fault-injection tests run unconditionally.
-func ChaosEnabled() bool { return os.Getenv("GLARE_CHAOS") != "" }

@@ -198,14 +198,3 @@ func TestModeString(t *testing.T) {
 		}
 	}
 }
-
-func TestChaosEnabled(t *testing.T) {
-	t.Setenv("GLARE_CHAOS", "")
-	if ChaosEnabled() {
-		t.Fatal("empty GLARE_CHAOS should disable chaos")
-	}
-	t.Setenv("GLARE_CHAOS", "1")
-	if !ChaosEnabled() {
-		t.Fatal("GLARE_CHAOS=1 should enable chaos")
-	}
-}

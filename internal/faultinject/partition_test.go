@@ -48,11 +48,11 @@ func TestPartitionIgnoresSourcelessClients(t *testing.T) {
 	if _, err := get(t, admin, "http://b:2/x", 0); err != nil {
 		t.Fatalf("admin→b failed: %v", err)
 	}
-	if in.Partitioned("", "b:2") {
+	if in.severed("", "b:2") {
 		t.Fatal("sourceless request reported as severed")
 	}
-	if !in.Partitioned("a:1", "b:2") || !in.Partitioned("b:2", "a:1") {
-		t.Fatal("Partitioned must report both directions severed")
+	if !in.severed("a:1", "b:2") || !in.severed("b:2", "a:1") {
+		t.Fatal("partition must sever both directions")
 	}
 }
 
@@ -67,8 +67,8 @@ func TestHealRestoresCrossHalfTraffic(t *testing.T) {
 	if _, err := get(t, a, "http://b:2/x", 0); err != nil {
 		t.Fatalf("healed link still severed: %v", err)
 	}
-	if in.Partitioned("a:1", "b:2") {
-		t.Fatal("Partitioned still true after Heal")
+	if in.severed("a:1", "b:2") {
+		t.Fatal("severed still true after Heal")
 	}
 }
 

@@ -33,10 +33,6 @@ type Surge struct {
 	issued atomic.Uint64
 	failed atomic.Uint64
 
-	// onResult, when set, observes every operation's verdict — the hook
-	// workload.Flood uses to classify sheds vs expiries vs goodput.
-	onResult func(err error)
-
 	mu     sync.Mutex
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -50,10 +46,6 @@ func NewSurge(clients int, do func(ctx context.Context) error) *Surge {
 	}
 	return &Surge{clients: clients, do: do}
 }
-
-// OnResult registers a per-operation observer, called after every do()
-// returns with its error (nil on success). Must be set before Start.
-func (s *Surge) OnResult(fn func(err error)) { s.onResult = fn }
 
 // SetRamp staggers client starts evenly across d instead of unleashing
 // the whole fleet in one instant. Real client hordes do not arrive
@@ -102,9 +94,6 @@ func (s *Surge) Start(parent context.Context) {
 				s.issued.Add(1)
 				if err != nil {
 					s.failed.Add(1)
-				}
-				if s.onResult != nil {
-					s.onResult(err)
 				}
 			}
 		}()

@@ -50,12 +50,6 @@ func TestSurgeCountsFailuresAndKeepsGoing(t *testing.T) {
 		}
 		return nil
 	})
-	var observed atomic.Uint64
-	s.OnResult(func(err error) {
-		if err != nil {
-			observed.Add(1)
-		}
-	})
 	s.Start(context.Background())
 	for i := 0; calls.Load() < 20; i++ {
 		if i > 1000 {
@@ -66,9 +60,6 @@ func TestSurgeCountsFailuresAndKeepsGoing(t *testing.T) {
 	st := s.Stop()
 	if st.Failed == 0 || st.Failed >= st.Issued {
 		t.Fatalf("stats = %+v, want some but not all failed", st)
-	}
-	if observed.Load() != st.Failed {
-		t.Fatalf("OnResult saw %d failures, stats say %d", observed.Load(), st.Failed)
 	}
 }
 

@@ -144,31 +144,9 @@ func (c *Client) Fetch(srcURL string, dst *site.Site, dstPath string) error {
 	return nil
 }
 
-// FetchChecked is Fetch plus md5 verification against the expected sum, as
-// deploy-files carry md5sum attributes for their downloads.
-func (c *Client) FetchChecked(srcURL string, dst *site.Site, dstPath, md5sum string) error {
-	if err := c.Fetch(srcURL, dst, dstPath); err != nil {
-		return err
-	}
-	if md5sum == "" {
-		return nil
-	}
-	e := dst.FS.Stat(dstPath)
-	if e == nil || e.MD5 != md5sum {
-		got := ""
-		if e != nil {
-			got = e.MD5
-		}
-		dst.FS.Remove(dstPath)
-		return &ChecksumError{URL: srcURL, Want: md5sum, Got: got}
-	}
-	return nil
-}
-
 // FetchSum is Fetch plus verification of the named checksum algorithm
 // ("md5" or "sha256") against the declared sum; an empty sum skips
-// verification. The mismatching copy is removed before the error returns,
-// as with FetchChecked.
+// verification. The mismatching copy is removed before the error returns.
 func (c *Client) FetchSum(srcURL string, dst *site.Site, dstPath, algo, sum string) error {
 	if err := c.Fetch(srcURL, dst, dstPath); err != nil {
 		return err
@@ -216,7 +194,7 @@ func (c *Client) PeerCopy(source string, dst *site.Site, dstPath string, size in
 // bits.
 type ChecksumError struct {
 	URL  string
-	Algo string // "" means md5 (legacy FetchChecked path)
+	Algo string // "" means md5
 	Want string
 	Got  string
 }

@@ -49,24 +49,6 @@ func TestFetchUnknownURL(t *testing.T) {
 	}
 }
 
-func TestFetchChecked(t *testing.T) {
-	c, s, _ := fixture()
-	a, _ := s.Repo.ByName("Ant")
-	if err := c.FetchChecked(a.URL, s, "/tmp/ant.tgz", a.MD5()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.FetchChecked(a.URL, s, "/tmp/ant2.tgz", "wrong-sum"); err == nil {
-		t.Fatal("md5 mismatch must fail")
-	}
-	if s.FS.Exists("/tmp/ant2.tgz") {
-		t.Fatal("corrupt download must be removed")
-	}
-	// Empty expected sum skips verification.
-	if err := c.FetchChecked(a.URL, s, "/tmp/ant3.tgz", ""); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestThirdPartyTransfer(t *testing.T) {
 	c, dst, v := fixture()
 	src := site.New(site.Attributes{Name: "src"}, v, dst.Repo)

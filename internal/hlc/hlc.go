@@ -110,19 +110,6 @@ func (c *Clock) Observe(peer string, remote time.Time) time.Duration {
 	return off
 }
 
-// Lead reports how far the HLC currently runs ahead of the site's physical
-// clock — the divergence inherited from faster peers. Zero when the local
-// physical clock leads.
-func (c *Clock) Lead() time.Duration {
-	pt := c.phys.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if l := c.wall.Sub(pt); l > 0 {
-		return l
-	}
-	return 0
-}
-
 // Logical returns the count of logical (1 ns) bumps issued since the
 // physical clock last led — a direct gauge of how hard causality ordering
 // is working against the physical clock.
@@ -147,17 +134,6 @@ func (c *Clock) OnSkew(fn func(peer string, offset time.Duration)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onSkew = fn
-}
-
-// PeerOffsets returns a copy of the last observed offset per peer.
-func (c *Clock) PeerOffsets() map[string]time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]time.Duration, len(c.peers))
-	for p, off := range c.peers {
-		out[p] = off
-	}
-	return out
 }
 
 // MaxPeerOffset returns the peer with the largest absolute observed offset.

@@ -325,21 +325,3 @@ func (s *Service) InUse(deployment string) (inUse, exclusive bool) {
 	}
 	return len(st.shared) > 0, false
 }
-
-// ActiveLeases returns the number of currently valid leases on the
-// deployment.
-func (s *Service) ActiveLeases(deployment string) int {
-	now := s.clock.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.deps[deployment]
-	if st == nil {
-		return 0
-	}
-	s.expireLocked(st, now)
-	n := len(st.shared)
-	if st.exclusive != nil {
-		n++
-	}
-	return n
-}

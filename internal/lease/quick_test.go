@@ -18,7 +18,7 @@ type op struct {
 // Property: under any operation sequence, the service invariants hold:
 //   - at most one exclusive lease per deployment, never alongside shared;
 //   - active shared leases never exceed the configured limit;
-//   - ActiveLeases agrees with what Acquire/Release reported.
+//   - the active lease count agrees with what Acquire/Release reported.
 func TestQuickLeaseInvariants(t *testing.T) {
 	const dep = "dep"
 	const limit = 3
@@ -82,7 +82,7 @@ func TestQuickLeaseInvariants(t *testing.T) {
 				clock.Advance(time.Duration(o.Seconds%30) * time.Second)
 			}
 			expire()
-			if got := s.ActiveLeases(dep); got != len(mine) {
+			if got := activeLeases(s, dep); got != len(mine) {
 				return false
 			}
 			inUse, excl := s.InUse(dep)

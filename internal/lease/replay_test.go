@@ -75,7 +75,7 @@ func TestReplayDropsExpiredLease(t *testing.T) {
 	if after.Restore(tk) {
 		t.Fatal("expired ticket was revived")
 	}
-	if n := after.ActiveLeases("jpovray"); n != 0 {
+	if n := activeLeases(after, "jpovray"); n != 0 {
 		t.Fatalf("active leases = %d, want 0", n)
 	}
 	// The pool is free again: a new client can lease the deployment…

@@ -76,8 +76,6 @@ type Index struct {
 	// overlap regardless of GOMAXPROCS — which is what lets the overload
 	// collapse reproduce on small simulator hosts.
 	serviceDelay time.Duration
-
-	queries uint64
 }
 
 // New creates an index service.
@@ -167,7 +165,6 @@ func (x *Index) Query(expr *xpath.Expr) (xpath.Result, error) {
 		x.mu.Unlock()
 		return xpath.Result{}, fmt.Errorf("mds: %s: index service not responding", x.name)
 	}
-	x.queries++
 	delay := x.serviceDelay
 	x.mu.Unlock()
 
@@ -204,13 +201,6 @@ func (x *Index) Reset() {
 	defer x.mu.Unlock()
 	x.wedged = false
 	x.inflight = 0
-}
-
-// Queries returns the number of queries answered.
-func (x *Index) Queries() uint64 {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.queries
 }
 
 // Members returns the keys of aggregated entries (used by the GLARE Index
@@ -283,24 +273,4 @@ func (x *Index) Mount(srv *transport.Server) {
 			return out, nil
 		},
 	})
-}
-
-// RefreshEvery launches a goroutine re-registering entries from src into
-// the index every interval until stop is closed; mirrors GT4's periodic
-// upstream registration renewal.
-func (x *Index) RefreshEvery(interval time.Duration, src *wsrf.Home, stop <-chan struct{}) {
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				for _, r := range src.All() {
-					x.Register(src.EPR(r.Key()), r.Document())
-				}
-			}
-		}
-	}()
 }

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"glare/internal/epr"
 	"glare/internal/gsi"
-	"glare/internal/simclock"
 	"glare/internal/transport"
 	"glare/internal/xmlutil"
 )
@@ -237,22 +235,4 @@ func TestMountOverTransport(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestRefreshEvery(t *testing.T) {
-	v := simclock.Real
-	_ = v
-	x := New("idx", DefaultIndex, nil)
-	home := newTestHome()
-	stop := make(chan struct{})
-	x.RefreshEvery(10*time.Millisecond, home, stop)
-	deadline := time.After(2 * time.Second)
-	for x.Len() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("refresh never registered entries")
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	close(stop)
 }

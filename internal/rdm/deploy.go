@@ -11,7 +11,6 @@ import (
 	"glare/internal/activity"
 	"glare/internal/cog"
 	"glare/internal/deployfile"
-	"glare/internal/gridarm"
 	"glare/internal/simclock"
 	"glare/internal/site"
 	"glare/internal/superpeer"
@@ -89,16 +88,13 @@ func (s *Service) deployOnDemand(ctx context.Context, parent *telemetry.Span, ty
 	return s.deployRemote(ctx, sp, target, t, method)
 }
 
-// chooseTarget selects the best group peer for installing the type:
-// candidates are filtered by the type's constraints and ranked by the
-// GridARM broker ("in combination with GridARM's resource brokerage").
+// chooseTarget selects the best group peer for installing the type: the
+// peers' attributes are filtered by the type's constraints and ranked by
+// capacity (the brokerage half of "GridARM's resource brokerage").
 func (s *Service) chooseTarget(ctx context.Context, sp *telemetry.Span, t *activity.Type) (superpeer.SiteInfo, error) {
-	c := t.Installation.Constraints
-	req := gridarm.Request{Platform: c.Platform, OS: c.OS, Arch: c.Arch}
-	view := s.view()
-	byName := map[string]superpeer.SiteInfo{}
-	var candidates []site.Attributes
-	for _, peer := range view.Peers(s.selfName()) {
+	var peers []superpeer.SiteInfo
+	var attrs []site.Attributes
+	for _, peer := range s.view().Peers(s.selfName()) {
 		if s.client == nil {
 			break
 		}
@@ -106,19 +102,35 @@ func (s *Service) chooseTarget(ctx context.Context, sp *telemetry.Span, t *activ
 		if err != nil || resp == nil {
 			continue
 		}
-		attrs := attrsFromXML(resp)
-		if !req.Satisfies(attrs) {
+		peers = append(peers, peer)
+		attrs = append(attrs, attrsFromXML(resp))
+	}
+	i := bestTarget(attrs, t.Installation.Constraints)
+	if i < 0 {
+		return superpeer.SiteInfo{}, fmt.Errorf(
+			"rdm: no site in reach satisfies constraints %+v of %q", t.Installation.Constraints, t.Name)
+	}
+	return peers[i], nil
+}
+
+// bestTarget returns the index of the best installation target among the
+// sites satisfying c, or -1 when none does. Sites rank by capacity score:
+// more and faster processors and more memory first, uptime next (long-lived
+// sites are likelier to stay up), equal scores by name.
+func bestTarget(sites []site.Attributes, c activity.Constraints) int {
+	best, bestScore := -1, 0.0
+	for i, a := range sites {
+		if !a.Matches(c.Platform, c.OS, c.Arch) {
 			continue
 		}
-		byName[attrs.Name] = peer
-		candidates = append(candidates, attrs)
+		score := float64(a.Processors)*float64(a.ProcessorMHz)/1000 +
+			float64(a.MemoryMB)/1024 +
+			float64(a.UptimeHours)/1000
+		if best < 0 || score > bestScore || score == bestScore && a.Name < sites[best].Name {
+			best, bestScore = i, score
+		}
 	}
-	ranked := gridarm.Rank(candidates, req)
-	if len(ranked) == 0 {
-		return superpeer.SiteInfo{}, fmt.Errorf(
-			"rdm: no site in reach satisfies constraints %+v of %q", c, t.Name)
-	}
-	return byName[ranked[0].Attrs.Name], nil
+	return best
 }
 
 // attrsFromXML parses a SiteAttrs response.

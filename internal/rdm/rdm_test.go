@@ -144,6 +144,62 @@ func TestConstraintMismatchRejectsLocalDeploy(t *testing.T) {
 	}
 }
 
+func targetAttrs(name, os string, mhz, mem, procs, uptime int) site.Attributes {
+	return site.Attributes{
+		Name: name, ProcessorMHz: mhz, MemoryMB: mem, Processors: procs,
+		UptimeHours: uptime, Platform: "Intel", OS: os, Arch: "32bit",
+	}
+}
+
+type bestTargetCase struct {
+	name  string
+	sites []site.Attributes
+	c     activity.Constraints
+	want  string // "" = no eligible site
+}
+
+func checkBestTarget(t *testing.T, cases []bestTargetCase) {
+	t.Helper()
+	for _, c := range cases {
+		got := ""
+		if i := bestTarget(c.sites, c.c); i >= 0 {
+			got = c.sites[i].Name
+		}
+		if got != c.want {
+			t.Errorf("%s: best = %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+// Sites that miss the platform, OS or architecture are never chosen.
+func TestBestTargetFiltersByConstraints(t *testing.T) {
+	small := targetAttrs("small", "Linux", 1000, 1024, 2, 100)
+	mid := targetAttrs("mid", "Linux", 1500, 4096, 8, 100)
+	big := targetAttrs("big", "Linux", 2000, 8192, 16, 100)
+	solaris := targetAttrs("solaris", "Solaris", 3000, 16384, 32, 100)
+	checkBestTarget(t, []bestTargetCase{
+		{"none", nil, activity.Constraints{}, ""},
+		{"os", []site.Attributes{small, big, solaris, mid}, activity.Constraints{OS: "Linux"}, "big"},
+		{"os-only-match", []site.Attributes{small, solaris}, activity.Constraints{OS: "Solaris"}, "solaris"},
+		{"platform", []site.Attributes{small, mid}, activity.Constraints{Platform: "Sparc"}, ""},
+		{"arch", []site.Attributes{small, mid}, activity.Constraints{Arch: "64bit"}, ""},
+		{"all-three", []site.Attributes{big, mid}, activity.Constraints{Platform: "Intel", OS: "Linux", Arch: "32bit"}, "big"},
+	})
+}
+
+// Among eligible sites the largest capacity wins, uptime next, name last.
+func TestBestTargetRanksByCapacity(t *testing.T) {
+	small := targetAttrs("small", "Linux", 1000, 1024, 2, 100)
+	mid := targetAttrs("mid", "Linux", 1500, 4096, 8, 100)
+	solaris := targetAttrs("solaris", "Solaris", 3000, 16384, 32, 100)
+	checkBestTarget(t, []bestTargetCase{
+		{"any", []site.Attributes{small, solaris, mid}, activity.Constraints{}, "solaris"},
+		{"capacity", []site.Attributes{small, mid}, activity.Constraints{}, "mid"},
+		{"uptime", []site.Attributes{small, targetAttrs("old", "Linux", 1000, 1024, 2, 900)}, activity.Constraints{}, "old"},
+		{"tie-by-name", []site.Attributes{targetAttrs("b", "Linux", 1000, 1024, 2, 100), targetAttrs("a", "Linux", 1000, 1024, 2, 100)}, activity.Constraints{}, "a"},
+	})
+}
+
 func TestDeployMethodsProduceTable1Shape(t *testing.T) {
 	s, _ := single(t)
 	for _, ty := range workload.EvaluationTypes() {

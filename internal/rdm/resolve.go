@@ -302,14 +302,10 @@ func (s *Service) groupConcreteOf(ctx context.Context, sp *telemetry.Span, typeN
 	return nil
 }
 
-// ResolveDeployments collects the deployments of a concrete type from the
+// resolveDeployments collects the deployments of a concrete type from the
 // whole VO: local registry, cache, peer group, super-peer fan-out. Results
 // are merged (Fig. 12 spreads deployments across sites and expects the
 // full list back).
-func (s *Service) ResolveDeployments(typeName string) []*activity.Deployment {
-	return s.resolveDeployments(context.Background(), nil, typeName)
-}
-
 func (s *Service) resolveDeployments(ctx context.Context, sp *telemetry.Span, typeName string) []*activity.Deployment {
 	merged := map[string]*activity.Deployment{}
 	for _, d := range s.ADR.ByType(typeName) {

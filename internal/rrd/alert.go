@@ -67,13 +67,6 @@ func NewAlerts(store *Store, rules []Rule) *Alerts {
 	}
 }
 
-// Rules returns the configured rule set.
-func (a *Alerts) Rules() []Rule {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]Rule(nil), a.rules...)
-}
-
 // Evaluate runs every rule at the given instant and returns the alerts
 // that transitioned to firing on this pass. Already-firing alerts update
 // their Value; recovered conditions clear pending and firing state.

@@ -378,20 +378,6 @@ func (s *Store) LastTS(name string) (time.Time, bool) {
 	return time.Unix(0, sr.lastTS), true
 }
 
-// Footprint returns the total number of ring slots allocated across all
-// series — the store's memory bound, fixed at Create time.
-func (s *Store) Footprint() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, sr := range s.series {
-		for _, a := range sr.archives {
-			n += len(a.ring)
-		}
-	}
-	return n
-}
-
 // Update feeds one raw sample. Timestamps must strictly advance per
 // series; a stale timestamp is ErrPast (idempotent feeds ignore it).
 func (s *Store) Update(name string, ts time.Time, v float64) error {

@@ -195,14 +195,24 @@ func TestMemoryBound(t *testing.T) {
 		ArchiveSpec{CF: Average, Steps: 10, Rows: 600},
 		ArchiveSpec{CF: Max, Steps: 10, Rows: 600},
 	))
-	before := s.Footprint()
+	// footprint counts the ring slots allocated across all series.
+	footprint := func() int {
+		n := 0
+		for _, sr := range s.series {
+			for _, a := range sr.archives {
+				n += len(a.ring)
+			}
+		}
+		return n
+	}
+	before := footprint()
 	if before != 1800 {
 		t.Fatalf("footprint after Create = %d, want 1800", before)
 	}
 	for i := 0; i < 200000; i++ {
 		_ = s.Update("g", epoch.Add(time.Duration(i)*time.Second), float64(i))
 	}
-	if after := s.Footprint(); after != before {
+	if after := footprint(); after != before {
 		t.Fatalf("footprint grew with updates: %d -> %d", before, after)
 	}
 	for _, d := range s.Dump() {

@@ -25,9 +25,6 @@ func NewScaled(factor int64) *Scaled {
 	return &Scaled{factor: factor, start: time.Now()}
 }
 
-// Factor returns the speed-up factor.
-func (s *Scaled) Factor() int64 { return s.factor }
-
 // Now returns the scaled instant: start + factor*(real elapsed).
 func (s *Scaled) Now() time.Time {
 	return s.start.Add(time.Since(s.start) * time.Duration(s.factor))

@@ -29,10 +29,10 @@ func TestScaledNowAdvancesFast(t *testing.T) {
 }
 
 func TestScaledFactorClamp(t *testing.T) {
-	if NewScaled(0).Factor() != 1 || NewScaled(-5).Factor() != 1 {
+	if NewScaled(0).factor != 1 || NewScaled(-5).factor != 1 {
 		t.Fatal("factor not clamped")
 	}
-	if NewScaled(100).Factor() != 100 {
+	if NewScaled(100).factor != 100 {
 		t.Fatal("factor lost")
 	}
 }

@@ -78,17 +78,6 @@ func (a *Artifact) Checksum(algo string) string {
 	return ""
 }
 
-// Binaries returns the relative paths of executables in the install tree.
-func (a *Artifact) Binaries() []string {
-	var out []string
-	for _, t := range a.InstallTree {
-		if t.Executable {
-			out = append(out, t.RelPath)
-		}
-	}
-	return out
-}
-
 // Repo is the software universe: the set of artifacts reachable by URL.
 // One Repo is shared by all sites of a VO; GridFTP transfers consult it
 // for sizes and fingerprints.

@@ -36,9 +36,6 @@ func (sh *Shell) Setenv(key, value string) { sh.env[key] = value }
 // Getenv reads a shell environment variable.
 func (sh *Shell) Getenv(key string) string { return sh.env[key] }
 
-// Cwd returns the current working directory.
-func (sh *Shell) Cwd() string { return sh.cwd }
-
 // Chdir changes directory; the directory must exist.
 func (sh *Shell) Chdir(dir string) error {
 	d := sh.abs(sh.expand(dir))

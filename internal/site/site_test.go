@@ -153,8 +153,8 @@ func TestShellChdir(t *testing.T) {
 	if err := sh.Chdir("/tmp"); err != nil {
 		t.Fatal(err)
 	}
-	if sh.Cwd() != "/tmp" {
-		t.Fatalf("cwd = %s", sh.Cwd())
+	if sh.cwd != "/tmp" {
+		t.Fatalf("cwd = %s", sh.cwd)
 	}
 	if err := sh.Chdir("/no/such"); err == nil {
 		t.Fatal("chdir to missing dir must fail")

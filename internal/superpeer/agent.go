@@ -64,7 +64,6 @@ type Agent struct {
 	// notifications from multiple indices. It lives only for the current
 	// election window — installing a view resets it.
 	bestCommunity int
-	onViewChange  []func(View)
 	// suspicion counts consecutive missed super-peer probes; recovery
 	// starts only once it reaches DefaultSuspicionThreshold, so one dropped
 	// packet under chaos does not trigger an election storm.
@@ -96,15 +95,6 @@ func NewAgent(self SiteInfo, client *transport.Client, broker *wsrf.Broker) *Age
 	}
 	return &Agent{self: self, client: client, broker: broker,
 		pingTimeout: DefaultPingTimeout}
-}
-
-// SetPingTimeout overrides the liveness-probe timeout (d <= 0 restores
-// the default). Call during site assembly, before monitors start.
-func (a *Agent) SetPingTimeout(d time.Duration) {
-	if d <= 0 {
-		d = DefaultPingTimeout
-	}
-	a.pingTimeout = d
 }
 
 // SetReplicaK declares the registry replication factor this site wants
@@ -168,13 +158,6 @@ func (a *Agent) View() View {
 	return a.view.Clone()
 }
 
-// OnViewChange registers a callback fired whenever the view changes.
-func (a *Agent) OnViewChange(fn func(View)) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.onViewChange = append(a.onViewChange, fn)
-}
-
 // setView installs a view behind the epoch fence: a view that compares
 // strictly older than the current one (by epoch, then super-peer rank and
 // name) is rejected, so a partitioned-away coordinator cannot roll the
@@ -203,12 +186,8 @@ func (a *Agent) setView(v View) bool {
 		a.abdications.Inc()
 	}
 	a.suspicion = 0
-	callbacks := append([]func(View){}, a.onViewChange...)
 	a.mu.Unlock()
 	a.epochGauge.Set(int64(v.Epoch))
-	for _, fn := range callbacks {
-		fn(v.Clone())
-	}
 	a.broker.Publish(wsrf.TopicElection, a.self.Name, v.ToXML())
 	return true
 }
@@ -282,7 +261,7 @@ func (a *Agent) handleGroupAssign(body *xmlutil.Node) (*xmlutil.Node, error) {
 }
 
 // Ping checks whether a remote site's agent answers. It probes under its
-// own short timeout (SetPingTimeout) with no retries, and shares the
+// own short timeout (DefaultPingTimeout) with no retries, and shares the
 // client's circuit-breaker state: a destination whose breaker is already
 // open fails instantly, so heartbeat, takeover verification and
 // resolution do not each re-probe a site the client knows is dead.

@@ -16,7 +16,7 @@ func TestPingUsesShortTimeout(t *testing.T) {
 	inj := faultinject.New(42)
 	cli.WrapTransport(inj.Wrap)
 	a := NewAgent(h.infos[0], cli, nil)
-	a.SetPingTimeout(50 * time.Millisecond)
+	a.pingTimeout = 50 * time.Millisecond
 
 	dest := destOfURL(h.infos[1].BaseURL)
 	inj.BlackHole(dest)
@@ -39,7 +39,7 @@ func TestPingSharesBreakerState(t *testing.T) {
 	inj := faultinject.New(42)
 	cli.WrapTransport(inj.Wrap)
 	a := NewAgent(h.infos[0], cli, nil)
-	a.SetPingTimeout(50 * time.Millisecond)
+	a.pingTimeout = 50 * time.Millisecond
 
 	dest := destOfURL(h.infos[1].BaseURL)
 	inj.BlackHole(dest)

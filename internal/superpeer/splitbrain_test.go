@@ -39,7 +39,7 @@ func newChaosHarness(t *testing.T, n int) *chaosHarness {
 		inj := faultinject.New(int64(100 + i))
 		cli.WrapTransport(inj.Wrap)
 		a := NewAgent(info, cli, nil)
-		a.SetPingTimeout(100 * time.Millisecond)
+		a.pingTimeout = 100 * time.Millisecond
 		a.Mount(srv)
 		h.agents = append(h.agents, a)
 		h.servers = append(h.servers, srv)

@@ -304,23 +304,6 @@ func TestVerifyRequestRejectsWrongSuperPeer(t *testing.T) {
 	}
 }
 
-func TestOnViewChangeFires(t *testing.T) {
-	h := newHarness(t, 2)
-	got := make(chan View, 4)
-	h.agents[1].OnViewChange(func(v View) { got <- v })
-	if _, err := h.agents[0].Coordinate(h.infos, CoordinatorConfig{GroupSize: 2}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case v := <-got:
-		if v.SuperPeer.IsZero() {
-			t.Fatal("empty view delivered")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("view change callback never fired")
-	}
-}
-
 func TestMonitorDrivesRecovery(t *testing.T) {
 	h := newHarness(t, 3)
 	h.agents[0].Coordinate(h.infos, CoordinatorConfig{GroupSize: 3})

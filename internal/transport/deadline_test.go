@@ -185,7 +185,7 @@ func TestRetryStopsWhenBudgetCannotCoverBackoff(t *testing.T) {
 	if n := tel.Counter("glare_transport_deadline_abandoned_total", telemetry.L("op", "Say")).Value(); n != 1 {
 		t.Fatalf("deadline_abandoned = %d, want 1", n)
 	}
-	if got := budget.Tokens(); got != 19 {
+	if got := budget.tokens; got != 19 {
 		t.Fatalf("budget tokens = %v, want 19 (abandonment must not withdraw)", got)
 	}
 }
@@ -217,7 +217,7 @@ func TestBreakerRefusalDoesNotBurnRetryBudget(t *testing.T) {
 	if got := inj.Stats(dest).Dropped; got != 1 {
 		t.Fatalf("dropped = %d, want 1", got)
 	}
-	if got := budget.Tokens(); got != 20 {
+	if got := budget.tokens; got != 20 {
 		t.Fatalf("budget tokens = %v, want 20 (refusal burned a token)", got)
 	}
 	if n := tel.Counter("glare_transport_retries_total", telemetry.L("op", "Say")).Value(); n != 0 {

@@ -118,13 +118,3 @@ func (b *RetryBudget) Deposit() {
 		b.tokens = b.max
 	}
 }
-
-// Tokens reports the current token count (for tests and introspection).
-func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}

@@ -27,8 +27,8 @@ func TestClientTimeoutAbortsHungCall(t *testing.T) {
 	t.Cleanup(func() { close(release); srv.Close() })
 
 	cli := NewClientTimeout(nil, 50*time.Millisecond)
-	if cli.Timeout() != 50*time.Millisecond {
-		t.Fatalf("timeout = %v", cli.Timeout())
+	if cli.timeout != 50*time.Millisecond {
+		t.Fatalf("timeout = %v", cli.timeout)
 	}
 	start := time.Now()
 	_, err := cli.Call(srv.ServiceURL("Slow"), "Hang", nil)
@@ -43,18 +43,12 @@ func TestClientTimeoutAbortsHungCall(t *testing.T) {
 	}
 }
 
-func TestClientDefaultAndSetTimeout(t *testing.T) {
-	cli := NewClient(nil)
-	if cli.Timeout() != DefaultCallTimeout {
-		t.Fatalf("default timeout = %v", cli.Timeout())
+func TestClientDefaultTimeout(t *testing.T) {
+	if d := NewClient(nil).timeout; d != DefaultCallTimeout {
+		t.Fatalf("default timeout = %v", d)
 	}
-	cli.SetTimeout(time.Second)
-	if cli.Timeout() != time.Second {
-		t.Fatalf("timeout = %v", cli.Timeout())
-	}
-	cli.SetTimeout(0)
-	if cli.Timeout() != DefaultCallTimeout {
-		t.Fatalf("zero must restore default, got %v", cli.Timeout())
+	if d := NewClientTimeout(nil, 0).timeout; d != DefaultCallTimeout {
+		t.Fatalf("zero must select the default, got %v", d)
 	}
 }
 

@@ -532,18 +532,6 @@ func NewClientTimeout(tlsConf *tls.Config, timeout time.Duration) *Client {
 	return &Client{http: &http.Client{Transport: tr}, timeout: timeout}
 }
 
-// SetTimeout changes the per-request timeout; d <= 0 restores the default.
-// Not safe to call concurrently with Call.
-func (c *Client) SetTimeout(d time.Duration) {
-	if d <= 0 {
-		d = DefaultCallTimeout
-	}
-	c.timeout = d
-}
-
-// Timeout returns the per-request timeout.
-func (c *Client) Timeout() time.Duration { return c.timeout }
-
 // SetTelemetry attaches a telemetry bundle: outgoing calls are counted
 // and timed into its registry. Not safe to call concurrently with Call.
 func (c *Client) SetTelemetry(tel *telemetry.Telemetry) { c.tel = tel }

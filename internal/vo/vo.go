@@ -522,11 +522,6 @@ func (v *VO) ClockOffset(i int) time.Duration {
 	return v.clockChaos.Offset(v.Nodes[i].Info.Name)
 }
 
-// RestoreClock zeroes site i's skew and drift.
-func (v *VO) RestoreClock(i int) {
-	v.clockChaos.Restore(v.Nodes[i].Info.Name)
-}
-
 // ScheduleSkew arms a deterministic seeded skew schedule VO-wide: every
 // site draws an offset uniformly from [-max, +max] plus a small drift in
 // the same direction. Returns the offsets applied, keyed by site name.

@@ -1,4 +1,4 @@
-// Package workload defines the applications and request generators used by
+// Package workload defines the applications and activity types used by
 // the examples and the paper's experiments: the Section-2 imaging stack
 // (Imaging/POVray/JPOVray with Java and Ant prerequisites) and the three
 // evaluation applications of Table 1 (Wien2k, Invmod, Counter), together

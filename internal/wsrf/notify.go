@@ -30,7 +30,8 @@ type SinkFunc func(n Notification)
 // Notify calls f(n).
 func (f SinkFunc) Notify(n Notification) { f(n) }
 
-// SubscriptionID identifies one subscription for cancellation.
+// SubscriptionID identifies one subscription; the Subscribe wire op
+// returns it to the subscriber.
 type SubscriptionID uint64
 
 // Broker is a topic-based notification broker (WS-Notification analogue).
@@ -41,9 +42,6 @@ type Broker struct {
 	clock  simclock.Clock
 	nextID SubscriptionID
 	subs   map[string]map[SubscriptionID]Sink // topic -> id -> sink
-	// delivered counts total notifications handed to sinks; exposed so the
-	// load-average experiment can verify delivery actually happened.
-	delivered uint64
 }
 
 // NewBroker creates an empty broker.
@@ -75,25 +73,6 @@ func (b *Broker) Subscribe(topic string, s Sink) (SubscriptionID, error) {
 	return id, nil
 }
 
-// Unsubscribe cancels a subscription; it is a no-op for unknown IDs.
-func (b *Broker) Unsubscribe(topic string, id SubscriptionID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if m := b.subs[topic]; m != nil {
-		delete(m, id)
-		if len(m) == 0 {
-			delete(b.subs, topic)
-		}
-	}
-}
-
-// Subscribers reports the number of sinks on a topic.
-func (b *Broker) Subscribers(topic string) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.subs[topic])
-}
-
 // Publish delivers a message to every sink subscribed to the topic,
 // synchronously on the caller's goroutine. It returns the number of sinks
 // notified.
@@ -109,17 +88,7 @@ func (b *Broker) Publish(topic, producer string, msg *xmlutil.Node) int {
 	for _, s := range sinks {
 		s.Notify(n)
 	}
-	b.mu.Lock()
-	b.delivered += uint64(len(sinks))
-	b.mu.Unlock()
 	return len(sinks)
-}
-
-// Delivered returns the total number of sink deliveries so far.
-func (b *Broker) Delivered() uint64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.delivered
 }
 
 // Standard topic names used by the registries.

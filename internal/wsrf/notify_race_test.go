@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// TestBrokerConcurrentChurn hammers one broker with parallel subscribers,
-// unsubscribers and publishers (run under -race in CI). Afterwards the
-// broker must still be consistent: a final publish on each topic reaches
-// exactly the surviving sinks, and Delivered advances by that amount.
+// TestBrokerConcurrentChurn hammers one broker with parallel subscribers
+// and publishers (run under -race in CI). Every delivery Publish reports
+// must have fired a sink, and afterwards a final publish on each topic
+// reaches exactly the subscribed sinks.
 func TestBrokerConcurrentChurn(t *testing.T) {
 	b := NewBroker(nil)
 	const (
@@ -20,21 +20,16 @@ func TestBrokerConcurrentChurn(t *testing.T) {
 	)
 	topicName := func(j int) string { return fmt.Sprintf("churn-%d", j%topics) }
 
-	var hits atomic.Uint64
+	var hits, reported atomic.Uint64
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < rounds; j++ {
-				topic := topicName(j)
-				id, err := b.Subscribe(topic, SinkFunc(func(Notification) { hits.Add(1) }))
-				if err != nil {
+				if _, err := b.Subscribe(topicName(j), SinkFunc(func(Notification) { hits.Add(1) })); err != nil {
 					t.Error(err)
 					return
-				}
-				if j%2 == 0 {
-					b.Unsubscribe(topic, id)
 				}
 			}
 		}()
@@ -44,20 +39,16 @@ func TestBrokerConcurrentChurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < rounds; j++ {
-				b.Publish(topicName(j), "churn-test", nil)
+				reported.Add(uint64(b.Publish(topicName(j), "churn-test", nil)))
 			}
 		}()
 	}
 	wg.Wait()
+	if h, r := hits.Load(), reported.Load(); h != r {
+		t.Fatalf("sinks fired %d times during churn, Publish reported %d", h, r)
+	}
 
-	want := 0
-	for j := 0; j < topics; j++ {
-		want += b.Subscribers(topicName(j))
-	}
-	if want == 0 {
-		t.Fatal("no subscriptions survived the churn")
-	}
-	before := b.Delivered()
+	const want = goroutines * rounds
 	hitsBefore := hits.Load()
 	got := 0
 	for j := 0; j < topics; j++ {
@@ -65,9 +56,6 @@ func TestBrokerConcurrentChurn(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("final publish reached %d sinks, want %d", got, want)
-	}
-	if d := b.Delivered() - before; d != uint64(want) {
-		t.Fatalf("Delivered advanced by %d, want %d", d, want)
 	}
 	if h := hits.Load() - hitsBefore; h != uint64(want) {
 		t.Fatalf("sinks fired %d times, want %d", h, want)

@@ -89,13 +89,6 @@ func (r *Resource) Expired(now time.Time) bool {
 	return !r.termination.IsZero() && now.After(r.termination)
 }
 
-// Destroyed reports whether the resource has been destroyed.
-func (r *Resource) Destroyed() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.destroyed
-}
-
 // recordPut journals r's current state. The caller holds r.mu, so a
 // resource's records reach the journal in the order its mutations applied.
 func (r *Resource) recordPut(j Journal) {

@@ -129,20 +129,6 @@ func (g *ServiceGroup) Query(expr *xpath.Expr) xpath.Result {
 	return expr.Select(g.Document())
 }
 
-// StaleEntries returns keys whose entry was last renewed before the cutoff.
-func (g *ServiceGroup) StaleEntries(cutoff time.Time) []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []string
-	for k, e := range g.entries {
-		if e.Renewed.Before(cutoff) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Refresh re-aggregates every resource of a Home into the group. The RDM
 // Cache Refresher drives this periodically so that "aggregated resources
 // are periodically refreshed".

@@ -43,7 +43,7 @@ func TestCreateFindDestroy(t *testing.T) {
 	if h.Find("JPOVray") != nil {
 		t.Fatal("destroyed resource still findable")
 	}
-	if !r.Destroyed() {
+	if !r.destroyed {
 		t.Fatal("resource not marked destroyed")
 	}
 }
@@ -177,21 +177,6 @@ func TestServiceGroupAggregationAndQuery(t *testing.T) {
 	}
 }
 
-func TestServiceGroupStaleEntries(t *testing.T) {
-	v := simclock.NewVirtual(time.Time{})
-	g := NewServiceGroup("g", v)
-	h := newHome(v)
-	h.Create("a", nil)
-	g.Refresh(h)
-	v.Advance(time.Minute)
-	h.Create("b", nil)
-	g.AddEntry(h.EPR("b"), nil)
-	stale := g.StaleEntries(v.Now().Add(-30 * time.Second))
-	if len(stale) != 1 || stale[0] != "a" {
-		t.Fatalf("stale = %v", stale)
-	}
-}
-
 func TestServiceGroupRemoveEntry(t *testing.T) {
 	g := NewServiceGroup("g", nil)
 	h := newHome(nil)
@@ -209,7 +194,7 @@ func TestBrokerPublishSubscribe(t *testing.T) {
 	b := NewBroker(nil)
 	var mu sync.Mutex
 	var got []Notification
-	id, err := b.Subscribe(TopicDeployment, SinkFunc(func(n Notification) {
+	_, err := b.Subscribe(TopicDeployment, SinkFunc(func(n Notification) {
 		mu.Lock()
 		got = append(got, n)
 		mu.Unlock()
@@ -228,13 +213,6 @@ func TestBrokerPublishSubscribe(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 	mu.Unlock()
-	b.Unsubscribe(TopicDeployment, id)
-	if n := b.Publish(TopicDeployment, "jpovray", nil); n != 0 {
-		t.Fatal("unsubscribe ineffective")
-	}
-	if b.Delivered() != 1 {
-		t.Fatalf("delivered = %d", b.Delivered())
-	}
 }
 
 func TestBrokerErrors(t *testing.T) {
@@ -264,9 +242,6 @@ func TestBrokerManySinks(t *testing.T) {
 	}
 	if delivered != sinks {
 		t.Fatalf("delivered %d", delivered)
-	}
-	if b.Subscribers("t") != sinks {
-		t.Fatalf("subscribers = %d", b.Subscribers("t"))
 	}
 }
 

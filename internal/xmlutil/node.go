@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"unicode/utf8"
@@ -434,16 +433,4 @@ func trimWhitespace(n *Node) {
 	for _, c := range n.Children {
 		trimWhitespace(c)
 	}
-}
-
-// SortChildrenByName orders direct children by element name then text; used
-// where deterministic aggregation output is needed.
-func (n *Node) SortChildrenByName() {
-	sort.SliceStable(n.Children, func(i, j int) bool {
-		a, b := n.Children[i], n.Children[j]
-		if a.Name != b.Name {
-			return a.Name < b.Name
-		}
-		return a.Text < b.Text
-	})
 }

@@ -177,15 +177,6 @@ func (e *Expr) Select(root *xmlutil.Node) Result {
 	return Result{Nodes: out}
 }
 
-// SelectFirst returns the first matched node or nil.
-func (e *Expr) SelectFirst(root *xmlutil.Node) *xmlutil.Node {
-	r := e.Select(root)
-	if len(r.Nodes) == 0 {
-		return nil
-	}
-	return r.Nodes[0]
-}
-
 func registerParents(n *xmlutil.Node, parents map[*xmlutil.Node]*xmlutil.Node) {
 	for _, c := range n.Children {
 		parents[c] = n

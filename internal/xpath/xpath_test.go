@@ -161,16 +161,6 @@ func TestParentAxis(t *testing.T) {
 	}
 }
 
-func TestSelectFirst(t *testing.T) {
-	e := MustCompile(`//Entry`)
-	if n := e.SelectFirst(doc); n == nil || n.AttrOr("key", "") != "JPOVray" {
-		t.Fatal("SelectFirst wrong")
-	}
-	if n := MustCompile(`//Nope`).SelectFirst(doc); n != nil {
-		t.Fatal("SelectFirst on no match must be nil")
-	}
-}
-
 func TestNilRoot(t *testing.T) {
 	if !MustCompile("//x").Select(nil).Empty() {
 		t.Fatal("nil root must select nothing")

@@ -11,12 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"glare/internal/experiments"
 	"glare/internal/rdm"
 	"glare/internal/simclock"
 	"glare/internal/telemetry"
 	"glare/internal/transport"
 	"glare/internal/vo"
-	"glare/internal/workload"
 	"glare/internal/xmlutil"
 )
 
@@ -73,9 +73,9 @@ func BenchmarkOverloadFlood(b *testing.B) {
 			var workGoodput, probeGoodput, scanGoodput, workP99, probeP99, shedRate float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := workload.RunFlood(context.Background(), workload.FloodConfig{
+				res := experiments.RunFlood(context.Background(), experiments.FloodConfig{
 					Duration: 300 * time.Millisecond,
-					Ops: []workload.FloodOp{
+					Ops: []experiments.FloodOp{
 						{Name: "work", Class: "interactive", Clients: 4 * mult,
 							Budget: 150 * time.Millisecond, Ramp: 50 * time.Millisecond,
 							Do: callOp(workURL, "Work")},

@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"glare/internal/experiments"
 	"glare/internal/rdm"
 	"glare/internal/telemetry"
 	"glare/internal/transport"
-	"glare/internal/workload"
 	"glare/internal/xmlutil"
 )
 
@@ -77,8 +77,8 @@ func TestFloodBrownoutHoldsGoodput(t *testing.T) {
 			return err
 		}
 	}
-	interactive := func(clients int, ramp time.Duration) workload.FloodOp {
-		return workload.FloodOp{
+	interactive := func(clients int, ramp time.Duration) experiments.FloodOp {
+		return experiments.FloodOp{
 			Name: "work", Class: "interactive", Clients: clients, Ramp: ramp,
 			Budget: 250 * time.Millisecond, Do: callOp(workURL, "Work"),
 		}
@@ -86,9 +86,9 @@ func TestFloodBrownoutHoldsGoodput(t *testing.T) {
 
 	// Pre-saturation plateau: a fleet exactly the size of the interactive
 	// limit — slots full, queue empty, nothing shed.
-	plateau := workload.RunFlood(context.Background(), workload.FloodConfig{
+	plateau := experiments.RunFlood(context.Background(), experiments.FloodConfig{
 		Duration: 600 * time.Millisecond,
-		Ops:      []workload.FloodOp{interactive(4, 0)},
+		Ops:      []experiments.FloodOp{interactive(4, 0)},
 	})
 	base := plateau.Op("work")
 	if base.OK == 0 || base.Shed != 0 {
@@ -96,9 +96,9 @@ func TestFloodBrownoutHoldsGoodput(t *testing.T) {
 	}
 
 	// Flood: 20x interactive capacity, with live control and bulk mixes.
-	flood := workload.RunFlood(context.Background(), workload.FloodConfig{
+	flood := experiments.RunFlood(context.Background(), experiments.FloodConfig{
 		Duration: 1200 * time.Millisecond,
-		Ops: []workload.FloodOp{
+		Ops: []experiments.FloodOp{
 			// The horde arrives over 200ms, the way real client crowds do,
 			// rather than as one phase-locked burst.
 			interactive(80, 200*time.Millisecond),
@@ -156,9 +156,9 @@ func TestFloodDisabledAdmissionStillMeasures(t *testing.T) {
 	target := g.vo.Nodes[0]
 	cli := transport.NewClient(nil)
 	t.Cleanup(cli.CloseIdle)
-	res := workload.RunFlood(context.Background(), workload.FloodConfig{
+	res := experiments.RunFlood(context.Background(), experiments.FloodConfig{
 		Duration: 100 * time.Millisecond,
-		Ops: []workload.FloodOp{{
+		Ops: []experiments.FloodOp{{
 			Name: "probe", Class: "control", Clients: 2,
 			Budget: 200 * time.Millisecond,
 			Do: func(ctx context.Context) error {
