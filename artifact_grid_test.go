@@ -75,8 +75,8 @@ func TestFlashInstallBoundsOriginTransfers(t *testing.T) {
 	var peer, verify, misses uint64
 	for i := 0; i < k; i++ {
 		st := g.ArtifactStats(i)
-		if !st.Enabled {
-			t.Fatalf("site %d has no artifact store", i)
+		if st.Budget <= 0 {
+			t.Fatalf("site %d reports artifact budget %d, want the default", i, st.Budget)
 		}
 		peer += st.PeerFetches
 		verify += st.VerifyFailures

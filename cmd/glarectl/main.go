@@ -158,11 +158,14 @@ commands:
                                      replication state: replication factor,
                                      the site's own replica set, and the
                                      origins it holds shadow copies for
+                                     (entry counts, * marks a promotion)
   artifacts                          probe every community site's content-
-                                     addressed artifact cache: occupancy,
-                                     hit/miss, peer vs origin fetches,
-                                     bytes saved, and held blobs
-                                     (entry counts, freshness, promotions)`)
+                                     addressed artifact cache: occupancy
+                                     against its byte budget, hit/miss,
+                                     peer vs origin fetches, verification
+                                     failures, bytes saved, and held blobs
+                                     (! marks a corrupt copy); every site
+                                     runs one, unreachable sites show "-"`)
 	os.Exit(2)
 }
 
@@ -593,8 +596,7 @@ func replicasCmd(cli *transport.Client, siteBase string) error {
 // registered in the community index and prints one row per site: cache
 // occupancy against its byte budget, hit/miss counts, how many blobs came
 // from peers versus origin, verification failures and the transfer bytes
-// the cache saved. Sites with the artifact grid disabled show as "off";
-// unreachable sites as "-".
+// the cache saved. Unreachable sites show as "-".
 func artifactsCmd(cli *transport.Client, siteBase string) error {
 	sites := communitySites(cli, siteBase)
 	if len(sites) == 0 {
@@ -613,11 +615,6 @@ func artifactsCmd(cli *transport.Client, siteBase string) error {
 		if err != nil {
 			fmt.Printf("%-*s  %5s  %-17s  %5s  %5s  %5s  %5s  %6s  %10s  %s\n", wide,
 				s.Name, "-", "-", "-", "-", "-", "-", "-", "-", err.Error())
-			continue
-		}
-		if resp.AttrOr("enabled", "false") != "true" {
-			fmt.Printf("%-*s  %5s  %-17s  %5s  %5s  %5s  %5s  %6s  %10s  %s\n", wide,
-				s.Name, "off", "-", "-", "-", "-", "-", "-", "-", "-")
 			continue
 		}
 		var holdings []string

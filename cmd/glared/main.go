@@ -32,6 +32,7 @@ import (
 	"glare/internal/telemetry"
 	"glare/internal/transport"
 	"glare/internal/workload"
+	"glare/internal/wsrf"
 	"glare/internal/xmlutil"
 )
 
@@ -46,16 +47,19 @@ func main() {
 	fsyncMode := flag.String("fsync", "interval", "store fsync policy: always|interval|never")
 	maxBuilds := flag.Int("max-builds", 0, "concurrent on-demand builds this site runs (0 = engine default)")
 	buildQueue := flag.Int("build-queue", 0, "builds waiting for a slot before new ones are shed (0 = engine default, negative = no queue)")
-	historyStep := flag.Duration("history-step", rrd.DefaultStep, "telemetry-history base step (0 or negative disables the round-robin history)")
+	historyStep := flag.Duration("history-step", rrd.DefaultStep, "telemetry-history base step; must be positive (every site keeps a round-robin history)")
 	historyRet := flag.String("history-ret", "", "telemetry-history retention archives as comma-separated [cf:]STEPSxROWS items, e.g. avg:1x600,avg:60x1440,max:10x600 (empty = defaults)")
 	admission := flag.Bool("admission", true, "enable the overload admission controller (priority classes, deadline-aware queueing, AIMD limits)")
 	replicas := flag.Int("replicas", 0, "total copies of every registration kept in the peer group, owner included; writes are acknowledged at a quorum (0 or 1 = no replication)")
-	casBudget := flag.Int64("cas-budget", 0, "content-addressed artifact cache byte budget (0 = default, negative = disable the artifact grid)")
+	casBudget := flag.Int64("cas-budget", 0, "content-addressed artifact cache byte budget (0 = default; must not be negative, every site keeps an artifact cache)")
 	flag.Parse()
 
 	historyCfg, err := historyConfig(*historyStep, *historyRet)
 	if err != nil {
 		fatal(err)
+	}
+	if *casBudget < 0 {
+		fatal(fmt.Errorf("-cas-budget %d: must be 0 (default) or a positive byte count", *casBudget))
 	}
 
 	fsync, err := store.ParseFsyncPolicy(*fsyncMode)
@@ -94,7 +98,8 @@ func main() {
 	client.SetRetryPolicy(transport.DefaultRetryPolicy())
 	client.SetRetryBudget(transport.NewRetryBudget(0, 0))
 	client.SetBreaker(transport.DefaultBreakerConfig())
-	agent := superpeer.NewAgent(info, client, nil)
+	// rdm.New adopts the agent's broker as the site's one broker.
+	agent := superpeer.NewAgent(info, client, wsrf.NewBroker(clock))
 
 	kind := mds.DefaultIndex
 	if *community || *join == "" {
@@ -179,8 +184,7 @@ func main() {
 func historyConfig(step time.Duration, retention string) (rdm.HistoryConfig, error) {
 	cfg := rdm.HistoryConfig{Step: step}
 	if step <= 0 {
-		cfg = rdm.HistoryConfig{Disabled: true}
-		return cfg, nil
+		return cfg, fmt.Errorf("-history-step %s: must be positive", step)
 	}
 	if retention == "" {
 		return cfg, nil

@@ -175,8 +175,8 @@ type GridOptions struct {
 	// values use the engine defaults.
 	Deploy DeployLimits
 	// History tunes every site's round-robin telemetry history: base step
-	// and retention archives. The zero value enables the defaults; set
-	// History.Disabled to turn the subsystem off.
+	// and retention archives. The zero value uses the defaults; every site
+	// keeps a history.
 	History HistoryConfig
 	// Admission overrides every site's overload admission controller
 	// (per-class concurrency limits, queue depths, AIMD target); nil uses
@@ -622,7 +622,8 @@ func (c *Client) Instantiate(deployment, client string, ticketID uint64, args st
 }
 
 // Subscribe registers a callback for local GLARE events on a topic
-// (TopicDeployment, TopicResourceCreated, ...).
+// (TopicDeployment, TopicResourceCreated, ..., and TopicElection for every
+// overlay view the site installs).
 func (c *Client) Subscribe(topic string, fn func(Notification)) error {
 	_, err := c.svc.Broker().Subscribe(topic, wsrf.SinkFunc(fn))
 	return err
@@ -713,8 +714,7 @@ func (c *Client) SampleHistory() int { return c.svc.SampleTelemetry() }
 // returns the number of points folded; non-super-peers fold nothing.
 func (c *Client) RollupHistory() int { return c.svc.RollupHistory() }
 
-// History exposes this site's round-robin time-series store (nil when
-// GridOptions.History.Disabled is set).
+// History exposes this site's round-robin time-series store.
 func (c *Client) History() *HistoryStore { return c.svc.History() }
 
 // FiringAlerts lists the site's currently firing alert-rule instances.

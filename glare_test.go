@@ -113,6 +113,40 @@ func TestSubscriptionsThroughFacade(t *testing.T) {
 	}
 }
 
+// TestElectionNotificationsThroughFacade: TopicElection subscribers on a
+// site's client hear the overlay views the site's agent installs, because
+// the agent publishes on the same broker the client subscribes to.
+func TestElectionNotificationsThroughFacade(t *testing.T) {
+	g := newGrid(t, GridOptions{Sites: 3})
+	var mu sync.Mutex
+	heard := make([][]string, g.Sites())
+	for i := 0; i < g.Sites(); i++ {
+		i := i
+		if err := g.Client(i).Subscribe(TopicElection, func(n Notification) {
+			mu.Lock()
+			heard[i] = append(heard[i], n.Producer)
+			mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Elect(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, producers := range heard {
+		if len(producers) == 0 {
+			t.Fatalf("site %d heard no election notification", i)
+		}
+		for _, p := range producers {
+			if p != g.SiteName(i) {
+				t.Fatalf("site %d heard an election from %q, want its own agent %q", i, p, g.SiteName(i))
+			}
+		}
+	}
+}
+
 func TestFailoverThroughFacade(t *testing.T) {
 	g := newGrid(t, GridOptions{Sites: 4, GroupSize: 4})
 	if err := g.Elect(); err != nil {

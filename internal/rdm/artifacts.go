@@ -176,9 +176,6 @@ func (l *artifactLocations) Snapshot() []blobLocation {
 // casIngest stores a verified blob, journals the mutation, advertises the
 // holding and settles eviction bookkeeping for anything pushed out.
 func (s *Service) casIngest(e cas.Entry) {
-	if s.cas == nil {
-		return
-	}
 	if e.Added.IsZero() {
 		e.Added = s.hlc.Now()
 	}
@@ -205,9 +202,6 @@ func (s *Service) casIngest(e cas.Entry) {
 
 // casDrop purges one blob (rot detected, or admin action).
 func (s *Service) casDrop(key cas.Key) {
-	if s.cas == nil {
-		return
-	}
 	if _, ok := s.cas.Delete(key); ok {
 		s.casLoc.Drop(key, s.selfName())
 		if s.casJournal != nil {
@@ -227,7 +221,7 @@ func (s *Service) casGauges() {
 // oldest first so the LRU order survives the restart. Called by
 // attachStore before the journal binds, so restore is not re-journaled.
 func (s *Service) restoreCAS(state *store.State) {
-	if s.cas == nil || len(state.CAS) == 0 {
+	if len(state.CAS) == 0 {
 		return
 	}
 	blobs := make([]store.CASBlob, 0, len(state.CAS))
@@ -269,9 +263,9 @@ func (s *Service) fetchArtifactVia(ftp *gridftp.Client, c deployfile.Command) er
 	srcURL := f[1]
 	dst := strings.TrimPrefix(f[2], "file://")
 	algo, sum := deployfile.ChecksumOfStep(c.Step)
-	if s.cas == nil || sum == "" {
-		// No CAS (disabled) or no declared checksum to key on: the
-		// pre-artifact-grid direct path.
+	if sum == "" {
+		// No declared checksum to key on: the pre-artifact-grid direct
+		// path.
 		return ftp.FetchSum(srcURL, s.site, dst, algo, sum)
 	}
 	key := cas.Key{Algo: algo, Sum: sum}
@@ -471,9 +465,6 @@ func (s *Service) casOriginIngest(key cas.Key, url string) (cas.Entry, error) {
 // stored copy really has — the requester does the verification, so a
 // rotted copy is advertised honestly and rejected at ingest.
 func (s *Service) artifactFetchXML(body *xmlutil.Node) (*xmlutil.Node, error) {
-	if s.cas == nil {
-		return nil, fmt.Errorf("ArtifactFetch: artifact store disabled")
-	}
 	if body == nil {
 		return nil, fmt.Errorf("ArtifactFetch: missing request")
 	}
@@ -508,7 +499,6 @@ func (s *Service) artifactFetchXML(body *xmlutil.Node) (*xmlutil.Node, error) {
 // ArtifactStats is the artifact grid's admin-visible state for one site.
 type ArtifactStats struct {
 	Site    string
-	Enabled bool
 	Entries int
 	Bytes   int64
 	Budget  int64
@@ -525,10 +515,6 @@ type ArtifactStats struct {
 // ArtifactStats reports the site's CAS counters and occupancy.
 func (s *Service) ArtifactStats() ArtifactStats {
 	st := ArtifactStats{Site: s.site.Attrs.Name}
-	if s.cas == nil {
-		return st
-	}
-	st.Enabled = true
 	st.Entries, st.Bytes, st.Budget, _ = s.cas.Stats()
 	st.Hits = s.casTel.hits.Value()
 	st.Misses = s.casTel.misses.Value()
@@ -542,18 +528,12 @@ func (s *Service) ArtifactStats() ArtifactStats {
 
 // ArtifactHoldings lists the blobs the site currently holds, key-ordered.
 func (s *Service) ArtifactHoldings() []cas.Entry {
-	if s.cas == nil {
-		return nil
-	}
 	return s.cas.SortedHoldings()
 }
 
 // CorruptArtifact flips the stored content sum of one held blob (test
 // fault injection: models undetected bit rot on the holder's disk).
 func (s *Service) CorruptArtifact(key cas.Key) bool {
-	if s.cas == nil {
-		return false
-	}
 	return s.cas.Corrupt(key)
 }
 
@@ -563,11 +543,6 @@ func (s *Service) ArtifactStatusXML() *xmlutil.Node {
 	n := xmlutil.NewNode("ArtifactStatus")
 	st := s.ArtifactStats()
 	n.SetAttr("site", st.Site)
-	if !st.Enabled {
-		n.SetAttr("enabled", "false")
-		return n
-	}
-	n.SetAttr("enabled", "true")
 	n.SetAttr("entries", strconv.Itoa(st.Entries))
 	n.SetAttr("bytes", strconv.FormatInt(st.Bytes, 10))
 	n.SetAttr("budget", strconv.FormatInt(st.Budget, 10))
@@ -598,9 +573,6 @@ func (s *Service) ArtifactStatusXML() *xmlutil.Node {
 // location to the registry digest, so holdings ride the same anti-entropy
 // pass that reconciles ATR/ADR entries.
 func (s *Service) appendBlobDigest(n *xmlutil.Node) {
-	if s.cas == nil {
-		return
-	}
 	for _, loc := range s.casLoc.Snapshot() {
 		b := n.Elem("Blob", "")
 		b.SetAttr("algo", loc.Key.Algo)
@@ -614,9 +586,6 @@ func (s *Service) appendBlobDigest(n *xmlutil.Node) {
 // location table (newest advertisement wins; our own holdings are
 // authoritative locally and skipped).
 func (s *Service) mergeBlobDigest(digest *xmlutil.Node) {
-	if s.cas == nil {
-		return
-	}
 	self := s.selfName()
 	for _, n := range digest.All("Blob") {
 		key := cas.Key{Algo: n.AttrOr("algo", ""), Sum: n.AttrOr("sum", "")}

@@ -95,9 +95,6 @@ func (s *Service) chooseTarget(ctx context.Context, sp *telemetry.Span, t *activ
 	var peers []superpeer.SiteInfo
 	var attrs []site.Attributes
 	for _, peer := range s.view().Peers(s.selfName()) {
-		if s.client == nil {
-			break
-		}
 		resp, err := s.call(ctx, sp, peer.ServiceURL(ServiceName), "SiteAttrs", nil)
 		if err != nil || resp == nil {
 			continue
@@ -380,7 +377,7 @@ func (s *Service) identifyAndRegister(t *activity.Type) ([]*activity.Deployment,
 			if !s.site.HasService(svc) {
 				continue
 			}
-			addr := s.agentBase() + "/wsrf/services/" + svc
+			addr := s.agent.Self().ServiceURL(svc)
 			d := &activity.Deployment{
 				Name: svc, Type: t.Name, Kind: activity.KindService,
 				Site: s.site.Attrs.Name, Address: addr, Home: home,
@@ -399,13 +396,6 @@ func (s *Service) identifyAndRegister(t *activity.Type) ([]*activity.Deployment,
 		return nil, fmt.Errorf("rdm: installation of %q produced no deployments", t.Name)
 	}
 	return out, nil
-}
-
-func (s *Service) agentBase() string {
-	if s.agent != nil {
-		return s.agent.Self().BaseURL
-	}
-	return "http://" + s.site.Attrs.Name
 }
 
 // Undeploy removes a deployment (paper §6 future work): the registry entry

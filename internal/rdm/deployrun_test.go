@@ -43,17 +43,15 @@ func newDeployEngine(t testing.TB, dir string, v *simclock.Virtual, limits Deplo
 		t.Fatal(err)
 	}
 	e := &deployEngine{chaos: faultinject.NewDeployChaos(), resolver: resolver}
-	svc, err := New(Config{
-		Site:        st,
-		Clock:       v,
-		DeployFiles: resolver.Fetch,
-		Store:       durable,
-		Deploy:      limits,
-		DeployHook: func(ctx context.Context, typeName, stepName string) error {
-			e.hookCalls.Add(1)
-			return e.chaos.Step(ctx, typeName, stepName)
-		},
-	})
+	cfg := soloConfig(st, v)
+	cfg.DeployFiles = resolver.Fetch
+	cfg.Store = durable
+	cfg.Deploy = limits
+	cfg.DeployHook = func(ctx context.Context, typeName, stepName string) error {
+		e.hookCalls.Add(1)
+		return e.chaos.Step(ctx, typeName, stepName)
+	}
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

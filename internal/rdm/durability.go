@@ -24,9 +24,7 @@ func (s *Service) attachStore(st *store.Store) {
 	s.Leases.SetJournal(st.LeaseJournal())
 	s.deployJournal = st.DeployJournal()
 	s.historyJournal = st.HistoryJournal()
-	if s.cas != nil {
-		s.casJournal = st.CASJournal()
-	}
+	s.casJournal = st.CASJournal()
 }
 
 // restoreFromStore replays a recovered journal state into the site's
@@ -89,7 +87,7 @@ func (s *Service) restoreFromStore(state *store.State) {
 	// dumps so `glarectl history` spans restarts. Counter series carry
 	// their last raw total across, so rate derivation resumes without a
 	// phantom reset.
-	if state.History != nil && s.history != nil {
+	if state.History != nil {
 		for _, d := range state.History.Dump() {
 			_ = s.history.RestoreSeries(d)
 		}

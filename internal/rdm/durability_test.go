@@ -20,17 +20,14 @@ func durableSingle(t *testing.T, dir string, v *simclock.Virtual) *Service {
 		Name: "solo.uibk", ProcessorMHz: 1500, MemoryMB: 2048,
 		Platform: "Intel", OS: "Linux", Arch: "32bit",
 	}, v, site.StandardUniverse())
-	resolver := workload.NewResolver(st.Repo)
 	durable, err := store.Open(store.Options{Dir: dir, Clock: v})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{
-		Site:        st,
-		Clock:       v,
-		DeployFiles: resolver.Fetch,
-		Store:       durable,
-	})
+	cfg := soloConfig(st, v)
+	cfg.DeployFiles = workload.NewResolver(st.Repo).Fetch
+	cfg.Store = durable
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

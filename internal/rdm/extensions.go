@@ -46,7 +46,7 @@ func (s *Service) WrapService(execName string) (*activity.Deployment, error) {
 		Type:    d.Type,
 		Kind:    activity.KindService,
 		Site:    s.site.Attrs.Name,
-		Address: s.agentBase() + "/wsrf/services/" + wrapped,
+		Address: s.agent.Self().ServiceURL(wrapped),
 		Home:    d.Home,
 		Env:     map[string]string{"WRAPS": d.Name},
 	}

@@ -31,8 +31,6 @@ const GridSeriesPrefix = "grid:"
 
 // HistoryConfig tunes a site's telemetry history.
 type HistoryConfig struct {
-	// Disabled turns the subsystem off entirely.
-	Disabled bool
 	// Step is the base sampling period (default 5s).
 	Step time.Duration
 	// Archives is the retention ladder (default rrd.DefaultArchives).
@@ -95,14 +93,11 @@ type historyJournal interface {
 	RecordBatch(b rrd.Batch)
 }
 
-// History returns the site's telemetry history store (nil when disabled).
+// History returns the site's telemetry history store.
 func (s *Service) History() *rrd.Store { return s.history }
 
 // FiringAlerts returns the currently-firing alerts, sorted by rule name.
 func (s *Service) FiringAlerts() []rrd.Alert {
-	if s.alerts == nil {
-		return nil
-	}
 	return s.alerts.Firing()
 }
 
@@ -118,12 +113,8 @@ func (s *Service) healthSnapshot() telemetry.Health {
 		}
 	}
 	s.mu.Unlock()
-	if s.client != nil {
-		h.OpenBreakers = s.client.OpenBreakers()
-	}
-	if s.alerts != nil {
-		h.FiringAlerts = s.alerts.FiringCount()
-	}
+	h.OpenBreakers = s.client.OpenBreakers()
+	h.FiringAlerts = s.alerts.FiringCount()
 	return h
 }
 
@@ -135,9 +126,6 @@ func (s *Service) healthSnapshot() telemetry.Health {
 // histograms contribute a _count counter and a _p99_ms gauge. Returns
 // how many samples the rings accepted.
 func (s *Service) SampleTelemetry() int {
-	if s.history == nil {
-		return 0
-	}
 	// Site-level gauges piggyback on the sampler so history covers the
 	// container, not just the RDM's own counters.
 	s.tel.Gauge("glare_site_services").Set(int64(s.site.ServiceCount()))
@@ -187,9 +175,6 @@ func (s *Service) historyObserve(b *rrd.Batch, name string, kind rrd.Kind, v flo
 
 // evaluateAlerts runs the rule set and reacts to newly-firing alerts.
 func (s *Service) evaluateAlerts(now time.Time) {
-	if s.alerts == nil {
-		return
-	}
 	fired := s.alerts.Evaluate(now)
 	s.tel.Gauge("glare_alerts_firing").Set(int64(s.alerts.FiringCount()))
 	for _, a := range fired {
@@ -209,9 +194,6 @@ func (s *Service) evaluateAlerts(now time.Time) {
 // the super-peer rollup consumes; sinceNs bounds the payload to points
 // after that instant.
 func (s *Service) historyXportXML(body *xmlutil.Node) (*xmlutil.Node, error) {
-	if s.history == nil {
-		return nil, fmt.Errorf("HistoryXport: telemetry history disabled")
-	}
 	var metrics []string
 	finest := false
 	var sinceNs int64
@@ -277,9 +259,6 @@ func (s *Service) historyXportXML(body *xmlutil.Node) (*xmlutil.Node, error) {
 // the rings reject stale timestamps anyway, so re-pulls never
 // double-count. Returns how many consolidated points were folded in.
 func (s *Service) RollupHistory() int {
-	if s.history == nil || s.agent == nil || s.client == nil {
-		return 0
-	}
 	view := s.view()
 	if view.SuperPeer.IsZero() || view.SuperPeer.Name != s.selfName() {
 		return 0

@@ -48,25 +48,19 @@ func (s *Service) StartMonitors() {
 	go s.loop(cacheRefreshEvery, func() { s.RefreshCaches() })
 	go s.loop(indexProbeEvery, func() { s.CheckIndex() })
 	go s.loop(statusCheckEvery, func() { s.CheckDeployments() })
-	if s.agent != nil {
-		s.agent.StartMonitor(peerLivenessEvery, s.stop)
-		go s.loop(registrySyncEvery, func() {
-			if s.agent.IsSuperPeer() {
-				s.SyncRegistries()
-			}
-		})
-	}
-	if s.history != nil {
-		go s.loop(historySampleEvery, func() { s.SampleTelemetry() })
-	}
-	if s.history != nil && s.agent != nil {
-		go s.loop(historyRollupEvery, func() {
-			if s.agent.IsSuperPeer() {
-				s.RollupHistory()
-			}
-		})
-	}
-	if s.repl != nil && s.agent != nil {
+	s.agent.StartMonitor(peerLivenessEvery, s.stop)
+	go s.loop(registrySyncEvery, func() {
+		if s.agent.IsSuperPeer() {
+			s.SyncRegistries()
+		}
+	})
+	go s.loop(historySampleEvery, func() { s.SampleTelemetry() })
+	go s.loop(historyRollupEvery, func() {
+		if s.agent.IsSuperPeer() {
+			s.RollupHistory()
+		}
+	})
+	if s.repl != nil {
 		go s.loop(replicaCheckEvery, func() {
 			if s.agent.IsSuperPeer() {
 				s.CheckReplicas()
@@ -139,9 +133,6 @@ func (s *Service) RefreshCaches() (revived, discarded int) {
 // election coordinator and notifies all other Grid sites registered in the
 // community."
 func (s *Service) CheckIndex() error {
-	if s.localIndex == nil || s.agent == nil {
-		return nil
-	}
 	if s.localIndex.Kind() != mds.CommunityIndex {
 		return nil
 	}
@@ -172,9 +163,6 @@ func (s *Service) CheckIndex() error {
 // CommunitySites extracts the registered Grid sites from the community
 // index's aggregated document.
 func (s *Service) CommunitySites() []superpeer.SiteInfo {
-	if s.localIndex == nil {
-		return nil
-	}
 	res, err := s.localIndex.QueryString("//Site")
 	if err != nil {
 		return nil

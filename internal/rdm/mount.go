@@ -23,12 +23,8 @@ func (s *Service) Mount(srv *transport.Server) {
 	srv.SetTelemetry(s.tel)
 	s.ATR.Mount(srv)
 	s.ADR.Mount(srv)
-	if s.agent != nil {
-		s.agent.Mount(srv)
-	}
-	if s.localIndex != nil {
-		s.localIndex.Mount(srv)
-	}
+	s.agent.Mount(srv)
+	s.localIndex.Mount(srv)
 	srv.RegisterCtxService(ServiceName, map[string]transport.CtxHandler{
 		// --- client entry points -------------------------------------
 		"GetDeployments": func(ctx context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {

@@ -63,11 +63,15 @@ type Config struct {
 	Site  *site.Site
 	Clock simclock.Clock
 	// Client talks to remote services; TLS config must match the VO.
+	// Required.
 	Client *transport.Client
-	// Agent is the super-peer overlay participant for this site.
+	// Agent is the super-peer overlay participant for this site. Required:
+	// its SiteInfo names the site on the wire and addresses the services
+	// the site hosts, and its broker becomes the site's notification
+	// broker, so registry and election notifications share one topic space.
 	Agent *superpeer.Agent
 	// LocalIndex is the site's GT4 Default Index (may be the community
-	// index on the root site); probed by the Index Monitor.
+	// index on the root site); probed by the Index Monitor. Required.
 	LocalIndex *mds.Index
 	// GroupSize is the super-peer group size used when this site becomes
 	// election coordinator; zero uses the overlay default.
@@ -100,19 +104,18 @@ type Config struct {
 	// nil disables injection.
 	DeployHook DeployHook
 	// History tunes the round-robin telemetry history (sampling step,
-	// retention ladder); the zero value enables it with defaults, Disabled
-	// turns it off.
+	// retention ladder); the zero value uses the defaults. Every site keeps
+	// a history.
 	History HistoryConfig
 	// ReplicaK is the registry replication factor: total copies of every
 	// ATR/ADR/lease entry, owner included, spread over the site's peer
 	// group. Registrations are acknowledged only after a write quorum
 	// (⌈(K+1)/2⌉) is durable. Zero or one disables replication (the
-	// pre-replication behaviour); needs Agent and Client.
+	// pre-replication behaviour).
 	ReplicaK int
 	// CASBudget is the byte budget of the site's content-addressed
-	// artifact store (internal/cas). Zero selects cas.DefaultBudget;
-	// negative disables the CAS entirely (every transfer goes to origin,
-	// the pre-artifact-grid behaviour).
+	// artifact store (internal/cas); zero or negative selects
+	// cas.DefaultBudget. Every site keeps a store.
 	CASBudget int64
 }
 
@@ -214,19 +217,23 @@ type Service struct {
 // New assembles the service (does not start background monitors; call
 // StartMonitors for that).
 func New(cfg Config) (*Service, error) {
-	if cfg.Site == nil {
+	switch {
+	case cfg.Site == nil:
 		return nil, fmt.Errorf("rdm: config needs a site")
+	case cfg.Agent == nil:
+		return nil, fmt.Errorf("rdm: config needs an overlay agent")
+	case cfg.Client == nil:
+		return nil, fmt.Errorf("rdm: config needs a transport client")
+	case cfg.LocalIndex == nil:
+		return nil, fmt.Errorf("rdm: config needs a local index")
 	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simclock.Real
 	}
-	broker := wsrf.NewBroker(clock)
+	broker := cfg.Agent.Broker()
 	hybrid := hlc.New(cfg.Site.Attrs.Name, clock)
-	var agentSelf superpeer.SiteInfo
-	if cfg.Agent != nil {
-		agentSelf = cfg.Agent.Self()
-	}
+	agentSelf := cfg.Agent.Self()
 	atrURL := agentSelf.ServiceURL(atr.ServiceName)
 	adrURL := agentSelf.ServiceURL(adr.ServiceName)
 	typesReg := atr.New(atrURL, clock, broker)
@@ -281,9 +288,7 @@ func New(cfg Config) (*Service, error) {
 	// sweeps and lease validity stay on the site's physical clock.
 	s.ATR.Home().SetStamp(hybrid.Now)
 	s.ADR.Home().SetStamp(hybrid.Now)
-	if cfg.Agent != nil {
-		cfg.Agent.SetTelemetry(tel)
-	}
+	cfg.Agent.SetTelemetry(tel)
 	s.typeCache.Instrument(
 		tel.Counter("glare_rdm_cache_hits_total", telemetry.L("cache", "types")),
 		tel.Counter("glare_rdm_cache_misses_total", telemetry.L("cache", "types")),
@@ -314,41 +319,33 @@ func New(cfg Config) (*Service, error) {
 	hybrid.OnSkew(func(peer string, offset time.Duration) {
 		s.skewDetected.Inc()
 	})
-	if cfg.Agent != nil {
-		cfg.Agent.SetSkewSource(hybrid.MaxPeerOffset)
-	}
+	cfg.Agent.SetSkewSource(hybrid.MaxPeerOffset)
 	// Content-addressed artifact store: assembled before the durable store
 	// attaches so recovery can re-offer the blobs the site held. The
 	// gridftp tallies feed the same telemetry bundle.
 	s.FTP.SetTelemetry(tel)
-	if cfg.CASBudget >= 0 {
-		// The CAS stamps entry Added times, which double as blob-location
-		// LUTs in the anti-entropy digest — ordering fields, so they come
-		// from the HLC (which also keeps LRU recency strictly monotonic).
-		s.cas = cas.New(hybrid, cfg.CASBudget)
-		s.casLoc = newArtifactLocations()
-		s.casTel = newCASCounters(tel)
-		s.casFlight = make(map[cas.Key]*casPull)
-	}
+	// The CAS stamps entry Added times, which double as blob-location
+	// LUTs in the anti-entropy digest — ordering fields, so they come from
+	// the HLC (which also keeps LRU recency strictly monotonic).
+	s.cas = cas.New(hybrid, cfg.CASBudget)
+	s.casLoc = newArtifactLocations()
+	s.casTel = newCASCounters(tel)
+	s.casFlight = make(map[cas.Key]*casPull)
 	// Telemetry history: ring archives, alert engine and /healthz digest.
 	// Assembled before the store attaches so recovery can re-seed the
 	// rings.
 	s.historyCfg = cfg.History.withDefaults()
-	if !cfg.History.Disabled {
-		s.history = rrd.NewStore(s.historyCfg.Step)
-		s.alerts = rrd.NewAlerts(s.history, DefaultAlertRules(s.historyCfg.Step))
-		s.historySamples = tel.Counter("glare_history_samples_total")
-		s.rollupPoints = tel.Counter("glare_history_rollup_points_total")
-	}
+	s.history = rrd.NewStore(s.historyCfg.Step)
+	s.alerts = rrd.NewAlerts(s.history, DefaultAlertRules(s.historyCfg.Step))
+	s.historySamples = tel.Counter("glare_history_samples_total")
+	s.rollupPoints = tel.Counter("glare_history_rollup_points_total")
 	tel.SetHealthSource(s.healthSnapshot)
 	// Expiry cascade: destroying a type — removal or lifetime expiry —
 	// expires its deployments (§3.3) and drops it from the site's index,
 	// which forwards the removal to the community index upstream.
 	s.ATR.OnRemove(func(typeName string) {
 		s.ADR.ExpireByType(typeName)
-		if s.localIndex != nil {
-			s.localIndex.Unregister(typeName)
-		}
+		s.localIndex.Unregister(typeName)
 	})
 	// Durability last: replay the journal into the assembled registries,
 	// then bind the journals so new traffic is logged.
@@ -370,7 +367,7 @@ func (s *Service) Telemetry() *telemetry.Telemetry { return s.tel }
 // Broker returns the notification broker shared by the registries.
 func (s *Service) Broker() *wsrf.Broker { return s.broker }
 
-// Agent returns the overlay agent (may be nil in single-site setups).
+// Agent returns the overlay agent.
 func (s *Service) Agent() *superpeer.Agent { return s.agent }
 
 // Clock returns the service clock.

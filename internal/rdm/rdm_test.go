@@ -11,10 +11,29 @@ import (
 	"glare/internal/mds"
 	"glare/internal/simclock"
 	"glare/internal/site"
+	"glare/internal/superpeer"
+	"glare/internal/transport"
 	"glare/internal/workload"
 )
 
-// single builds a standalone single-site RDM (no overlay, no transport).
+// soloConfig returns the configuration of a site that runs alone: its own
+// overlay agent (in no group yet), a transport client and a Default Index.
+// The agent's base URL keeps service addresses at
+// http://<site>/wsrf/services/<name>.
+func soloConfig(st *site.Site, clock simclock.Clock) Config {
+	name := st.Attrs.Name
+	client := transport.NewClient(nil)
+	return Config{
+		Site:       st,
+		Clock:      clock,
+		Client:     client,
+		Agent:      superpeer.NewAgent(superpeer.SiteInfo{Name: name, BaseURL: "http://" + name}, client, nil),
+		LocalIndex: mds.New("index-"+name, mds.DefaultIndex, clock),
+	}
+}
+
+// single builds a standalone single-site RDM: nothing listens, and the
+// overlay view is empty, so every lookup stays local.
 func single(t *testing.T) (*Service, *simclock.Virtual) {
 	t.Helper()
 	v := simclock.NewVirtual(time.Time{})
@@ -22,12 +41,9 @@ func single(t *testing.T) (*Service, *simclock.Virtual) {
 		Name: "solo.uibk", ProcessorMHz: 1500, MemoryMB: 2048,
 		Platform: "Intel", OS: "Linux", Arch: "32bit",
 	}, v, site.StandardUniverse())
-	resolver := workload.NewResolver(st.Repo)
-	svc, err := New(Config{
-		Site:        st,
-		Clock:       v,
-		DeployFiles: resolver.Fetch,
-	})
+	cfg := soloConfig(st, v)
+	cfg.DeployFiles = workload.NewResolver(st.Repo).Fetch
+	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +381,9 @@ func TestTypeRemovalUnregistersFromIndices(t *testing.T) {
 	local := mds.New("local", mds.DefaultIndex, v)
 	community := mds.New("community", mds.CommunityIndex, v)
 	local.AddUpstream(community)
-	s, err := New(Config{Site: st, Clock: v, LocalIndex: local})
+	cfg := soloConfig(st, v)
+	cfg.LocalIndex = local
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,11 +577,9 @@ func TestDeployFailureNotifiesAdmin(t *testing.T) {
 	}
 	resolver := workload.NewResolver(s.Site().Repo)
 	resolver.Publish("http://provider/baddownload.build", build)
-	s2, err := New(Config{
-		Site:        s.Site(),
-		Clock:       s.Clock(),
-		DeployFiles: resolver.Fetch,
-	})
+	cfg := soloConfig(s.Site(), s.Clock())
+	cfg.DeployFiles = resolver.Fetch
+	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +610,9 @@ func TestDeployFailsOnCorruptDownload(t *testing.T) {
 		}
 	}
 	resolver.Publish("http://provider/ant-corrupt.build", build)
-	s2, err := New(Config{Site: s.Site(), Clock: s.Clock(), DeployFiles: resolver.Fetch})
+	cfg := soloConfig(s.Site(), s.Clock())
+	cfg.DeployFiles = resolver.Fetch
+	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,4 +630,33 @@ func TestDeployFailsOnCorruptDownload(t *testing.T) {
 		!strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("corrupt download: %v", err)
 	}
+}
+
+// TestNewRequiresAgentClientAndIndex: every site runs its overlay agent,
+// transport client and local index, so a config missing any of them is
+// refused at assembly rather than carried as a reduced service.
+func TestNewRequiresAgentClientAndIndex(t *testing.T) {
+	v := simclock.NewVirtual(time.Time{})
+	st := site.New(site.Attributes{Name: "solo.uibk"}, v, site.StandardUniverse())
+	for _, tc := range []struct {
+		name string
+		drop func(*Config)
+	}{
+		{"site", func(c *Config) { c.Site = nil }},
+		{"agent", func(c *Config) { c.Agent = nil }},
+		{"client", func(c *Config) { c.Client = nil }},
+		{"local index", func(c *Config) { c.LocalIndex = nil }},
+	} {
+		cfg := soloConfig(st, v)
+		tc.drop(&cfg)
+		if s, err := New(cfg); err == nil {
+			s.Stop()
+			t.Errorf("New without %s: no error", tc.name)
+		}
+	}
+	s, err := New(soloConfig(st, v))
+	if err != nil {
+		t.Fatalf("New with every dependency: %v", err)
+	}
+	s.Stop()
 }

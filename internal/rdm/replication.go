@@ -142,7 +142,7 @@ func ticketFromDoc(doc *xmlutil.Node) (lease.Ticket, error) {
 // journals compose with (not replace) the WAL adapters, and the shadow
 // registries recovered from the WAL are replayed into the holder.
 func (s *Service) setupReplication(cfg Config) {
-	if cfg.ReplicaK <= 1 || s.agent == nil || s.client == nil {
+	if cfg.ReplicaK <= 1 {
 		return
 	}
 	var factory replicate.JournalFactory
@@ -315,9 +315,7 @@ func (s *Service) adoptEntries(regs map[string][]replicate.Entry) int {
 		if !adopt(s.ATR.Home(), e) {
 			continue
 		}
-		if s.localIndex != nil {
-			s.localIndex.Register(s.ATR.EPR(e.Key), e.Doc.Clone())
-		}
+		s.localIndex.Register(s.ATR.EPR(e.Key), e.Doc.Clone())
 		adopted++
 	}
 	for _, e := range regs[replRegADR] {
@@ -361,7 +359,7 @@ func (s *Service) PromoteOrigin(origin string) int {
 // both of which survive a holder's own restart — and promote it. Returns
 // how many promotions this pass ordered.
 func (s *Service) CheckReplicas() int {
-	if s.repl == nil || s.agent == nil || !s.agent.IsSuperPeer() {
+	if s.repl == nil || !s.agent.IsSuperPeer() {
 		return 0
 	}
 	view := s.view()

@@ -22,9 +22,6 @@ import (
 // stamped into the envelope so every forwarding hop works against the
 // original caller's clock. A nil span degrades to a plain call.
 func (s *Service) call(ctx context.Context, sp *telemetry.Span, address, operation string, body *xmlutil.Node) (*xmlutil.Node, error) {
-	if s.client == nil {
-		return nil, fmt.Errorf("rdm: no transport client configured")
-	}
 	return s.client.CallCtx(ctx, sp, address, operation, body)
 }
 
@@ -52,9 +49,7 @@ func (s *Service) RegisterType(t *activity.Type) (epr.EPR, error) {
 			return epr.EPR{}, fmt.Errorf("rdm: type %q registered locally but not quorum-replicated: %w", t.Name, qerr)
 		}
 	}
-	if s.localIndex != nil {
-		s.localIndex.Register(e, t.ToXML())
-	}
+	s.localIndex.Register(e, t.ToXML())
 	return e, nil
 }
 
@@ -542,19 +537,9 @@ func (s *Service) cacheDeployment(source superpeer.SiteInfo, d *activity.Deploym
 
 // ----------------------------------------------------------------- helpers
 
-func (s *Service) selfName() string {
-	if s.agent != nil {
-		return s.agent.Self().Name
-	}
-	return s.site.Attrs.Name
-}
+func (s *Service) selfName() string { return s.agent.Self().Name }
 
-func (s *Service) view() superpeer.View {
-	if s.agent == nil {
-		return superpeer.View{}
-	}
-	return s.agent.View()
-}
+func (s *Service) view() superpeer.View { return s.agent.View() }
 
 func typesFromList(list *xmlutil.Node) []*activity.Type {
 	var out []*activity.Type
@@ -621,9 +606,6 @@ func (s *Service) lookupType(ctx context.Context, sp *telemetry.Span, name strin
 		targets = append(targets, view.SuperPeer)
 	}
 	for _, peer := range targets {
-		if s.client == nil {
-			break
-		}
 		resp, err := s.call(ctx, sp, peer.ServiceURL(atr.ServiceName), "GetType",
 			xmlutil.NewNode("Name", name))
 		if err != nil || resp == nil {

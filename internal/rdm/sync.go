@@ -63,7 +63,7 @@ func (s *Service) RegistryDigest() *xmlutil.Node {
 // aggregation reflects both sides of a healed partition. Returns how many
 // entries were pulled; glare_sync_entries_pulled_total counts the same.
 func (s *Service) SyncRegistries() int {
-	if s.agent == nil || s.client == nil || s.cacheOff {
+	if s.cacheOff {
 		return 0
 	}
 	view := s.view()
@@ -199,9 +199,6 @@ func (s *Service) mergeDepIndex(typeName, depName string) {
 // index. Registration is idempotent (keyed by EPR), so repeating it after
 // a heal only refreshes entries the index may have lost.
 func (s *Service) reindexLocalTypes() {
-	if s.localIndex == nil {
-		return
-	}
 	for _, name := range s.ATR.Names() {
 		doc, ok := s.ATR.LookupDocument(name)
 		if !ok {

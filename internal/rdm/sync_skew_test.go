@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"glare/internal/activity"
+	"glare/internal/mds"
 	"glare/internal/simclock"
 	"glare/internal/site"
 	"glare/internal/superpeer"
@@ -44,6 +45,7 @@ func newSkewedSyncSites(t *testing.T, n int, offsets map[int]time.Duration) []*s
 		resolver := workload.NewResolver(st.Repo)
 		svc, err := New(Config{
 			Site: st, Clock: view, Client: cli, Agent: agent,
+			LocalIndex:  mds.New("index-"+info.Name, mds.DefaultIndex, view),
 			DeployFiles: resolver.Fetch, Telemetry: tel,
 		})
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"glare/internal/activity"
+	"glare/internal/mds"
 	"glare/internal/simclock"
 	"glare/internal/site"
 	"glare/internal/superpeer"
@@ -48,6 +49,7 @@ func newSyncSites(t *testing.T, n int) []*syncSite {
 		resolver := workload.NewResolver(st.Repo)
 		svc, err := New(Config{
 			Site: st, Clock: clock, Client: cli, Agent: agent,
+			LocalIndex:  mds.New("index-"+info.Name, mds.DefaultIndex, clock),
 			DeployFiles: resolver.Fetch, Telemetry: tel,
 		})
 		if err != nil {

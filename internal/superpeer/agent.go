@@ -88,7 +88,9 @@ const DefaultPingTimeout = 1 * time.Second
 // the super-peer dead.
 const DefaultSuspicionThreshold = 2
 
-// NewAgent creates an overlay agent for a site.
+// NewAgent creates an overlay agent for a site. Every installed view is
+// published on broker under wsrf.TopicElection; pass the site's own broker
+// so its subscribers hear elections. Nil creates a private one.
 func NewAgent(self SiteInfo, client *transport.Client, broker *wsrf.Broker) *Agent {
 	if broker == nil {
 		broker = wsrf.NewBroker(nil)
@@ -123,6 +125,9 @@ func (a *Agent) SetSkewSource(fn func() (string, time.Duration)) {
 
 // Self returns this agent's site info.
 func (a *Agent) Self() SiteInfo { return a.self }
+
+// Broker returns the broker the agent publishes election notifications on.
+func (a *Agent) Broker() *wsrf.Broker { return a.broker }
 
 // SetTelemetry binds the agent's overlay instrumentation to a site's
 // telemetry bundle. Call during site assembly, before serving traffic.

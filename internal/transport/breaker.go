@@ -38,11 +38,8 @@ type BreakerConfig struct {
 	// open its breaker. Default 3.
 	FailureThreshold int
 	// Cooldown is how long an open breaker rejects before admitting one
-	// half-open probe. Default 5s.
+	// half-open probe; the first success closes it again. Default 5s.
 	Cooldown time.Duration
-	// HalfOpenSuccesses successful probes close a half-open breaker.
-	// Default 1.
-	HalfOpenSuccesses int
 	// Now is the breaker's time source; nil uses time.Now. Tests inject a
 	// fake to step through the cooldown deterministically.
 	Now func() time.Time
@@ -50,7 +47,7 @@ type BreakerConfig struct {
 
 // DefaultBreakerConfig suits intra-VO failure detection.
 func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{FailureThreshold: 3, Cooldown: 5 * time.Second, HalfOpenSuccesses: 1}
+	return BreakerConfig{FailureThreshold: 3, Cooldown: 5 * time.Second}
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -59,9 +56,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 5 * time.Second
-	}
-	if c.HalfOpenSuccesses <= 0 {
-		c.HalfOpenSuccesses = 1
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -73,12 +67,11 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 type breaker struct {
 	cfg BreakerConfig
 
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int       // consecutive failures while closed
-	successes int       // consecutive probe successes while half-open
-	openedAt  time.Time // when the breaker last tripped
-	probing   bool      // a half-open probe is in flight
+	mu       sync.Mutex
+	state    BreakerState
+	failures int       // consecutive failures while closed
+	openedAt time.Time // when the breaker last tripped
+	probing  bool      // a half-open probe is in flight
 }
 
 // admit reports whether a call may proceed; probe marks the call as the
@@ -94,7 +87,6 @@ func (b *breaker) admit() (ok, probe bool) {
 			return false, false
 		}
 		b.state = BreakerHalfOpen
-		b.successes = 0
 		b.probing = true
 		return true, true
 	default: // half-open: one probe at a time
@@ -117,11 +109,8 @@ func (b *breaker) onSuccess(probe bool) {
 		if probe {
 			b.probing = false
 		}
-		b.successes++
-		if b.successes >= b.cfg.HalfOpenSuccesses {
-			b.state = BreakerClosed
-			b.failures = 0
-		}
+		b.state = BreakerClosed
+		b.failures = 0
 	}
 }
 

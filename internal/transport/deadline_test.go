@@ -200,7 +200,7 @@ func TestBreakerRefusalDoesNotBurnRetryBudget(t *testing.T) {
 	cli.SetRetryPolicy(fastRetry(4))
 	budget := NewRetryBudget(20, 0.1)
 	cli.SetRetryBudget(budget)
-	cli.SetBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour, HalfOpenSuccesses: 1})
+	cli.SetBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Hour})
 
 	inj := faultinject.New(7)
 	cli.WrapTransport(inj.Wrap)

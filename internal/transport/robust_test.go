@@ -156,10 +156,9 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	now := time.Unix(1000, 0)
 	cli.SetBreaker(BreakerConfig{
-		FailureThreshold:  3,
-		Cooldown:          time.Second,
-		HalfOpenSuccesses: 1,
-		Now:               func() time.Time { return now },
+		FailureThreshold: 3,
+		Cooldown:         time.Second,
+		Now:              func() time.Time { return now },
 	})
 
 	inj := faultinject.New(42)

@@ -30,6 +30,7 @@ import (
 	"glare/internal/telemetry"
 	"glare/internal/transport"
 	"glare/internal/workload"
+	"glare/internal/wsrf"
 )
 
 // Options configures a VO build.
@@ -282,7 +283,9 @@ func (v *VO) buildNode(i int, opts Options, addr string) (*Node, error) {
 		srv.SetAdmission(transport.NewAdmission(acfg, tel))
 	}
 	cli := v.newClient(opts, tel, hostOf(srv.BaseURL()))
-	agent := superpeer.NewAgent(info, cli, nil)
+	// The agent's broker is the site's one notification broker: rdm.New
+	// adopts it, so registry and election notifications share subscribers.
+	agent := superpeer.NewAgent(info, cli, wsrf.NewBroker(siteClock))
 
 	kind := mds.DefaultIndex
 	if i == 0 {
