@@ -208,6 +208,9 @@ func historyConfig(step time.Duration, retention string) (rdm.HistoryConfig, err
 			spec.Steps <= 0 || spec.Rows <= 0 {
 			return cfg, fmt.Errorf("-history-ret %q: want [cf:]STEPSxROWS", item)
 		}
+		if spec.Rows > rrd.MaxRows {
+			return cfg, fmt.Errorf("-history-ret %q: at most %d rows", item, rrd.MaxRows)
+		}
 		cfg.Archives = append(cfg.Archives, spec)
 	}
 	return cfg, nil

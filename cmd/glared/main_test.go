@@ -38,6 +38,7 @@ func TestHistoryConfig(t *testing.T) {
 		},
 		{name: "malformed item", step: time.Second, retention: "1x10,tenbyten", err: `-history-ret "tenbyten"`},
 		{name: "zero rows", step: time.Second, retention: "4x0", err: `-history-ret "4x0"`},
+		{name: "rows past the bound", step: time.Second, retention: "1x65537", err: `-history-ret "1x65537": at most 65536 rows`},
 		{name: "bad cf prefix", step: time.Second, retention: "median:1x10", err: `-history-ret "median:1x10"`},
 		{name: "zero step", step: 0, err: "-history-step"},
 		{name: "negative step", step: -time.Second, retention: "1x10", err: "-history-step"},

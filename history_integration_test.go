@@ -1,6 +1,8 @@
 package glare
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -197,5 +199,55 @@ func TestSuperPeerRollupConsolidatesGridSeries(t *testing.T) {
 	// the grid series' own timestamps.
 	if again := g.Client(super).RollupHistory(); again != 0 {
 		t.Fatalf("idempotent re-rollup folded %d points", again)
+	}
+}
+
+// TestHistoryRestartIsBitIdentical pins DESIGN §12's claim that a restart
+// replays the archives bit for bit: a durable site samples for 24 ticks,
+// with NaN gaps, a moving counter and one explicit snapshot partway, and
+// its full history dump (rings, NaN slots, open accumulators, counter
+// seeds) marshals to the same JSON after StopSite/RestartSite.
+func TestHistoryRestartIsBitIdentical(t *testing.T) {
+	const step = 5 * time.Second
+	g := newGrid(t, GridOptions{Sites: 2, DataDir: t.TempDir(), History: HistoryConfig{Step: step}})
+	if err := g.Elect(); err != nil {
+		t.Fatal(err)
+	}
+	c := g.Client(1)
+	clock := g.vo.Clock.(*simclock.Virtual)
+	for tick := 0; tick < 24; tick++ {
+		clock.Advance(step)
+		if tick%7 == 4 {
+			clock.Advance(2 * step) // unsampled slots become NaN
+		}
+		g.Telemetry(1).Counter("glare_deploy_rollbacks_total").Add(uint64(tick % 3))
+		c.SampleHistory()
+		if tick == 11 {
+			if err := c.svc.Store().Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !c.svc.Store().Status().HasSnapshot {
+		t.Fatal("no snapshot taken")
+	}
+	before, err := json.Marshal(c.History().Dump())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(before, []byte("null")) {
+		t.Fatal("the run left no NaN slot to carry across the restart")
+	}
+
+	g.StopSite(1)
+	if err := g.RestartSite(1); err != nil {
+		t.Fatal(err)
+	}
+	after, err := json.Marshal(g.Client(1).History().Dump())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("history changed across the restart:\nbefore %s\n after %s", before, after)
 	}
 }

@@ -14,17 +14,20 @@ import (
 // homes and the lease service first — through the Restore paths, which
 // bypass counters, notifications, validation and the journal itself — and
 // only then are the journals bound, so replay is never re-journaled and
-// recovery is not observable as registration traffic.
-func (s *Service) attachStore(st *store.Store) {
+// recovery is not observable as registration traffic. It returns the
+// recovered state it replayed, for the replica holder's restore.
+func (s *Service) attachStore(st *store.Store) *store.State {
 	s.store = st
 	st.SetTelemetry(s.tel)
-	s.restoreFromStore(st.State())
+	state := st.State()
+	s.restoreFromStore(state)
 	s.ATR.Home().SetJournal(st.RegistryJournal(store.RegATR))
 	s.ADR.Home().SetJournal(st.RegistryJournal(store.RegADR))
 	s.Leases.SetJournal(st.LeaseJournal())
 	s.deployJournal = st.DeployJournal()
 	s.historyJournal = st.HistoryJournal()
 	s.casJournal = st.CASJournal()
+	return state
 }
 
 // restoreFromStore replays a recovered journal state into the site's
@@ -34,7 +37,8 @@ func (s *Service) attachStore(st *store.Store) {
 // the pool — but every journaled ticket ID is retired so a restarted site
 // never reissues an ID a client may still hold. Entries whose documents
 // no longer parse are skipped: recovery prefers a smaller correct registry
-// over a boot failure.
+// over a boot failure. Telemetry history needs no replay: the site
+// samples into the store's own rings (New).
 func (s *Service) restoreFromStore(state *store.State) {
 	for key, e := range state.Registries[store.RegATR] {
 		doc, err := xmlutil.ParseString(e.Doc)
@@ -80,16 +84,6 @@ func (s *Service) restoreFromStore(state *store.State) {
 	for typeName, steps := range state.Deploys {
 		if len(steps) > 0 {
 			s.resume[typeName] = append([]store.DeployStep(nil), steps...)
-		}
-	}
-
-	// Telemetry history: re-seed the ring archives from the recovered
-	// dumps so `glarectl history` spans restarts. Counter series carry
-	// their last raw total across, so rate derivation resumes without a
-	// phantom reset.
-	if state.History != nil {
-		for _, d := range state.History.Dump() {
-			_ = s.history.RestoreSeries(d)
 		}
 	}
 

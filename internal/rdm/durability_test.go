@@ -16,17 +16,24 @@ import (
 // durableSingle builds a standalone single-site RDM journaling into dir.
 func durableSingle(t *testing.T, dir string, v *simclock.Virtual) *Service {
 	t.Helper()
-	st := site.New(site.Attributes{
-		Name: "solo.uibk", ProcessorMHz: 1500, MemoryMB: 2048,
-		Platform: "Intel", OS: "Linux", Arch: "32bit",
-	}, v, site.StandardUniverse())
 	durable, err := store.Open(store.Options{Dir: dir, Clock: v})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return bootDurable(t, durable, v, HistoryConfig{})
+}
+
+// bootDurable builds a standalone single-site RDM over an opened store.
+func bootDurable(t *testing.T, durable *store.Store, v *simclock.Virtual, hist HistoryConfig) *Service {
+	t.Helper()
+	st := site.New(site.Attributes{
+		Name: "solo.uibk", ProcessorMHz: 1500, MemoryMB: 2048,
+		Platform: "Intel", OS: "Linux", Arch: "32bit",
+	}, v, site.StandardUniverse())
 	cfg := soloConfig(st, v)
 	cfg.DeployFiles = workload.NewResolver(st.Repo).Fetch
 	cfg.Store = durable
+	cfg.History = hist
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -170,5 +177,22 @@ func TestRDMStoreStatusXML(t *testing.T) {
 	}
 	if n.AttrOr("liveRecords", "0") != "1" || n.AttrOr("lastSeq", "0") != "1" {
 		t.Fatalf("StoreStatus counters = %s", n)
+	}
+}
+
+// TestDurableSiteHasOneHistory: a durable site samples into the rings its
+// store recovered; there is no second rrd.Store to keep in step.
+func TestDurableSiteHasOneHistory(t *testing.T) {
+	svc := durableSingle(t, t.TempDir(), simclock.NewVirtual(time.Time{}))
+	if svc.History() != svc.Store().History() {
+		t.Fatal("site history and store history are different stores")
+	}
+	if svc.Store().State().History != svc.History() {
+		t.Fatal("State() copied the history instead of sharing it")
+	}
+	svc.SampleTelemetry()
+	if svc.History().Len() == 0 || svc.Store().Status().LiveRecords < svc.History().Len() {
+		t.Fatalf("sampled %d series, store counts %d live records",
+			svc.History().Len(), svc.Store().Status().LiveRecords)
 	}
 }

@@ -33,7 +33,8 @@ const GridSeriesPrefix = "grid:"
 type HistoryConfig struct {
 	// Step is the base sampling period (default 5s).
 	Step time.Duration
-	// Archives is the retention ladder (default rrd.DefaultArchives).
+	// Archives is the retention ladder (default rrd.DefaultArchives); each
+	// ring holds at most rrd.MaxRows slots.
 	Archives []rrd.ArchiveSpec
 }
 

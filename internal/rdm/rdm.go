@@ -93,8 +93,9 @@ type Config struct {
 	Telemetry *telemetry.Telemetry
 	// Store is the site's durable registry store. When set, its recovered
 	// state is replayed into the registries and lease service during
-	// assembly and every subsequent mutation is journaled through it. Nil
-	// keeps the site memory-only (the pre-durability behaviour).
+	// assembly, its history is the site's telemetry history, and every
+	// subsequent mutation is journaled through it. Nil keeps the site
+	// memory-only (the pre-durability behaviour).
 	Store *store.Store
 	// Deploy tunes the deployment execution engine (checkpointing,
 	// dedup/queue limits, retry and quarantine); the zero value uses
@@ -332,10 +333,13 @@ func New(cfg Config) (*Service, error) {
 	s.casTel = newCASCounters(tel)
 	s.casFlight = make(map[cas.Key]*casPull)
 	// Telemetry history: ring archives, alert engine and /healthz digest.
-	// Assembled before the store attaches so recovery can re-seed the
-	// rings.
+	// A durable site samples into the rings its store recovered.
 	s.historyCfg = cfg.History.withDefaults()
-	s.history = rrd.NewStore(s.historyCfg.Step)
+	if cfg.Store != nil {
+		s.history = cfg.Store.History()
+	} else {
+		s.history = rrd.NewStore(s.historyCfg.Step)
+	}
 	s.alerts = rrd.NewAlerts(s.history, DefaultAlertRules(s.historyCfg.Step))
 	s.historySamples = tel.Counter("glare_history_samples_total")
 	s.rollupPoints = tel.Counter("glare_history_rollup_points_total")
@@ -349,12 +353,13 @@ func New(cfg Config) (*Service, error) {
 	})
 	// Durability last: replay the journal into the assembled registries,
 	// then bind the journals so new traffic is logged.
+	var recovered *store.State
 	if cfg.Store != nil {
-		s.attachStore(cfg.Store)
+		recovered = s.attachStore(cfg.Store)
 	}
 	// Replication after durability: the replicator wraps the journals the
 	// store just bound, so a mutation is durable locally before it fans out.
-	s.setupReplication(cfg)
+	s.setupReplication(cfg, recovered)
 	return s, nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"glare/internal/superpeer"
 	"glare/internal/transport"
 	"glare/internal/workload"
+	"glare/internal/wsrf"
 )
 
 // soloConfig returns the configuration of a site that runs alone: its own
@@ -27,7 +28,7 @@ func soloConfig(st *site.Site, clock simclock.Clock) Config {
 		Site:       st,
 		Clock:      clock,
 		Client:     client,
-		Agent:      superpeer.NewAgent(superpeer.SiteInfo{Name: name, BaseURL: "http://" + name}, client, nil),
+		Agent:      superpeer.NewAgent(superpeer.SiteInfo{Name: name, BaseURL: "http://" + name}, client, wsrf.NewBroker(nil)),
 		LocalIndex: mds.New("index-"+name, mds.DefaultIndex, clock),
 	}
 }

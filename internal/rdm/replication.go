@@ -138,10 +138,11 @@ func ticketFromDoc(doc *xmlutil.Node) (lease.Ticket, error) {
 }
 
 // setupReplication assembles the replicator and re-binds the registry
-// homes' and the lease service's journals through it. Runs after attachStore, so the wrapped
-// journals compose with (not replace) the WAL adapters, and the shadow
-// registries recovered from the WAL are replayed into the holder.
-func (s *Service) setupReplication(cfg Config) {
+// homes' and the lease service's journals through it. Runs after
+// attachStore, so the wrapped journals compose with (not replace) the WAL
+// adapters, and the shadow registries of the state attachStore recovered
+// (nil for a memory-only site) are replayed into the holder.
+func (s *Service) setupReplication(cfg Config, recovered *store.State) {
 	if cfg.ReplicaK <= 1 {
 		return
 	}
@@ -170,7 +171,7 @@ func (s *Service) setupReplication(cfg Config) {
 		atrNext = s.store.RegistryJournal(store.RegATR)
 		adrNext = s.store.RegistryJournal(store.RegADR)
 		leaseNext = s.store.LeaseJournal()
-		s.restoreReplicas(s.store.State())
+		s.restoreReplicas(recovered)
 	}
 	s.ATR.Home().SetJournal(replJournal{next: atrNext, repl: s.repl, reg: replRegATR})
 	s.ADR.Home().SetJournal(replJournal{next: adrNext, repl: s.repl, reg: replRegADR})

@@ -13,6 +13,7 @@ import (
 	"glare/internal/telemetry"
 	"glare/internal/transport"
 	"glare/internal/workload"
+	"glare/internal/wsrf"
 )
 
 // newSkewedSyncSites is newSyncSites with each site reading time through
@@ -40,7 +41,7 @@ func newSkewedSyncSites(t *testing.T, n int, offsets map[int]time.Duration) []*s
 		t.Cleanup(func() { srv.Close() })
 		info := superpeer.SiteInfo{Name: st.Attrs.Name, Rank: uint64(1000 + i), BaseURL: srv.BaseURL()}
 		cli := transport.NewClient(nil)
-		agent := superpeer.NewAgent(info, cli, nil)
+		agent := superpeer.NewAgent(info, cli, wsrf.NewBroker(nil))
 		tel := telemetry.New(info.Name)
 		resolver := workload.NewResolver(st.Repo)
 		svc, err := New(Config{

@@ -13,6 +13,7 @@ import (
 	"glare/internal/telemetry"
 	"glare/internal/transport"
 	"glare/internal/workload"
+	"glare/internal/wsrf"
 	"glare/internal/xmlutil"
 )
 
@@ -44,7 +45,7 @@ func newSyncSites(t *testing.T, n int) []*syncSite {
 		t.Cleanup(func() { srv.Close() })
 		info := superpeer.SiteInfo{Name: st.Attrs.Name, Rank: uint64(1000 + i), BaseURL: srv.BaseURL()}
 		cli := transport.NewClient(nil)
-		agent := superpeer.NewAgent(info, cli, nil)
+		agent := superpeer.NewAgent(info, cli, wsrf.NewBroker(nil))
 		tel := telemetry.New(info.Name)
 		resolver := workload.NewResolver(st.Repo)
 		svc, err := New(Config{

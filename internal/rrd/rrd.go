@@ -279,22 +279,38 @@ func NewStore(step time.Duration) *Store {
 	return &Store{step: step, series: make(map[string]*series)}
 }
 
-// Step returns the store's default base step.
-func (s *Store) Step() time.Duration { return s.step }
+// MaxRows bounds one archive's ring, so a definition decoded from a
+// damaged journal cannot demand an arbitrary allocation. 65 536 slots is
+// 45 days of minutes; the default ladder's largest ring is 1 440.
+const MaxRows = 1 << 16
 
-// Create registers a series. Creating an existing series with an equal
-// definition is a no-op; a different definition is ErrExists.
-func (s *Store) Create(def SeriesDef) error {
-	if def.Name == "" || len(def.Archives) == 0 {
-		return ErrBadDef
+// valid reports whether def can back a series: a name, a positive step,
+// and at least one archive whose ring holds 1..MaxRows slots and whose
+// slot width (Steps × Step) fits in int64 nanoseconds. Create and
+// RestoreSeries both gate on it, so every live archive has a positive
+// slot width and a non-empty ring.
+func (def SeriesDef) valid() bool {
+	if def.Name == "" || def.Step <= 0 || len(def.Archives) == 0 {
+		return false
 	}
+	for _, a := range def.Archives {
+		if a.Steps <= 0 || a.Rows <= 0 || a.Rows > MaxRows ||
+			int64(a.Steps) > math.MaxInt64/int64(def.Step) {
+			return false
+		}
+	}
+	return true
+}
+
+// Create registers a series; a non-positive Step takes the store's
+// default. Creating an existing series with an equal definition is a
+// no-op; a different definition is ErrExists.
+func (s *Store) Create(def SeriesDef) error {
 	if def.Step <= 0 {
 		def.Step = s.step
 	}
-	for _, a := range def.Archives {
-		if a.Steps <= 0 || a.Rows <= 0 {
-			return ErrBadDef
-		}
+	if !def.valid() {
+		return ErrBadDef
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -378,8 +394,9 @@ func (s *Store) LastTS(name string) (time.Time, bool) {
 	return time.Unix(0, sr.lastTS), true
 }
 
-// Update feeds one raw sample. Timestamps must strictly advance per
-// series; a stale timestamp is ErrPast (idempotent feeds ignore it).
+// Update feeds one raw sample. Timestamps must lie after the Unix epoch
+// and strictly advance per series; a stale timestamp is ErrPast
+// (idempotent feeds ignore it).
 func (s *Store) Update(name string, ts time.Time, v float64) error {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return ErrBadValue
@@ -393,7 +410,7 @@ func (s *Store) Update(name string, ts time.Time, v float64) error {
 	tsn := ts.UnixNano()
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	if sr.lastTS != 0 && tsn <= sr.lastTS {
+	if tsn <= sr.lastTS {
 		return ErrPast
 	}
 	pdp := v
@@ -617,11 +634,18 @@ func (s *Store) Dump() []SeriesDump {
 }
 
 // RestoreSeries installs one dumped series, replacing any existing series
-// of the same name. Ring lengths are clamped to the definition's Rows so
-// a hand-edited dump cannot inflate the memory bound.
+// of the same name. The definition passes Create's validation, and
+// negative timestamps or slot indices are refused, so a damaged dump is
+// ErrBadDef rather than a later panic. Ring lengths are clamped to the
+// definition's Rows so a hand-edited dump cannot inflate the memory bound.
 func (s *Store) RestoreSeries(d SeriesDump) error {
-	if d.Def.Name == "" || len(d.Def.Archives) == 0 {
+	if !d.Def.valid() || d.LastTS < 0 {
 		return ErrBadDef
+	}
+	for _, ad := range d.Archives {
+		if ad.Cur < 0 || ad.First < 0 {
+			return ErrBadDef
+		}
 	}
 	sr := &series{def: d.Def, lastTS: d.LastTS, lastVal: d.LastVal}
 	for i, spec := range d.Def.Archives {
@@ -639,15 +663,6 @@ func (s *Store) RestoreSeries(d SeriesDump) error {
 	s.series[d.Def.Name] = sr
 	s.mu.Unlock()
 	return nil
-}
-
-// Clone deep-copies the store (used by the durable store's state clone).
-func (s *Store) Clone() *Store {
-	out := NewStore(s.step)
-	for _, d := range s.Dump() {
-		_ = out.RestoreSeries(d)
-	}
-	return out
 }
 
 // Sample is one raw observation inside a journaled Batch.

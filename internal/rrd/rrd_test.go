@@ -320,3 +320,79 @@ func TestRingValuesJSON(t *testing.T) {
 		t.Fatalf("unmarshal = %v", out)
 	}
 }
+
+// TestRestoreSeriesValidatesLikeCreate: every definition Create refuses,
+// RestoreSeries refuses too, as do dumps with negative timestamps or slot
+// indices, so a damaged snapshot cannot install a series whose next
+// Update divides by a zero slot width or indexes a ring out of range.
+func TestRestoreSeriesValidatesLikeCreate(t *testing.T) {
+	good := SeriesDef{Name: "g", Kind: Gauge, Step: time.Second,
+		Archives: []ArchiveSpec{{CF: Average, Steps: 1, Rows: 4}}}
+	badDefs := map[string]func(d *SeriesDef){
+		"no name":       func(d *SeriesDef) { d.Name = "" },
+		"no archives":   func(d *SeriesDef) { d.Archives = nil },
+		"zero step":     func(d *SeriesDef) { d.Step = 0 },
+		"negative step": func(d *SeriesDef) { d.Step = -time.Second },
+		"zero steps":    func(d *SeriesDef) { d.Archives = []ArchiveSpec{{CF: Average, Steps: 0, Rows: 4}} },
+		"zero rows":     func(d *SeriesDef) { d.Archives = []ArchiveSpec{{CF: Average, Steps: 1, Rows: 0}} },
+		"rows past max": func(d *SeriesDef) { d.Archives = []ArchiveSpec{{CF: Average, Steps: 1, Rows: MaxRows + 1}} },
+		"slot overflows": func(d *SeriesDef) {
+			d.Archives = []ArchiveSpec{{CF: Average, Steps: math.MaxInt64 / int(time.Second) * 2, Rows: 4}}
+		},
+	}
+	for name, mutate := range badDefs {
+		def := good
+		def.Archives = append([]ArchiveSpec(nil), good.Archives...)
+		mutate(&def)
+		s := NewStore(time.Second)
+		if def.Step > 0 { // Create fills a non-positive step from the store
+			if err := s.Create(def); err != ErrBadDef {
+				t.Errorf("%s: Create = %v, want ErrBadDef", name, err)
+			}
+		}
+		d := SeriesDump{Def: def, Archives: make([]ArchiveDump, len(def.Archives))}
+		if err := s.RestoreSeries(d); err != ErrBadDef {
+			t.Errorf("%s: RestoreSeries = %v, want ErrBadDef", name, err)
+		}
+		if err := s.Update(def.Name, epoch, 1); err != ErrNoSeries {
+			t.Errorf("%s: Update after refused restore = %v, want ErrNoSeries", name, err)
+		}
+	}
+	badDumps := map[string]func(d *SeriesDump){
+		"negative last ts": func(d *SeriesDump) { d.LastTS = -1 },
+		"negative cur":     func(d *SeriesDump) { d.Archives[0].Cur = -3 },
+		"negative first":   func(d *SeriesDump) { d.Archives[0].First = -3 },
+	}
+	for name, mutate := range badDumps {
+		d := SeriesDump{Def: good, Archives: []ArchiveDump{{Spec: good.Archives[0], Started: true}}}
+		mutate(&d)
+		if err := NewStore(time.Second).RestoreSeries(d); err != ErrBadDef {
+			t.Errorf("%s: RestoreSeries = %v, want ErrBadDef", name, err)
+		}
+	}
+	// The largest legal ring still restores and updates.
+	big := SeriesDef{Name: "big", Step: time.Second, Archives: []ArchiveSpec{{CF: Max, Steps: 1, Rows: MaxRows}}}
+	s := NewStore(time.Second)
+	if err := s.RestoreSeries(SeriesDump{Def: big}); err != nil {
+		t.Fatalf("restore at MaxRows: %v", err)
+	}
+	if err := s.Update("big", epoch, 1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUpdateRejectsEpochAndBefore: the last-sample field uses zero for
+// "none yet", so a timestamp at or before the Unix epoch is ErrPast
+// rather than a negative slot index.
+func TestUpdateRejectsEpochAndBefore(t *testing.T) {
+	s := NewStore(time.Second)
+	mustCreate(t, s, gaugeDef("g", time.Second, ArchiveSpec{CF: Average, Steps: 1, Rows: 4}))
+	for _, ts := range []time.Time{time.Unix(0, 0), time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC)} {
+		if err := s.Update("g", ts, 1); err != ErrPast {
+			t.Fatalf("Update at %v = %v, want ErrPast", ts, err)
+		}
+	}
+	if err := s.Update("g", time.Unix(0, 1), 1); err != nil {
+		t.Fatalf("first nanosecond after the epoch: %v", err)
+	}
+}

@@ -221,6 +221,12 @@ func decodeRecord(b []byte) (Record, error) {
 	if err := json.Unmarshal(b, &r); err != nil {
 		return Record{}, err
 	}
+	// A checkpoint's Index is a slice position; no writer journals a
+	// negative one, so such a record is as damaged as one that does not
+	// parse.
+	if r.Op == OpDeployStep && r.Deploy != nil && r.Deploy.Index < 0 {
+		return Record{}, fmt.Errorf("store: deploy-step record with index %d", r.Deploy.Index)
+	}
 	return r, nil
 }
 
@@ -252,15 +258,14 @@ type State struct {
 	// Deploys maps an activity type name to the checkpointed steps of its
 	// interrupted build, in step order.
 	Deploys map[string][]DeployStep
-	// History is the recovered telemetry-history store; nil until the
-	// first history record is applied, so sites without history pay
-	// nothing.
+	// History is the site's telemetry history, present from Open; a
+	// durable site's sampler writes these rings directly (Store.History).
 	History *rrd.Store
 	// CAS maps "algo:sum" blob IDs to held artifact-store entries.
 	CAS map[string]CASBlob
 }
 
-func newState() *State {
+func newState(history *rrd.Store) *State {
 	return &State{
 		Registries: map[string]map[string]Entry{},
 		Leases: LeaseState{
@@ -268,6 +273,7 @@ func newState() *State {
 			Limits:  map[string]int{},
 		},
 		Deploys: map[string][]DeployStep{},
+		History: history,
 		CAS:     map[string]CASBlob{},
 	}
 }
@@ -312,21 +318,24 @@ func (st *State) apply(r Record) {
 		}
 	case OpDeployClear:
 		delete(st.Deploys, r.Key)
+	// History records rebuild the rings during recovery. On a live append
+	// the fold is a no-op, because the writer updated these same rings
+	// before journaling: Create with an equal definition does nothing, and
+	// Update at or before a series' last timestamp is ErrPast (which also
+	// drops a WAL batch a snapshot already holds).
 	case OpHistoryCreate:
 		if r.HistoryDef != nil {
-			_ = st.history().Create(*r.HistoryDef)
+			_ = st.History.Create(*r.HistoryDef)
 		}
 	case OpHistoryBatch:
 		if r.HistoryBatch != nil {
 			for _, smp := range r.HistoryBatch.Samples {
-				// Stale timestamps are ErrPast by design: replaying a WAL
-				// over a snapshot that already contains the batch is a no-op.
-				_ = st.history().Update(smp.Name, r.HistoryBatch.TS, smp.Value)
+				_ = st.History.Update(smp.Name, r.HistoryBatch.TS, smp.Value)
 			}
 		}
 	case OpHistorySeries:
 		if r.HistorySeries != nil {
-			_ = st.history().RestoreSeries(*r.HistorySeries)
+			_ = st.History.RestoreSeries(*r.HistorySeries)
 		}
 	case OpCASPut:
 		if r.CAS != nil {
@@ -340,14 +349,6 @@ func (st *State) apply(r Record) {
 	}
 }
 
-// history lazily creates the rrd store on first history record.
-func (st *State) history() *rrd.Store {
-	if st.History == nil {
-		st.History = rrd.NewStore(0)
-	}
-	return st.History
-}
-
 // liveRecords counts the records a snapshot of this state would hold.
 func (st *State) liveRecords() int {
 	n := 0
@@ -358,9 +359,7 @@ func (st *State) liveRecords() int {
 	for _, steps := range st.Deploys {
 		n += len(steps)
 	}
-	if st.History != nil {
-		n += st.History.Len()
-	}
+	n += st.History.Len()
 	n += len(st.CAS)
 	return n
 }
@@ -390,13 +389,11 @@ func (st *State) records() []Record {
 			out = append(out, Record{Op: OpDeployStep, Key: d.Type, Deploy: &d})
 		}
 	}
-	if st.History != nil {
-		// One fixed-size dump per series: however many batches the WAL
-		// absorbed, the snapshot holds exactly the ring contents.
-		for _, d := range st.History.Dump() {
-			d := d
-			out = append(out, Record{Op: OpHistorySeries, Key: d.Def.Name, HistorySeries: &d})
-		}
+	// One fixed-size dump per series: however many batches the WAL
+	// absorbed, the snapshot holds exactly the ring contents.
+	for _, d := range st.History.Dump() {
+		d := d
+		out = append(out, Record{Op: OpHistorySeries, Key: d.Def.Name, HistorySeries: &d})
 	}
 	for _, b := range st.CAS {
 		b := b
@@ -406,9 +403,10 @@ func (st *State) records() []Record {
 }
 
 // clone deep-copies the state so callers can consume it without racing
-// the store's own apply path.
+// the store's own apply path. History is shared, not copied: it is the
+// live history the site samples into.
 func (st *State) clone() *State {
-	out := newState()
+	out := newState(st.History)
 	for reg, entries := range st.Registries {
 		m := make(map[string]Entry, len(entries))
 		for k, e := range entries {
@@ -425,9 +423,6 @@ func (st *State) clone() *State {
 	out.Leases.MaxID = st.Leases.MaxID
 	for typ, steps := range st.Deploys {
 		out.Deploys[typ] = append([]DeployStep(nil), steps...)
-	}
-	if st.History != nil {
-		out.History = st.History.Clone()
 	}
 	for id, b := range st.CAS {
 		out.CAS[id] = b

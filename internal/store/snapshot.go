@@ -1,8 +1,11 @@
 package store
 
 import (
+	"bufio"
 	"os"
 	"path/filepath"
+
+	"glare/internal/rrd"
 )
 
 // Snapshot files hold the flattened live state as ordinary CRC frames,
@@ -23,13 +26,14 @@ func writeSnapshot(dir string, seq uint64, state *State) error {
 		tmp.Close()
 		os.Remove(tmpName)
 	}
+	w := bufio.NewWriter(tmp)
 	for _, rec := range state.records() {
 		payload, err := rec.encode()
 		if err != nil {
 			cleanup()
 			return err
 		}
-		if _, err := tmp.Write(encodeFrame(payload)); err != nil {
+		if _, err := w.Write(encodeFrame(payload)); err != nil {
 			cleanup()
 			return err
 		}
@@ -42,7 +46,11 @@ func writeSnapshot(dir string, seq uint64, state *State) error {
 		cleanup()
 		return err
 	}
-	if _, err := tmp.Write(encodeFrame(seal)); err != nil {
+	if _, err := w.Write(encodeFrame(seal)); err != nil {
+		cleanup()
+		return err
+	}
+	if err := w.Flush(); err != nil {
 		cleanup()
 		return err
 	}
@@ -78,7 +86,7 @@ func loadSnapshot(path string) (st *State, records int, ok bool) {
 	if last.Op != opSnapSeal {
 		return nil, 0, false
 	}
-	st = newState()
+	st = newState(rrd.NewStore(0))
 	for _, rec := range res.records[:len(res.records)-1] {
 		st.apply(rec)
 	}

@@ -190,7 +190,7 @@ func Open(opts Options) (*Store, error) {
 	s := &Store{
 		opts:     opts,
 		clock:    opts.Clock,
-		state:    newState(),
+		state:    newState(rrd.NewStore(0)),
 		lastSync: opts.Clock.Now(),
 	}
 	if err := s.recover(); err != nil {
@@ -494,12 +494,17 @@ func (s *Store) snapshotLocked() error {
 }
 
 // State returns a deep copy of the recovered/live state; consumers replay
-// it into their registries without holding the store lock.
+// it into their registries without holding the store lock. History is the
+// exception: it is shared, not copied (see History).
 func (s *Store) State() *State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.state.clone()
 }
+
+// History returns the telemetry history recovered at Open. A durable site
+// samples into it, so snapshots dump the rings the sampler writes.
+func (s *Store) History() *rrd.Store { return s.state.History }
 
 // Status summarizes the store for admin surfaces.
 func (s *Store) Status() Status {

@@ -89,12 +89,9 @@ const DefaultPingTimeout = 1 * time.Second
 const DefaultSuspicionThreshold = 2
 
 // NewAgent creates an overlay agent for a site. Every installed view is
-// published on broker under wsrf.TopicElection; pass the site's own broker
-// so its subscribers hear elections. Nil creates a private one.
+// published on broker under wsrf.TopicElection; broker is required and
+// should be the site's own, so its subscribers hear elections.
 func NewAgent(self SiteInfo, client *transport.Client, broker *wsrf.Broker) *Agent {
-	if broker == nil {
-		broker = wsrf.NewBroker(nil)
-	}
 	return &Agent{self: self, client: client, broker: broker,
 		pingTimeout: DefaultPingTimeout}
 }

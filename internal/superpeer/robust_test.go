@@ -6,6 +6,7 @@ import (
 
 	"glare/internal/faultinject"
 	"glare/internal/transport"
+	"glare/internal/wsrf"
 )
 
 // TestPingUsesShortTimeout verifies a liveness probe gives up on a hung
@@ -15,7 +16,7 @@ func TestPingUsesShortTimeout(t *testing.T) {
 	cli := transport.NewClient(nil) // 10s regular call timeout
 	inj := faultinject.New(42)
 	cli.WrapTransport(inj.Wrap)
-	a := NewAgent(h.infos[0], cli, nil)
+	a := NewAgent(h.infos[0], cli, wsrf.NewBroker(nil))
 	a.pingTimeout = 50 * time.Millisecond
 
 	dest := destOfURL(h.infos[1].BaseURL)
@@ -38,7 +39,7 @@ func TestPingSharesBreakerState(t *testing.T) {
 	cli.SetBreaker(transport.BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute})
 	inj := faultinject.New(42)
 	cli.WrapTransport(inj.Wrap)
-	a := NewAgent(h.infos[0], cli, nil)
+	a := NewAgent(h.infos[0], cli, wsrf.NewBroker(nil))
 	a.pingTimeout = 50 * time.Millisecond
 
 	dest := destOfURL(h.infos[1].BaseURL)

@@ -9,6 +9,7 @@ import (
 	"glare/internal/faultinject"
 	"glare/internal/telemetry"
 	"glare/internal/transport"
+	"glare/internal/wsrf"
 )
 
 // chaosHarness is like harness but gives every agent its own client and
@@ -38,7 +39,7 @@ func newChaosHarness(t *testing.T, n int) *chaosHarness {
 		cli := transport.NewClient(nil)
 		inj := faultinject.New(int64(100 + i))
 		cli.WrapTransport(inj.Wrap)
-		a := NewAgent(info, cli, nil)
+		a := NewAgent(info, cli, wsrf.NewBroker(nil))
 		a.pingTimeout = 100 * time.Millisecond
 		a.Mount(srv)
 		h.agents = append(h.agents, a)

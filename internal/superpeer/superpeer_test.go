@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"glare/internal/transport"
+	"glare/internal/wsrf"
 	"glare/internal/xmlutil"
 )
 
@@ -33,7 +34,7 @@ func newHarness(t *testing.T, n int) *harness {
 			Rank:    uint64(1000 + i),
 			BaseURL: srv.BaseURL(),
 		}
-		a := NewAgent(info, cli, nil)
+		a := NewAgent(info, cli, wsrf.NewBroker(nil))
 		a.Mount(srv)
 		h.agents = append(h.agents, a)
 		h.servers = append(h.servers, srv)
