@@ -177,22 +177,21 @@ func TypeFromXML(n *xmlutil.Node) (*Type, error) {
 	if n == nil || n.Name != "ActivityTypeEntry" {
 		return nil, fmt.Errorf("activity: expected <ActivityTypeEntry>")
 	}
-	t := &Type{
-		Name:     n.AttrOr("name", ""),
-		Domain:   n.AttrOr("type", ""),
-		Abstract: n.AttrOr("abstract", "") == "true",
-		Artifact: n.ChildText("Artifact"),
-	}
-	for _, b := range n.All("BaseType") {
-		t.Base = append(t.Base, strings.TrimSpace(b.Text))
-	}
-	for _, fn := range n.All("Function") {
-		f := Function{Name: fn.AttrOr("name", "")}
-		for _, in := range fn.All("Input") {
-			f.Inputs = append(f.Inputs, strings.TrimSpace(in.Text))
+	t := SkeletonFromXML(n)
+	t.Domain = n.AttrOr("type", "")
+	t.Artifact = n.ChildText("Artifact")
+	for _, fn := range n.Children {
+		if fn.Name != "Function" {
+			continue
 		}
-		for _, out := range fn.All("Output") {
-			f.Outputs = append(f.Outputs, strings.TrimSpace(out.Text))
+		f := Function{Name: fn.AttrOr("name", "")}
+		for _, port := range fn.Children {
+			switch port.Name {
+			case "Input":
+				f.Inputs = append(f.Inputs, strings.TrimSpace(port.Text))
+			case "Output":
+				f.Outputs = append(f.Outputs, strings.TrimSpace(port.Text))
+			}
 		}
 		t.Functions = append(t.Functions, f)
 	}
@@ -226,6 +225,19 @@ func TypeFromXML(n *xmlutil.Node) (*Type, error) {
 		return nil, err
 	}
 	return t, nil
+}
+
+// SkeletonFromXML reads only what resolution needs from a type document —
+// its name, abstract flag and bases — without checking or validating
+// anything else (SkeletonHierarchy).
+func SkeletonFromXML(n *xmlutil.Node) *Type {
+	t := &Type{Name: n.AttrOr("name", ""), Abstract: n.AttrOr("abstract", "") == "true"}
+	for _, c := range n.Children {
+		if c.Name == "BaseType" {
+			t.Base = append(t.Base, strings.TrimSpace(c.Text))
+		}
+	}
+	return t
 }
 
 // DeploymentKind distinguishes executables from hosted services.

@@ -233,10 +233,10 @@ func TestAncestorsAndIsA(t *testing.T) {
 	if strings.Join(anc, ",") != "Imaging,POVray" {
 		t.Fatalf("ancestors = %v", anc)
 	}
-	if !h.IsA("JPOVray", "Imaging") || !h.IsA("JPOVray", "JPOVray") {
+	if !isA(h, "JPOVray", "Imaging") || !isA(h, "JPOVray", "JPOVray") {
 		t.Fatal("IsA failed")
 	}
-	if h.IsA("Wien2k", "Imaging") {
+	if isA(h, "Wien2k", "Imaging") {
 		t.Fatal("Wien2k is not Imaging")
 	}
 }

@@ -2,7 +2,9 @@ package activity
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Hierarchy is an in-memory view over a set of types supporting the
@@ -11,11 +13,12 @@ import (
 // are used to discover concrete activity types."
 type Hierarchy struct {
 	types map[string]*Type
+	subs  map[string][]*Type // base name (known or not) -> types listing it as a base
 }
 
-// NewHierarchy builds a hierarchy over the given types. Duplicate names
-// are rejected; dangling base references are allowed (bases may live on
-// other sites and resolve later).
+// NewHierarchy builds a hierarchy over the given types. Invalid types,
+// duplicate names and cycles are rejected; dangling base references are
+// allowed (bases may live on other sites and resolve later).
 func NewHierarchy(types []*Type) (*Hierarchy, error) {
 	h := &Hierarchy{types: make(map[string]*Type, len(types))}
 	for _, t := range types {
@@ -27,10 +30,35 @@ func NewHierarchy(types []*Type) (*Hierarchy, error) {
 		}
 		h.types[t.Name] = t
 	}
+	h.link()
 	if err := h.checkAcyclic(); err != nil {
 		return nil, err
 	}
 	return h, nil
+}
+
+// SkeletonHierarchy indexes types as given, for resolution only: nothing
+// is validated, a later duplicate replaces an earlier one, and cycles are
+// kept. Every walk keeps a visited set, so a cycle cannot stall or fail a
+// resolution. The ATR builds one over the name, abstract flag and bases of
+// each registered document (SkeletonFromXML).
+func SkeletonHierarchy(types []*Type) *Hierarchy {
+	h := &Hierarchy{types: make(map[string]*Type, len(types))}
+	for _, t := range types {
+		h.types[t.Name] = t
+	}
+	h.link()
+	return h
+}
+
+// link fills the reverse base -> subtypes map from h.types.
+func (h *Hierarchy) link() {
+	h.subs = make(map[string][]*Type)
+	for _, t := range h.types {
+		for _, b := range t.Base {
+			h.subs[b] = append(h.subs[b], t)
+		}
+	}
 }
 
 func (h *Hierarchy) checkAcyclic() error {
@@ -113,33 +141,34 @@ func (h *Hierarchy) Ancestors(name string) []string {
 	return out
 }
 
-// IsA reports whether typ is name or (transitively) extends it.
-func (h *Hierarchy) IsA(typ, name string) bool {
-	if typ == name {
-		return true
-	}
-	for _, a := range h.Ancestors(typ) {
-		if a == name {
-			return true
-		}
-	}
-	return false
-}
-
 // ConcreteOf resolves an activity type name — abstract or concrete — to
-// the sorted list of concrete types satisfying it. Asking for a concrete
-// type returns that type itself (plus any concrete subtypes).
+// the concrete types satisfying it, sorted by name: name itself when it is
+// a known concrete type, and every concrete type that extends it
+// transitively. It walks only the subtype closure of name through the
+// reverse base map, so its cost follows the size of the answer, not of
+// the hierarchy; a cycle in the closure is walked once.
 func (h *Hierarchy) ConcreteOf(name string) []*Type {
 	var out []*Type
-	for _, tn := range h.Names() {
-		t := h.types[tn]
-		if t.Abstract {
-			continue
-		}
-		if h.IsA(tn, name) {
-			out = append(out, t)
+	if t := h.types[name]; t != nil && !t.Abstract {
+		out = append(out, t)
+	}
+	seen := map[string]bool{name: true}
+	stack := []string{name}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, t := range h.subs[n] {
+			if seen[t.Name] {
+				continue
+			}
+			seen[t.Name] = true
+			stack = append(stack, t.Name)
+			if !t.Abstract {
+				out = append(out, t)
+			}
 		}
 	}
+	slices.SortFunc(out, func(a, b *Type) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 

@@ -34,6 +34,7 @@ type Registry struct {
 	home   *wsrf.Home
 	types  *atr.Registry
 	broker *wsrf.Broker
+	ofType *wsrf.View[map[string][]*wsrf.Resource] // type attribute -> deployments, in key order
 
 	// Hot-path counters; nil (no-op) until SetTelemetry is called.
 	registers, byType, removes *telemetry.Counter
@@ -47,11 +48,25 @@ func New(serviceURL string, types *atr.Registry, clock simclock.Clock, broker *w
 	if broker == nil {
 		broker = wsrf.NewBroker(clock)
 	}
+	home := wsrf.NewHome(serviceURL, KeyName, clock)
 	return &Registry{
-		home:   wsrf.NewHome(serviceURL, KeyName, clock),
+		home:   home,
 		types:  types,
 		broker: broker,
+		ofType: wsrf.NewView(home, byTypeOf),
 	}
+}
+
+// byTypeOf groups the deployment resources by their documents' type
+// attribute without decoding them.
+func byTypeOf(all []*wsrf.Resource) map[string][]*wsrf.Resource {
+	m := make(map[string][]*wsrf.Resource)
+	for _, res := range all {
+		var typ string
+		res.Read(func(doc *xmlutil.Node) { typ = doc.AttrOr("type", "") })
+		m[typ] = append(m[typ], res)
+	}
+	return m
 }
 
 // Home exposes the resource home: the registry's only copy of its
@@ -102,7 +117,9 @@ func (r *Registry) Register(d *activity.Deployment) (epr.EPR, error) {
 		r.home.Destroy(d.Name)
 		return epr.EPR{}, err
 	}
-	r.broker.Publish(wsrf.TopicDeployment, d.Name, d.ToXML())
+	if r.broker.HasSinks(wsrf.TopicDeployment) {
+		r.broker.Publish(wsrf.TopicDeployment, d.Name, d.ToXML())
+	}
 	return e, nil
 }
 
@@ -139,11 +156,14 @@ func (r *Registry) LUT(name string) (time.Time, bool) {
 	return res.LastUpdate(), true
 }
 
-// ByType lists local deployments of the given concrete type.
+// ByType lists local deployments of the given concrete type, in name
+// order. It looks the type up in an index of the documents' type
+// attributes, rebuilt on the first call after a registry change, and
+// decodes only the matches; each is a private copy.
 func (r *Registry) ByType(typeName string) []*activity.Deployment {
 	r.byType.Inc()
 	var out []*activity.Deployment
-	for _, res := range r.home.All() {
+	for _, res := range r.ofType.Get()[typeName] {
 		var d *activity.Deployment
 		var err error
 		res.Read(func(doc *xmlutil.Node) { d, err = activity.DeploymentFromXML(doc) })

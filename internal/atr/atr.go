@@ -40,8 +40,9 @@ const groupName = "activity-types"
 
 // Registry is one site's Activity Type Registry.
 type Registry struct {
-	home   *wsrf.Home
-	broker *wsrf.Broker
+	home     *wsrf.Home
+	broker   *wsrf.Broker
+	skeleton *wsrf.View[*activity.Hierarchy] // names, abstract flags and bases only
 
 	// Hot-path counters; nil (no-op) until SetTelemetry is called.
 	lookups, registers, concrete *telemetry.Counter
@@ -56,10 +57,22 @@ func New(serviceURL string, clock simclock.Clock, broker *wsrf.Broker) *Registry
 	if broker == nil {
 		broker = wsrf.NewBroker(clock)
 	}
+	home := wsrf.NewHome(serviceURL, KeyName, clock)
 	return &Registry{
-		home:   wsrf.NewHome(serviceURL, KeyName, clock),
-		broker: broker,
+		home:     home,
+		broker:   broker,
+		skeleton: wsrf.NewView(home, skeletonOf),
 	}
+}
+
+// skeletonOf indexes the registered documents for resolution without
+// decoding them.
+func skeletonOf(all []*wsrf.Resource) *activity.Hierarchy {
+	types := make([]*activity.Type, len(all))
+	for i, res := range all {
+		res.Read(func(doc *xmlutil.Node) { types[i] = activity.SkeletonFromXML(doc) })
+	}
+	return activity.SkeletonHierarchy(types)
 }
 
 // Home exposes the resource home: the registry's only copy of its type
@@ -78,22 +91,63 @@ func (r *Registry) SetTelemetry(tel *telemetry.Telemetry) {
 	r.concrete = tel.Counter("glare_atr_concrete_queries_total")
 }
 
-// Register adds an activity type; duplicate names are rejected.
+// Register adds an activity type. Duplicate names are rejected, and so is
+// a type whose declared bases lead back to it through this registry.
 func (r *Registry) Register(t *activity.Type) (epr.EPR, error) {
 	r.registers.Inc()
 	if err := t.Validate(); err != nil {
 		return epr.EPR{}, err
 	}
+	if err := r.checkBases(t); err != nil {
+		return epr.EPR{}, err
+	}
 	if _, err := r.home.Create(t.Name, t.ToXML()); err != nil {
 		return epr.EPR{}, err
 	}
-	r.broker.Publish(wsrf.TopicResourceCreated, t.Name, t.ToXML())
+	if r.broker.HasSinks(wsrf.TopicResourceCreated) {
+		r.broker.Publish(wsrf.TopicResourceCreated, t.Name, t.ToXML())
+	}
 	return r.home.EPR(t.Name), nil
+}
+
+// checkBases walks t's bases through the registered documents and fails
+// if the walk reaches t: registering it would close a cycle. It reads one
+// document per ancestor, so a type without bases costs nothing. Two
+// concurrent registrations can still close a cycle between them; the
+// resolution walk tolerates that.
+func (r *Registry) checkBases(t *activity.Type) error {
+	if len(t.Base) == 0 {
+		return nil
+	}
+	seen := map[string]bool{}
+	stack := append([]string(nil), t.Base...)
+	for len(stack) > 0 {
+		name := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if name == t.Name {
+			return fmt.Errorf("atr: type %q would close a base-type cycle", t.Name)
+		}
+		if seen[name] {
+			continue
+		}
+		seen[name] = true
+		if res := r.home.Find(name); res != nil {
+			res.Read(func(doc *xmlutil.Node) {
+				stack = append(stack, activity.SkeletonFromXML(doc).Base...)
+			})
+		}
+	}
+	return nil
 }
 
 // Lookup resolves a named type through the hash table — the O(1) path.
 func (r *Registry) Lookup(name string) (*activity.Type, bool) {
 	r.lookups.Inc()
+	return r.decode(name)
+}
+
+// decode parses the live document of a named type.
+func (r *Registry) decode(name string) (*activity.Type, bool) {
 	res := r.home.Find(name)
 	if res == nil {
 		return nil, false
@@ -166,14 +220,25 @@ func (r *Registry) Hierarchy() (*activity.Hierarchy, error) {
 }
 
 // ConcreteOf resolves an abstract or concrete name to the concrete types
-// satisfying it, using the local hierarchy.
+// satisfying it in the local hierarchy, sorted by name. It walks the
+// subtype closure of name in a skeleton of the registry (names, abstract
+// flags and bases, rebuilt on the first call after a registry change) and
+// decodes only the matches, fresh from their documents, so the caller owns
+// them. A base-type cycle cannot fail it. The error is always nil; it is
+// kept for callers that treat resolution as fallible.
 func (r *Registry) ConcreteOf(name string) ([]*activity.Type, error) {
 	r.concrete.Inc()
-	h, err := r.Hierarchy()
-	if err != nil {
-		return nil, err
+	matches := r.skeleton.Get().ConcreteOf(name)
+	if len(matches) == 0 {
+		return nil, nil
 	}
-	return h.ConcreteOf(name), nil
+	out := make([]*activity.Type, 0, len(matches))
+	for _, m := range matches {
+		if t, ok := r.decode(m.Name); ok {
+			out = append(out, t)
+		}
+	}
+	return out, nil
 }
 
 // Query evaluates an XPath expression over the service-group aggregation

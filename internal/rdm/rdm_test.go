@@ -111,6 +111,32 @@ func TestGetDeploymentsUnknownType(t *testing.T) {
 	}
 }
 
+func TestBaseCycleBreaksNoUnrelatedResolution(t *testing.T) {
+	s, v := single(t)
+	if _, err := s.RegisterType(&activity.Type{Name: "Good"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RegisterDeployment(&activity.Deployment{Name: "good", Type: "Good",
+		Kind: activity.KindExecutable, Path: "/opt/good/bin/good"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RegisterType(&activity.Type{Name: "A", Base: []string{"B"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RegisterType(&activity.Type{Name: "B", Base: []string{"A"}}); err == nil {
+		t.Fatal("B extends A extends B was accepted")
+	}
+	// Replay installs documents without asking Register.
+	s.ATR.Home().Restore("B", (&activity.Type{Name: "B", Base: []string{"A"}}).ToXML(), v.Now(), time.Time{})
+	deps, err := s.GetDeployments("Good", MethodExpect, false)
+	if err != nil || len(deps) != 1 || deps[0].Name != "good" {
+		t.Fatalf("GetDeployments(Good) next to a cycle = %v, %v", deps, err)
+	}
+	if types, err := s.ResolveConcrete("A"); err != nil || len(types) != 2 {
+		t.Fatalf("ResolveConcrete(A) on the cycle = %v, %v", types, err)
+	}
+}
+
 func TestGetDeploymentsNoDeployDisallowed(t *testing.T) {
 	s, _ := single(t)
 	registerImaging(t, s)

@@ -73,6 +73,14 @@ func (b *Broker) Subscribe(topic string, s Sink) (SubscriptionID, error) {
 	return id, nil
 }
 
+// HasSinks reports whether any sink is subscribed to the topic, so a
+// publisher can skip building a message nobody would receive.
+func (b *Broker) HasSinks(topic string) bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return len(b.subs[topic]) > 0
+}
+
 // Publish delivers a message to every sink subscribed to the topic,
 // synchronously on the caller's goroutine. It returns the number of sinks
 // notified.

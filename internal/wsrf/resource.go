@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"glare/internal/epr"
@@ -108,7 +109,9 @@ func (r *Resource) recordPut(j Journal) {
 // reader can reach yet). Select read-locks many resources at once, in key
 // order, and takes no other lock while holding them, so readers and
 // writers cannot wait on each other in a cycle. No code may read-lock a
-// resource it already holds: a waiting writer blocks the second RLock.
+// resource it already holds: a waiting writer blocks the second RLock. A
+// View build takes the home's lock and then one resource read lock at a
+// time, under the view's own mutex.
 type Home struct {
 	mu        sync.RWMutex
 	service   string // service address used when minting EPRs
@@ -121,6 +124,7 @@ type Home struct {
 	retiring  map[string]*Resource // destroyed, removal not yet journaled
 	destroyed []func(*Resource)    // destruction listeners
 	member    []string             // element names of a rendered member EPR
+	gen       atomic.Uint64        // moves after every applied change; see View
 }
 
 // NewHome creates a resource home. service and keyName are used to mint
@@ -204,6 +208,7 @@ func (h *Home) Create(key string, doc *xmlutil.Node) (*Resource, error) {
 	r.lastUpdate = h.stamp()
 	h.resources[key] = r
 	h.sorted = nil
+	h.gen.Add(1)
 	j := h.journal
 	h.mu.Unlock()
 	r.recordPut(j)
@@ -243,6 +248,7 @@ func (h *Home) install(key string, doc *xmlutil.Node, lastUpdate, termination ti
 	}
 	h.resources[key] = r
 	h.sorted = nil
+	h.gen.Add(1)
 	j := h.journal
 	h.mu.Unlock()
 	if journal {
@@ -291,6 +297,7 @@ func (h *Home) mutate(key string, stamp bool, fn func(r *Resource)) bool {
 	if stamp {
 		r.lastUpdate = now()
 	}
+	h.gen.Add(1)
 	r.recordPut(j)
 	return true
 }
@@ -329,6 +336,7 @@ func (h *Home) Destroy(key string) bool {
 	}
 	delete(h.resources, key)
 	h.sorted = nil
+	h.gen.Add(1)
 	listeners := append([]func(*Resource){}, h.destroyed...)
 	j := h.journal
 	r.mu.Lock()
