@@ -1,0 +1,120 @@
+package glare
+
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"glare/internal/workload"
+)
+
+// rpcRequests sums glare_rpc_client_requests_total by op over every site.
+func rpcRequests(g *Grid) map[string]uint64 {
+	out := map[string]uint64{}
+	for i := 0; i < g.Sites(); i++ {
+		for _, sm := range g.Telemetry(i).Registry().Snapshot() {
+			if sm.Name != "glare_rpc_client_requests_total" {
+				continue
+			}
+			for _, l := range sm.Labels {
+				if l.Key == "op" {
+					out[l.Value] += uint64(sm.Value)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestCost records what the grid costs in wire calls. The idle case is
+// one minute of the shipped monitor schedule on an 8-site grid (two peer
+// groups, K = 3, durable stores) holding N registered types and serving
+// no requests.
+//
+// Only GetType and GetLUT grow with N. A super-peer's SyncRegistries pass
+// pulls and caches every remote type document once (GetType), and each
+// Cache Refresher pass then probes every cached entry with one GetLUT
+// round trip. The other ops are the liveness, view, rollup, replica and
+// digest traffic of a fixed-size grid.
+func TestCost(t *testing.T) {
+	t.Run("idle", func(t *testing.T) {
+		want := map[int]map[string]uint64{
+			100: {"GetLUT": 1100, "GetType": 100, "HistoryXport": 360, "Ping": 360,
+				"ViewStatus": 240, "ReplicaFetch": 192, "RegistryDigest": 96},
+			400: {"GetLUT": 4400, "GetType": 400, "HistoryXport": 360, "Ping": 360,
+				"ViewStatus": 240, "ReplicaFetch": 192, "RegistryDigest": 96},
+		}
+		ops := []string{"GetLUT", "GetType", "HistoryXport", "Ping", "ViewStatus", "ReplicaFetch", "RegistryDigest"}
+		var table strings.Builder
+		fmt.Fprintf(&table, "| N | %s | wall |\n|---|%s---|\n", strings.Join(ops, " | "), strings.Repeat("---|", len(ops)))
+		for _, n := range []int{100, 400} {
+			got, wall := idleMinute(t, n)
+			fmt.Fprintf(&table, "| %d |", n)
+			for _, op := range ops {
+				fmt.Fprintf(&table, " %d |", got[op])
+			}
+			fmt.Fprintf(&table, " %v |\n", wall.Round(time.Millisecond))
+			for _, op := range ops {
+				if got[op] != want[n][op] {
+					t.Errorf("N=%d: %s = %d calls, want %d", n, op, got[op], want[n][op])
+				}
+			}
+			// A late Replicate from the registration fan-out is not part
+			// of the schedule's cost; anything else is.
+			var extra []string
+			for op := range got {
+				if _, ok := want[n][op]; !ok && op != "Replicate" {
+					extra = append(extra, op)
+				}
+			}
+			sort.Strings(extra)
+			if len(extra) > 0 {
+				t.Errorf("N=%d: unexpected ops during the idle minute: %v", n, extra)
+			}
+			if wall > 3*time.Second && !raceDetector {
+				t.Errorf("N=%d: the idle minute took %v of wall time, want <= 3s", n, wall)
+			}
+		}
+		t.Logf("RPCs in one idle minute (8 sites, K = 3):\n%s", table.String())
+	})
+}
+
+// idleMinute builds the idle-cost grid with n synthetic types, lets the
+// registration fan-out drain, and returns the per-op RPC deltas and wall
+// time of one minute of the monitor schedule.
+func idleMinute(t *testing.T, n int) (map[string]uint64, time.Duration) {
+	t.Helper()
+	g := newGrid(t, GridOptions{Sites: 8, Replicas: 3, DataDir: t.TempDir()})
+	if err := g.Elect(); err != nil {
+		t.Fatal(err)
+	}
+	for i, typ := range workload.SyntheticTypes(n) {
+		if err := g.Client(i % g.Sites()).RegisterTypes(typ); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; i < g.Sites(); i++ {
+		for g.Telemetry(i).Gauge("glare_replica_lag_entries").Value() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("site %d: replication lag never drained", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	before := rpcRequests(g)
+	start := time.Now()
+	if err := g.Advance(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	delta := map[string]uint64{}
+	for op, v := range rpcRequests(g) {
+		if d := v - before[op]; d > 0 {
+			delta[op] = d
+		}
+	}
+	return delta, wall
+}

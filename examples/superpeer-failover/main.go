@@ -50,21 +50,22 @@ func main() {
 	fmt.Printf("\nkilling super-peer %s ...\n", spName)
 	grid.StopSite(spIdx)
 
-	// Start the liveness monitors: a member detects the failure, notifies
-	// the highest-ranked survivor, which verifies, collects majority
-	// acknowledgements, and takes over.
-	grid.StartMonitors()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
+	// Run the shipped monitor schedule in virtual time: a member's liveness
+	// pass detects the failure and notifies the highest-ranked survivor,
+	// which verifies, collects majority acknowledgements, and takes over.
+	const step, bound = 2 * time.Second, 30 * time.Second
+	for waited := time.Duration(0); ; waited += step {
 		newSP := grid.SuperPeerOf(survivor)
 		if newSP != spName && newSP != "" {
-			fmt.Printf("re-election complete: new super-peer is %s\n", newSP)
+			fmt.Printf("re-election complete after %v of virtual time: new super-peer is %s\n", waited, newSP)
 			break
 		}
-		if time.Now().After(deadline) {
-			log.Fatal("re-election did not complete")
+		if waited >= bound {
+			log.Fatalf("re-election did not complete within %v of virtual time", bound)
 		}
-		time.Sleep(100 * time.Millisecond)
+		if err := grid.Advance(step); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	// The system keeps working: every survivor can still resolve types.

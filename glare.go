@@ -381,17 +381,6 @@ func (g *Grid) DropSite(i int) error {
 	return nil
 }
 
-// DelaySite holds every request to site i for d before delivering it.
-// Requires ChaosSeed.
-func (g *Grid) DelaySite(i int, d time.Duration) error {
-	dest, err := g.siteDest(i)
-	if err != nil {
-		return err
-	}
-	g.vo.Chaos.Delay(dest, d)
-	return nil
-}
-
 // RestoreSite removes site i's fault rule; traffic flows normally again.
 // Requires ChaosSeed.
 func (g *Grid) RestoreSite(i int) error {
@@ -434,8 +423,8 @@ func (g *Grid) PartitionSites(a, b []int) error {
 
 // HealPartition reconnects the halves split by PartitionSites. The overlay
 // does not converge by itself at that instant: the super-peers' rival
-// probes (CheckRivals, run by StartMonitors) detect the double reign and
-// merge the views, and registry sync reconciles what diverged.
+// probes (CheckRivals, in the liveness monitor pass) detect the double
+// reign and merge the views, and registry sync reconciles what diverged.
 func (g *Grid) HealPartition() error {
 	if g.vo.Chaos == nil {
 		return fmt.Errorf("glare: fault injection disarmed; set GridOptions.ChaosSeed")
@@ -459,12 +448,6 @@ func (g *Grid) FailBuildStep(i int, typeName, step string, n int) {
 // first incomplete step.
 func (g *Grid) CrashBuildStep(i int, typeName, step string) {
 	g.vo.Nodes[i].Deploy.CrashStep(typeName, step)
-}
-
-// HangBuildStep makes the named step hang until the engine's watchdog
-// kills it, for the next n executions on site i.
-func (g *Grid) HangBuildStep(i int, typeName, step string, n int) {
-	g.vo.Nodes[i].Deploy.HangStep(typeName, step, n)
 }
 
 // DelayBuildStep stalls the named step for d (real time) on every
@@ -518,14 +501,23 @@ func (g *Grid) IsSuperPeer(i int) bool {
 	return g.vo.Nodes[i].Agent.Role().String() == "SuperPeer"
 }
 
-// StartMonitors launches every site's background monitors (cache
-// refresher, index monitor, status monitor, peer liveness).
-func (g *Grid) StartMonitors() {
+// Advance moves the grid's virtual clock d forward, running every running
+// site's monitor passes inline at each instant one comes due (see
+// rdm.AdvanceMonitors). A RealTime grid has no clock to step; its sites
+// run their schedules from rdm.Service.StartMonitors instead.
+func (g *Grid) Advance(d time.Duration) error {
+	vc, ok := g.vo.Clock.(*simclock.Virtual)
+	if !ok {
+		return fmt.Errorf("glare: Advance needs a virtual-clock grid")
+	}
+	var sites []*rdm.Service
 	for i, n := range g.vo.Nodes {
 		if !g.vo.Stopped(i) {
-			n.RDM.StartMonitors()
+			sites = append(sites, n.RDM)
 		}
 	}
+	rdm.AdvanceMonitors(sites, d, vc.Advance)
+	return nil
 }
 
 // Close stops the whole VO.
@@ -659,26 +651,6 @@ func (c *Client) ResolveTypes(typeName string) ([]*Type, error) {
 	return c.svc.ResolveConcrete(typeName)
 }
 
-// CheckReplicas runs one replica failure-detection pass on this site:
-// ping every peer-group member, raise suspicion on silence, and promote
-// the most-caught-up replica of any member that stayed silent for the
-// suspicion threshold. Only super-peers act; it returns the number of
-// promotions triggered. Tests call it directly; StartMonitors paces it.
-func (c *Client) CheckReplicas() int { return c.svc.CheckReplicas() }
-
-// RepairReplicas runs one read-repair pass on this site: back-fill
-// replica entries this site missed, and hand adopted data back to a
-// replaced origin that answers again. It returns the number of entries
-// repaired. Tests call it directly; StartMonitors paces it.
-func (c *Client) RepairReplicas() int { return c.svc.RepairReplicas() }
-
-// SyncRegistries runs one anti-entropy reconciliation pass from this site
-// (normally paced by StartMonitors on super-peers): exchange registry
-// digests with the overlay, pull entries that are missing or newer there
-// into the two-level cache, and re-register local types with the index.
-// It returns the number of entries pulled.
-func (c *Client) SyncRegistries() int { return c.svc.SyncRegistries() }
-
 // Types lists the activity types registered on this site.
 func (c *Client) Types() []string { return c.svc.ATR.Names() }
 
@@ -701,18 +673,6 @@ func (c *Client) StoreStatus() (StoreStatus, bool) {
 func (c *Client) DeployEngineStatus() DeployStatus {
 	return c.svc.DeployRunStatus()
 }
-
-// SampleHistory takes one telemetry-history sample on this site: it walks
-// the site's metric registry into the round-robin store and evaluates the
-// alert rules. It returns the number of series sampled. Tests call it
-// directly between virtual-clock advances; StartMonitors paces it in real
-// time.
-func (c *Client) SampleHistory() int { return c.svc.SampleTelemetry() }
-
-// RollupHistory runs one super-peer rollup pass, consolidating the
-// community members' archives into grid-wide "grid:<metric>" series. It
-// returns the number of points folded; non-super-peers fold nothing.
-func (c *Client) RollupHistory() int { return c.svc.RollupHistory() }
 
 // History exposes this site's round-robin time-series store.
 func (c *Client) History() *HistoryStore { return c.svc.History() }

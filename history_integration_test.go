@@ -38,7 +38,7 @@ func TestHistoryAlertQuarantineAndRestart(t *testing.T) {
 	clock := g.vo.Clock.(*simclock.Virtual)
 
 	// Seed the history so the rollback counter has a baseline sample.
-	c.SampleHistory()
+	g.vo.Nodes[1].RDM.SampleTelemetry()
 
 	// Chaos: every Invmod build dies at its Expand step and rolls back.
 	g.FailBuildStep(1, "Invmod", "Expand", 100)
@@ -55,7 +55,7 @@ func TestHistoryAlertQuarantineAndRestart(t *testing.T) {
 		}
 		rollbacks++
 		clock.Advance(step)
-		c.SampleHistory()
+		g.vo.Nodes[1].RDM.SampleTelemetry()
 	}
 	if !quarantined {
 		t.Fatalf("type never quarantined after %d rollbacks", rollbacks)
@@ -87,7 +87,7 @@ func TestHistoryAlertQuarantineAndRestart(t *testing.T) {
 	// consolidates the spike into a closed row.
 	for i := 0; i < 12; i++ {
 		clock.Advance(step)
-		c.SampleHistory()
+		g.vo.Nodes[1].RDM.SampleTelemetry()
 	}
 
 	// The spike is visible at two resolutions of the same series.
@@ -144,7 +144,7 @@ func TestSuperPeerRollupConsolidatesGridSeries(t *testing.T) {
 			if tick > 0 && (i == 0 || i == 2) {
 				g.Telemetry(i).Counter("glare_deploy_rollbacks_total").Inc()
 			}
-			g.Client(i).SampleHistory()
+			g.vo.Nodes[i].RDM.SampleTelemetry()
 		}
 		clock.Advance(step)
 	}
@@ -160,10 +160,10 @@ func TestSuperPeerRollupConsolidatesGridSeries(t *testing.T) {
 	if super < 0 || members == 0 {
 		t.Fatalf("no super-peer elected")
 	}
-	if n := g.Client((super + 1) % g.Sites()).RollupHistory(); n != 0 {
+	if n := g.vo.Nodes[(super+1)%g.Sites()].RDM.RollupHistory(); n != 0 {
 		t.Fatalf("member folded %d rollup points", n)
 	}
-	n := g.Client(super).RollupHistory()
+	n := g.vo.Nodes[super].RDM.RollupHistory()
 	if n == 0 {
 		t.Fatal("super-peer rollup folded nothing")
 	}
@@ -197,7 +197,7 @@ func TestSuperPeerRollupConsolidatesGridSeries(t *testing.T) {
 	}
 	// A second pass re-pulls nothing new: everything folded is deduped by
 	// the grid series' own timestamps.
-	if again := g.Client(super).RollupHistory(); again != 0 {
+	if again := g.vo.Nodes[super].RDM.RollupHistory(); again != 0 {
 		t.Fatalf("idempotent re-rollup folded %d points", again)
 	}
 }
@@ -221,7 +221,7 @@ func TestHistoryRestartIsBitIdentical(t *testing.T) {
 			clock.Advance(2 * step) // unsampled slots become NaN
 		}
 		g.Telemetry(1).Counter("glare_deploy_rollbacks_total").Add(uint64(tick % 3))
-		c.SampleHistory()
+		g.vo.Nodes[1].RDM.SampleTelemetry()
 		if tick == 11 {
 			if err := c.svc.Store().Snapshot(); err != nil {
 				t.Fatal(err)

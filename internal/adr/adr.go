@@ -188,11 +188,6 @@ func (r *Registry) All() []*activity.Deployment {
 	return out
 }
 
-// Names returns the registered deployment names, mirroring atr.Names —
-// cheap existence checks (does this site own the entry?) that do not need
-// the documents materialized.
-func (r *Registry) Names() []string { return r.home.Keys() }
-
 // Len reports the number of registered deployments.
 func (r *Registry) Len() int { return r.home.Len() }
 

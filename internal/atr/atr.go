@@ -80,9 +80,6 @@ func skeletonOf(all []*wsrf.Resource) *activity.Hierarchy {
 // them.
 func (r *Registry) Home() *wsrf.Home { return r.home }
 
-// Broker exposes the notification broker.
-func (r *Registry) Broker() *wsrf.Broker { return r.broker }
-
 // SetTelemetry binds the registry's hot-path counters to a site's
 // telemetry registry. Call during site assembly, before serving traffic.
 func (r *Registry) SetTelemetry(tel *telemetry.Telemetry) {

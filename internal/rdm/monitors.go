@@ -3,85 +3,154 @@ package rdm
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"time"
 
 	"glare/internal/activity"
 	"glare/internal/epr"
 	"glare/internal/mds"
+	"glare/internal/simclock"
 	"glare/internal/superpeer"
+	"glare/internal/telemetry"
 	"glare/internal/xmlutil"
 )
 
-// Background component intervals (real time). Tests call the single-pass
-// methods directly for determinism.
-const (
-	cacheRefreshEvery = 5 * time.Second
-	indexProbeEvery   = 3 * time.Second
-	statusCheckEvery  = 5 * time.Second
-	peerLivenessEvery = 2 * time.Second
-	// registrySyncEvery paces the anti-entropy reconciler (SyncRegistries);
-	// only super-peers act on it.
-	registrySyncEvery = 5 * time.Second
-	// historySampleEvery paces the telemetry-history sampler
-	// (SampleTelemetry), which also evaluates the alert rules.
-	historySampleEvery = 2 * time.Second
-	// historyRollupEvery paces the grid-wide series consolidation
-	// (RollupHistory); only super-peers act on it.
-	historyRollupEvery = 5 * time.Second
-	// replicaCheckEvery paces replica failure detection and promotion
-	// (CheckReplicas); only super-peers act on it. Failover completes
-	// within replSuspicionThreshold of these intervals plus one promotion
-	// round-trip.
-	replicaCheckEvery = 2 * time.Second
-	// replicaRepairEvery paces read repair and promoted-data hand-off
-	// (RepairReplicas); every replicating site acts on it.
-	replicaRepairEvery = 5 * time.Second
-	// clockSkewEvery paces the clock-skew gauge refresh (CheckClockSkew);
-	// every site acts on it.
-	clockSkewEvery = 5 * time.Second
-)
-
-// StartMonitors launches the Cache Refresher, Index Monitor, Deployment
-// Status Monitor and super-peer liveness checks until Stop is called.
-func (s *Service) StartMonitors() {
-	go s.loop(cacheRefreshEvery, func() { s.RefreshCaches() })
-	go s.loop(indexProbeEvery, func() { s.CheckIndex() })
-	go s.loop(statusCheckEvery, func() { s.CheckDeployments() })
-	s.agent.StartMonitor(peerLivenessEvery, s.stop)
-	go s.loop(registrySyncEvery, func() {
-		if s.agent.IsSuperPeer() {
-			s.SyncRegistries()
-		}
-	})
-	go s.loop(historySampleEvery, func() { s.SampleTelemetry() })
-	go s.loop(historyRollupEvery, func() {
-		if s.agent.IsSuperPeer() {
-			s.RollupHistory()
-		}
-	})
-	if s.repl != nil {
-		go s.loop(replicaCheckEvery, func() {
-			if s.agent.IsSuperPeer() {
-				s.CheckReplicas()
-			}
-		})
-	}
-	if s.repl != nil {
-		go s.loop(replicaRepairEvery, func() { s.RepairReplicas() })
-	}
-	go s.loop(clockSkewEvery, func() { s.CheckClockSkew() })
+// monitorPass is one row of a site's background schedule: fn runs every
+// `every` of credited time while runsOn (nil: always) admits the site.
+type monitorPass struct {
+	name   string
+	every  time.Duration
+	runsOn func() bool
+	fn     func()
 }
 
-func (s *Service) loop(interval time.Duration, fn func()) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
+// monitorPasses is the site's schedule, in the order passes that come due
+// together run: the paper's Cache Refresher, Index Monitor and Deployment
+// Status Monitor (§3.2), overlay liveness (§4), anti-entropy, the history
+// sampler (which also evaluates the alert rules), the grid-wide rollup,
+// replica failure detection and promotion (failover completes within
+// replSuspicionThreshold checks), read repair, and the clock-skew gauges.
+func (s *Service) monitorPasses() []monitorPass {
+	superPeer, replicating := s.agent.IsSuperPeer, func() bool { return s.repl != nil }
+	return []monitorPass{
+		{"refresh", 5 * time.Second, nil, func() { s.RefreshCaches() }},
+		{"index", 3 * time.Second, nil, func() { _ = s.CheckIndex() }},
+		{"status", 5 * time.Second, nil, func() { s.CheckDeployments() }},
+		{"liveness", 2 * time.Second, nil, s.agent.Maintain},
+		{"sync", 5 * time.Second, superPeer, func() { s.SyncRegistries() }},
+		{"sample", 2 * time.Second, nil, func() { s.SampleTelemetry() }},
+		{"rollup", 5 * time.Second, superPeer, func() { s.RollupHistory() }},
+		{"replica-check", 2 * time.Second, func() bool { return replicating() && superPeer() }, func() { s.CheckReplicas() }},
+		{"repair", 5 * time.Second, replicating, func() { s.RepairReplicas() }},
+		{"clock-skew", 5 * time.Second, nil, func() { s.CheckClockSkew() }},
+	}
+}
+
+// schedule drives one site's monitor passes. A pass comes due when the
+// time credited since it last came due reaches its interval. Credit is
+// what a driver waited for (StartMonitors) or stepped a virtual clock by
+// (AdvanceMonitors), never a reading of the site's skewable Now, so a
+// clock step can neither stall nor burst the schedule.
+type schedule struct {
+	passes  []monitorPass
+	tel     *telemetry.Telemetry
+	mu      sync.Mutex
+	since   []time.Duration // credit since each pass last came due
+	running []bool
+}
+
+func newSchedule(passes []monitorPass, tel *telemetry.Telemetry) *schedule {
+	return &schedule{passes: passes, tel: tel,
+		since: make([]time.Duration, len(passes)), running: make([]bool, len(passes))}
+}
+
+// nextDue is the credit still needed before the earliest pass comes due.
+func (sc *schedule) nextDue() time.Duration {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	next := time.Duration(math.MaxInt64)
+	for i, p := range sc.passes {
+		next = min(next, p.every-sc.since[i])
+	}
+	return next
+}
+
+// credit adds d to every pass and claims, marking it running, each pass
+// that came due while runsOn admits the site and its last run has
+// finished. A pass still running is skipped, as a ticker drops the ticks a
+// slow receiver missed.
+func (sc *schedule) credit(d time.Duration) (claimed []bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	claimed = make([]bool, len(sc.passes))
+	for i, p := range sc.passes {
+		if sc.since[i] += d; sc.since[i] < p.every {
+			continue
+		}
+		sc.since[i] = 0
+		if !sc.running[i] && (p.runsOn == nil || p.runsOn()) {
+			sc.running[i], claimed[i] = true, true
+		}
+	}
+	return claimed
+}
+
+// run runs claimed pass i, timed on glare_monitor_pass_seconds{pass}.
+func (sc *schedule) run(i int) {
+	start := time.Now()
+	sc.passes[i].fn()
+	sc.tel.Histogram("glare_monitor_pass_seconds", telemetry.L("pass", sc.passes[i].name)).Observe(time.Since(start))
+	sc.mu.Lock()
+	sc.running[i] = false
+	sc.mu.Unlock()
+}
+
+// drive runs the schedule on clock until stop closes: it waits for each
+// next due instant and starts every due pass on its own goroutine, so a
+// hung call (up to transport.DefaultCallTimeout) cannot hold up the 2 s
+// liveness probe behind it.
+func (sc *schedule) drive(clock simclock.Clock, stop <-chan struct{}) {
 	for {
+		wait := sc.nextDue()
 		select {
-		case <-s.stop:
+		case <-stop:
 			return
-		case <-t.C:
-			fn()
+		case <-clock.After(wait):
+		}
+		for i, claimed := range sc.credit(wait) {
+			if claimed {
+				go sc.run(i)
+			}
+		}
+	}
+}
+
+// StartMonitors runs the site's monitor schedule on its clock until Stop.
+func (s *Service) StartMonitors() { go s.sched.drive(s.clock, s.stop) }
+
+// AdvanceMonitors steps a shared virtual clock d forward through advance,
+// stopping at each instant a pass of one of sites comes due and running
+// the due passes inline there, in schedule order and then in sites order.
+func AdvanceMonitors(sites []*Service, d time.Duration, advance func(time.Duration)) {
+	for d > 0 {
+		step := d
+		for _, s := range sites {
+			step = min(step, s.sched.nextDue())
+		}
+		advance(step)
+		d -= step
+		claimed := make([][]bool, len(sites))
+		for j, s := range sites {
+			claimed[j] = s.sched.credit(step)
+		}
+		for i := 0; len(sites) > 0 && i < len(claimed[0]); i++ {
+			for j, s := range sites {
+				if claimed[j][i] {
+					s.sched.run(i)
+				}
+			}
 		}
 	}
 }

@@ -211,6 +211,7 @@ type Service struct {
 	quarantined    map[string]*quarState         // failing types in cool-down
 	buildRoots     map[string][]string           // directory roots owned by in-flight builds
 	coordinatedFor int                           // community size the last election covered
+	sched          *schedule                     // monitor passes (monitors.go)
 	stop           chan struct{}
 	stopOnce       sync.Once
 }
@@ -277,6 +278,7 @@ func New(cfg Config) (*Service, error) {
 		buildRoots:  make(map[string][]string),
 		stop:        make(chan struct{}),
 	}
+	s.sched = newSchedule(s.monitorPasses(), tel)
 	s.gate = newBuildGate(s.limits.MaxConcurrent, s.limits.QueueDepth)
 	s.deployTel = newDeployCounters(tel)
 	// Wire the site's observability bundle through every component the RDM

@@ -201,9 +201,6 @@ func (s *Service) restoreReplicas(state *store.State) {
 	}
 }
 
-// Replicator exposes the site's replicator (nil when replication is off).
-func (s *Service) Replicator() *replicate.Replicator { return s.repl }
-
 // MountReplication adds the replication wire operations to the RDM's
 // service table. Mount calls it when replication is enabled.
 func (s *Service) MountReplication(srv *transport.Server) {

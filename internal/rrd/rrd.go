@@ -167,6 +167,9 @@ type archive struct {
 	accMin  float64
 	accMax  float64
 	accLast float64
+	// accInf marks a slot whose sum overflowed float64: its average is
+	// unknown, and accSum keeps the last finite sum.
+	accInf bool
 }
 
 func newArchive(spec ArchiveSpec, step time.Duration) *archive {
@@ -182,7 +185,7 @@ func newArchive(spec ArchiveSpec, step time.Duration) *archive {
 }
 
 func (a *archive) resetAcc() {
-	a.accSum, a.accCnt = 0, 0
+	a.accSum, a.accCnt, a.accInf = 0, 0, false
 	a.accMin, a.accMax, a.accLast = 0, 0, 0
 }
 
@@ -199,6 +202,9 @@ func (a *archive) consolidate() float64 {
 	case Last:
 		return a.accLast
 	default:
+		if a.accInf {
+			return math.NaN()
+		}
 		return a.accSum / float64(a.accCnt)
 	}
 }
@@ -240,7 +246,11 @@ func (a *archive) observe(tsn int64, v float64) {
 			a.accMax = v
 		}
 	}
-	a.accSum += v
+	if sum := a.accSum + v; math.IsInf(sum, 0) {
+		a.accInf = true
+	} else {
+		a.accSum = sum
+	}
 	a.accLast = v
 	a.accCnt++
 }
@@ -367,17 +377,6 @@ func (s *Store) Len() int {
 	return len(s.series)
 }
 
-// Def returns a series' definition.
-func (s *Store) Def(name string) (SeriesDef, bool) {
-	s.mu.RLock()
-	sr := s.series[name]
-	s.mu.RUnlock()
-	if sr == nil {
-		return SeriesDef{}, false
-	}
-	return sr.def, true
-}
-
 // LastTS returns the timestamp of the last accepted raw sample.
 func (s *Store) LastTS(name string) (time.Time, bool) {
 	s.mu.RLock()
@@ -421,7 +420,9 @@ func (s *Store) Update(name string, ts time.Time, v float64) error {
 			pdp = math.NaN() // counter reset
 		} else {
 			dt := float64(tsn-sr.lastTS) / float64(time.Second)
-			pdp = (v - sr.lastVal) / dt
+			if pdp = (v - sr.lastVal) / dt; math.IsInf(pdp, 0) {
+				pdp = math.NaN() // rate beyond float64: unknown
+			}
 		}
 	}
 	sr.lastTS, sr.lastVal = tsn, v
@@ -595,6 +596,7 @@ type ArchiveDump struct {
 	AccMin  float64     `json:"acc_min"`
 	AccMax  float64     `json:"acc_max"`
 	AccLast float64     `json:"acc_last"`
+	AccInf  bool        `json:"acc_inf,omitempty"`
 }
 
 // SeriesDump is one series' complete state.
@@ -624,7 +626,7 @@ func (s *Store) Dump() []SeriesDump {
 			d.Archives = append(d.Archives, ArchiveDump{
 				Spec: a.spec, Cur: a.cur, First: a.first, Started: a.started,
 				Ring: ring, AccSum: a.accSum, AccCnt: a.accCnt,
-				AccMin: a.accMin, AccMax: a.accMax, AccLast: a.accLast,
+				AccMin: a.accMin, AccMax: a.accMax, AccLast: a.accLast, AccInf: a.accInf,
 			})
 		}
 		sr.mu.Unlock()
@@ -655,7 +657,7 @@ func (s *Store) RestoreSeries(d SeriesDump) error {
 			a.cur, a.first, a.started = ad.Cur, ad.First, ad.Started
 			copy(a.ring, ad.Ring)
 			a.accSum, a.accCnt = ad.AccSum, ad.AccCnt
-			a.accMin, a.accMax, a.accLast = ad.AccMin, ad.AccMax, ad.AccLast
+			a.accMin, a.accMax, a.accLast, a.accInf = ad.AccMin, ad.AccMax, ad.AccLast, ad.AccInf
 		}
 		sr.archives = append(sr.archives, a)
 	}

@@ -396,3 +396,68 @@ func TestUpdateRejectsEpochAndBefore(t *testing.T) {
 		t.Fatalf("first nanosecond after the epoch: %v", err)
 	}
 }
+
+// TestOverflowIsUnknown: finite samples whose derived value overflows
+// float64 — a counter rate or a slot's consolidation sum — leave an
+// unknown (NaN) slot, as rrdtool does, and the store still dumps to JSON
+// mid-slot and after the slot closes.
+func TestOverflowIsUnknown(t *testing.T) {
+	const huge = 1.7e308
+	s := NewStore(time.Second)
+	mustCreate(t, s, SeriesDef{Name: "rate", Kind: Counter, Step: time.Second,
+		Archives: []ArchiveSpec{{CF: Average, Steps: 1, Rows: 4}}})
+	mustCreate(t, s, gaugeDef("sum", time.Second,
+		ArchiveSpec{CF: Average, Steps: 10, Rows: 4}, ArchiveSpec{CF: Max, Steps: 10, Rows: 4}))
+	for i, v := range []float64{-huge, huge, huge} { // the second step's rate is +Inf
+		if err := s.Update("rate", epoch.Add(time.Duration(i)*time.Second), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ { // one slot whose sum is +Inf
+		if err := s.Update("sum", epoch.Add(time.Duration(i)*time.Second), huge); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slot := func(name string, cf CF, at time.Duration) float64 {
+		t.Helper()
+		res, err := s.Fetch(name, cf, epoch.Add(at), epoch.Add(at))
+		if err != nil || len(res.Points) != 1 {
+			t.Fatalf("Fetch(%s@%v) = %+v, %v", name, at, res, err)
+		}
+		return res.Points[0].V
+	}
+	dumps := func() {
+		t.Helper()
+		raw, err := json.Marshal(s.Dump())
+		if err != nil {
+			t.Fatalf("Dump does not marshal: %v", err)
+		}
+		var back []SeriesDump
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatal(err)
+		}
+		r := NewStore(time.Second)
+		for _, d := range back {
+			if err := r.RestoreSeries(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if v, _ := r.Fetch("sum", Average, epoch, epoch); !math.IsNaN(v.Points[0].V) {
+			t.Fatalf("restored overflowed slot = %v, want NaN", v.Points[0].V)
+		}
+	}
+	if v := slot("rate", Average, time.Second); !math.IsNaN(v) {
+		t.Fatalf("overflowed rate = %v, want NaN", v)
+	}
+	dumps() // the sum slot is still open
+	if err := s.Update("sum", epoch.Add(10*time.Second), 1); err != nil {
+		t.Fatal(err)
+	}
+	if v := slot("sum", Average, 0); !math.IsNaN(v) {
+		t.Fatalf("overflowed average = %v, want NaN", v)
+	}
+	if v := slot("sum", Max, 0); v != huge {
+		t.Fatalf("max of the overflowed slot = %v, want %v", v, huge)
+	}
+	dumps()
+}

@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -127,12 +129,23 @@ func TestRecoverSeedsCoverEveryOp(t *testing.T) {
 // FuzzRecover writes the fuzz payload as a WAL segment, one CRC-valid
 // frame per line (JSON records hold no raw newline, so a seed is one
 // frame and a mutation can splice several), and boots a store on it.
-// Open must succeed without panicking whatever the frames decode to, and
-// feeding every recovered history series one later sample must not panic.
+// Open must succeed without panicking whatever the frames decode to,
+// feeding every recovered history series one later sample must not panic,
+// and the history must still dump to JSON as a snapshot does.
 func FuzzRecover(f *testing.F) {
-	for _, r := range recoverSeeds(f) {
+	seeds := recoverSeeds(f)
+	for _, r := range seeds {
 		f.Add(mustEncode(f, r))
 	}
+	// A counter whose one-second jump has a rate beyond float64.
+	create := seeds[slices.IndexFunc(seeds, func(r Record) bool { return r.Op == OpHistoryCreate })]
+	frames := [][]byte{mustEncode(f, create)}
+	for i, v := range []float64{-1.7e308, 1.7e308} {
+		b := &rrd.Batch{TS: time.Unix(1, 0).Add(time.Duration(i) * time.Second),
+			Samples: []rrd.Sample{{Name: create.Key, Value: v}}}
+		frames = append(frames, mustEncode(f, Record{Seq: uint64(10 + i), Op: OpHistoryBatch, HistoryBatch: b}))
+	}
+	f.Add(bytes.Join(frames, []byte{'\n'}))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		dir := writeSegment(t, bytes.Split(payload, []byte{'\n'})...)
 		s, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotEvery: -1})
@@ -147,6 +160,9 @@ func FuzzRecover(f *testing.F) {
 				next = last.Add(time.Second)
 			}
 			_ = h.Update(name, next, 1)
+		}
+		if _, err := json.Marshal(h.Dump()); err != nil {
+			t.Fatalf("recovered history does not dump: %v", err)
 		}
 	})
 }

@@ -723,25 +723,13 @@ func (a *Agent) CheckRivals() (bool, error) {
 	return false, nil
 }
 
-// StartMonitor launches periodic overlay maintenance until stop is closed:
-// members probe their super-peer's liveness (DetectAndRecover), while
-// super-peers probe for rival reigns left behind by a healed partition
-// (CheckRivals). interval is real time.
-func (a *Agent) StartMonitor(interval time.Duration, stop <-chan struct{}) {
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if a.Role() == RoleSuperPeer {
-					_, _ = a.CheckRivals()
-				} else {
-					_, _ = a.DetectAndRecover()
-				}
-			}
-		}
-	}()
+// Maintain is one overlay-maintenance pass: a super-peer probes for rival
+// reigns left behind by a healed partition (CheckRivals); any other site
+// probes its super-peer's liveness (DetectAndRecover).
+func (a *Agent) Maintain() {
+	if a.IsSuperPeer() {
+		_, _ = a.CheckRivals()
+	} else {
+		_, _ = a.DetectAndRecover()
+	}
 }

@@ -308,13 +308,11 @@ func TestVerifyRequestRejectsWrongSuperPeer(t *testing.T) {
 func TestMonitorDrivesRecovery(t *testing.T) {
 	h := newHarness(t, 3)
 	h.agents[0].Coordinate(h.infos, CoordinatorConfig{GroupSize: 3})
-	stop := make(chan struct{})
-	defer close(stop)
-	for _, a := range h.agents[:2] {
-		a.StartMonitor(20*time.Millisecond, stop)
-	}
 	h.servers[2].Close() // super-peer (site02, highest rank) dies
 	waitFor(t, func() bool {
+		for _, a := range h.agents[:2] {
+			a.Maintain()
+		}
 		return h.agents[1].Role() == RoleSuperPeer
 	}, "monitor-driven takeover")
 }

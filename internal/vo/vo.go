@@ -357,9 +357,6 @@ func (v *VO) ElectSuperPeers() error {
 	return v.Nodes[0].RDM.CheckIndex()
 }
 
-// Node returns a site's stack by index.
-func (v *VO) Node(i int) *Node { return v.Nodes[i] }
-
 // StopSite simulates a site failure: its container stops answering.
 func (v *VO) StopSite(i int) {
 	v.mu.Lock()
@@ -378,13 +375,6 @@ func (v *VO) Stopped(i int) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.stopped[i]
-}
-
-// Killed reports whether a site was permanently destroyed.
-func (v *VO) Killed(i int) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.killed[i]
 }
 
 // KillSite simulates PERMANENT site loss: the container stops answering

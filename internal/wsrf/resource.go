@@ -181,9 +181,6 @@ func (h *Home) awaitRetired(key string) {
 	}
 }
 
-// KeyName returns the reference-property name for resource keys.
-func (h *Home) KeyName() string { return h.keyName }
-
 // Create adds a resource with the given key and document and journals it.
 // It fails if the key already exists.
 func (h *Home) Create(key string, doc *xmlutil.Node) (*Resource, error) {

@@ -70,13 +70,6 @@ func (g *ServiceGroup) RemoveEntry(key string) bool {
 	return true
 }
 
-// Entry returns the aggregated entry for a key, or nil.
-func (g *ServiceGroup) Entry(key string) *Entry {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.entries[key]
-}
-
 // Len returns the number of aggregated entries.
 func (g *ServiceGroup) Len() int {
 	g.mu.RLock()

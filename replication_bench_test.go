@@ -3,21 +3,19 @@
 // a completed failover — the numbers CI publishes as
 // BENCH_replication.json so a replication slowdown (or a failover-time
 // regression) shows up as a metric shift, not just a test flake.
-package glare_test
+package glare
 
 import (
 	"fmt"
 	"testing"
 	"time"
-
-	"glare"
 )
 
 // benchReplicaGrid builds a 3-site grid (one peer group) with the given
 // replication factor and returns it elected.
-func benchReplicaGrid(b *testing.B, k int) *glare.Grid {
+func benchReplicaGrid(b *testing.B, k int) *Grid {
 	b.Helper()
-	g, err := glare.NewGrid(glare.GridOptions{
+	g, err := NewGrid(GridOptions{
 		Sites:           3,
 		GroupSize:       3,
 		Replicas:        k,
@@ -48,7 +46,7 @@ func BenchmarkReplicationQuorumWrite(b *testing.B) {
 			provider := g.Client(1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				t := &glare.Type{Name: fmt.Sprintf("BenchType%s%06d", bench.name, i), Domain: "Bench"}
+				t := &Type{Name: fmt.Sprintf("BenchType%s%06d", bench.name, i), Domain: "Bench"}
 				if err := provider.RegisterType(t); err != nil {
 					b.Fatal(err)
 				}
@@ -83,11 +81,11 @@ func BenchmarkReplicationFailover(b *testing.B) {
 					}
 				}
 				name := fmt.Sprintf("FailoverType%06d", i)
-				if err := g.Client(owner).RegisterType(&glare.Type{Name: name, Domain: "Bench"}); err != nil {
+				if err := g.Client(owner).RegisterType(&Type{Name: name, Domain: "Bench"}); err != nil {
 					b.Fatal(err)
 				}
 				for j := 0; j < g.Sites(); j++ {
-					g.Client(j).RepairReplicas()
+					g.vo.Nodes[j].RDM.RepairReplicas()
 				}
 				b.StartTimer()
 				start := time.Now()
@@ -96,7 +94,7 @@ func BenchmarkReplicationFailover(b *testing.B) {
 				}
 				deadline := time.Now().Add(15 * time.Second)
 				for {
-					g.Client(sp).CheckReplicas()
+					g.vo.Nodes[sp].RDM.CheckReplicas()
 					if types, err := g.Client(sp).ResolveTypes(name); err == nil && len(types) > 0 {
 						break
 					}

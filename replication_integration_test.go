@@ -83,7 +83,7 @@ func TestReplicationSurvivesPermanentSiteLoss(t *testing.T) {
 	drain := func() {
 		for _, i := range group {
 			if !killed[i] {
-				g.Client(i).RepairReplicas()
+				g.vo.Nodes[i].RDM.RepairReplicas()
 			}
 		}
 	}
@@ -138,8 +138,8 @@ func TestReplicationSurvivesPermanentSiteLoss(t *testing.T) {
 	// silent passes per site (the suspicion threshold) before it promotes
 	// the most-caught-up replica — itself, the only holder left.
 	survivor := g.Client(sp)
-	survivor.CheckReplicas()
-	if n := survivor.CheckReplicas(); n == 0 {
+	g.vo.Nodes[sp].RDM.CheckReplicas()
+	if n := g.vo.Nodes[sp].RDM.CheckReplicas(); n == 0 {
 		t.Fatal("second CheckReplicas pass promoted nothing")
 	}
 	if n := g.Telemetry(sp).Counter("glare_replica_promotions_total").Value(); n == 0 {
@@ -198,7 +198,7 @@ func TestReplicationSurvivesPermanentSiteLoss(t *testing.T) {
 	// half-opens against the replacement's address.
 	replTypes := map[string]bool{}
 	for attempt := 0; attempt < 20 && len(replTypes) == 0; attempt++ {
-		survivor.RepairReplicas()
+		g.vo.Nodes[sp].RDM.RepairReplicas()
 		for _, name := range g.Client(dead).Types() {
 			replTypes[name] = true
 		}

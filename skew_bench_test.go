@@ -4,14 +4,12 @@
 // publishes the numbers as BENCH_skew.json so a skew-sensitivity
 // regression (convergence slowing down, or sync suddenly re-pulling
 // entries it should recognise) shows up as a metric shift.
-package glare_test
+package glare
 
 import (
 	"fmt"
 	"testing"
 	"time"
-
-	"glare"
 )
 
 // BenchmarkSkewConvergence splits a 4-site grid, registers on both sides,
@@ -29,7 +27,7 @@ func BenchmarkSkewConvergence(b *testing.B) {
 			var totalMS, totalPulled float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				g, err := glare.NewGrid(glare.GridOptions{
+				g, err := NewGrid(GridOptions{
 					Sites:           4,
 					GroupSize:       4,
 					ChaosSeed:       int64(100 + i),
@@ -58,10 +56,10 @@ func BenchmarkSkewConvergence(b *testing.B) {
 				}
 				left := fmt.Sprintf("SkewBenchLeft%06d", i)
 				right := fmt.Sprintf("SkewBenchRight%06d", i)
-				if err := g.Client(sideA[1]).RegisterType(&glare.Type{Name: left, Domain: "Bench"}); err != nil {
+				if err := g.Client(sideA[1]).RegisterType(&Type{Name: left, Domain: "Bench"}); err != nil {
 					b.Fatal(err)
 				}
-				if err := g.Client(sideB[1]).RegisterType(&glare.Type{Name: right, Domain: "Bench"}); err != nil {
+				if err := g.Client(sideB[1]).RegisterType(&Type{Name: right, Domain: "Bench"}); err != nil {
 					b.Fatal(err)
 				}
 				if err := g.HealPartition(); err != nil {
@@ -73,7 +71,7 @@ func BenchmarkSkewConvergence(b *testing.B) {
 				deadline := start.Add(20 * time.Second)
 				for {
 					for j := 0; j < g.Sites(); j++ {
-						g.Client(j).SyncRegistries()
+						g.vo.Nodes[j].RDM.SyncRegistries()
 					}
 					if resolvesEverywhere(g, left) && resolvesEverywhere(g, right) {
 						break
@@ -95,7 +93,7 @@ func BenchmarkSkewConvergence(b *testing.B) {
 }
 
 // resolvesEverywhere reports whether every site resolves typeName.
-func resolvesEverywhere(g *glare.Grid, typeName string) bool {
+func resolvesEverywhere(g *Grid, typeName string) bool {
 	for j := 0; j < g.Sites(); j++ {
 		types, err := g.Client(j).ResolveTypes(typeName)
 		if err != nil || len(types) == 0 {
@@ -106,7 +104,7 @@ func resolvesEverywhere(g *glare.Grid, typeName string) bool {
 }
 
 // syncPulledTotal sums the anti-entropy pull counter across the grid.
-func syncPulledTotal(g *glare.Grid) uint64 {
+func syncPulledTotal(g *Grid) uint64 {
 	var n uint64
 	for j := 0; j < g.Sites(); j++ {
 		n += g.Telemetry(j).Counter("glare_sync_entries_pulled_total").Value()

@@ -77,7 +77,7 @@ func TestSkewedCrashStormZeroAckedWriteLoss(t *testing.T) {
 	drain := func() {
 		for _, i := range group {
 			if !killed[i] {
-				g.Client(i).RepairReplicas()
+				g.vo.Nodes[i].RDM.RepairReplicas()
 			}
 		}
 	}
@@ -149,8 +149,8 @@ func TestSkewedCrashStormZeroAckedWriteLoss(t *testing.T) {
 
 	// Failover: two silent passes per dead site, then promotion.
 	survivor := g.Client(sp)
-	survivor.CheckReplicas()
-	if n := survivor.CheckReplicas(); n == 0 {
+	g.vo.Nodes[sp].RDM.CheckReplicas()
+	if n := g.vo.Nodes[sp].RDM.CheckReplicas(); n == 0 {
 		t.Fatal("second CheckReplicas pass promoted nothing")
 	}
 
