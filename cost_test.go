@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"glare/internal/workload"
+	"glare/internal/xmlutil"
 )
 
 // rpcRequests sums glare_rpc_client_requests_total by op over every site.
@@ -78,6 +79,35 @@ func TestCost(t *testing.T) {
 			}
 		}
 		t.Logf("RPCs in one idle minute (8 sites, K = 3):\n%s", table.String())
+	})
+	t.Run("allocs", func(t *testing.T) {
+		if raceDetector {
+			t.Skip("under -race sync.Pool drops a quarter of what is put back, so the counts would include refilling the parser pool")
+		}
+		// The two envelopes of one lookup_wire op: the GetType request
+		// and its answer carrying the benchmark's median type document.
+		// Both also seed xmlutil's FuzzParse.
+		envelopes := []struct {
+			name, doc string
+			budget    float64
+		}{
+			{"GetType answer", `<Envelope><Operation>GetType</Operation><HLC t="2005-11-12T00:00:00.000000001Z" site="site-01"/><Body><ActivityTypeEntry name="Type00054" type="Domain16"><BaseType>Abstract0013</BaseType><Function name="run"><Input>in</Input><Output>out</Output></Function><Installation mode="on-demand"><Constraints><platform>PowerPC</platform><os>AIX</os><arch>64bit</arch></Constraints><DeployFile url="http://dps.uibk.ac.at/~glare/deployfiles/type00054.build"/></Installation></ActivityTypeEntry></Body></Envelope>`, 40},
+			{"GetType request", `<Envelope><Operation>GetType</Operation><HLC t="2005-11-12T00:00:00.000000001Z" site="site-00"/><Body><Name>Type00054</Name></Body><Deadline budget_ms="29999.871"/></Envelope>`, 15},
+		}
+		var table strings.Builder
+		table.WriteString("| xmlutil.Parse of | bytes | allocs | budget |\n|---|---|---|---|\n")
+		for _, env := range envelopes {
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := xmlutil.Parse(strings.NewReader(env.doc)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			fmt.Fprintf(&table, "| %s | %d | %.1f | %.0f |\n", env.name, len(env.doc), allocs, env.budget)
+			if allocs > env.budget {
+				t.Errorf("xmlutil.Parse of the %s: %.1f allocations, budget %.0f", env.name, allocs, env.budget)
+			}
+		}
+		t.Logf("Allocations per parse:\n%s", table.String())
 	})
 }
 

@@ -8,14 +8,9 @@
 package xmlutil
 
 import (
-	"bufio"
 	"encoding/xml"
-	"fmt"
-	"io"
 	"slices"
 	"strings"
-	"sync"
-	"unicode/utf8"
 )
 
 // Attr is a single XML attribute. Attributes keep insertion order so that
@@ -270,7 +265,8 @@ func appendPad(b []byte, depth int) []byte {
 	return b
 }
 
-// appendAttrValue escapes & < > and " and passes every other byte through,
+// appendAttrValue escapes & < > and " and writes CR as &#xD;, which a
+// parser would otherwise read back as LF. Every other byte passes through,
 // invalid UTF-8 and control characters included.
 func appendAttrValue(b []byte, s string) []byte {
 	last := 0
@@ -285,6 +281,8 @@ func appendAttrValue(b []byte, s string) []byte {
 			esc = "&gt;"
 		case '"':
 			esc = "&quot;"
+		case '\r':
+			esc = "&#xD;"
 		default:
 			continue
 		}
@@ -316,121 +314,4 @@ type sliceWriter struct{ b []byte }
 func (w *sliceWriter) Write(p []byte) (int, error) {
 	w.b = append(w.b, p...)
 	return len(p), nil
-}
-
-// readers recycles the bufio.Reader encoding/xml would otherwise allocate
-// for every Parse of a reader that is not an io.ByteReader.
-var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
-
-// Parse reads one XML document (or fragment with a single root) into a tree.
-// Every string in the tree is a copy, so nothing refers to r or to the
-// recycled read buffer once Parse returns.
-func Parse(r io.Reader) (*Node, error) {
-	if _, ok := r.(io.ByteReader); !ok {
-		br := readers.Get().(*bufio.Reader)
-		br.Reset(r)
-		defer func() {
-			br.Reset(nil) // the pool must not keep r reachable
-			readers.Put(br)
-		}()
-		r = br
-	}
-	dec := xml.NewDecoder(r)
-	var stack []*Node
-	var root *Node
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmlutil: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if !localName(t.Name) {
-				return nil, fmt.Errorf("xmlutil: element %s:%s: local part is not a name", t.Name.Space, t.Name.Local)
-			}
-			n := NewNode(t.Name.Local)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
-					continue
-				}
-				if !localName(a.Name) {
-					return nil, fmt.Errorf("xmlutil: attribute %s:%s: local part is not a name", a.Name.Space, a.Name.Local)
-				}
-				n.SetAttr(a.Name.Local, a.Value)
-			}
-			if len(stack) == 0 {
-				if root != nil {
-					return nil, fmt.Errorf("xmlutil: multiple root elements")
-				}
-				root = n
-			} else {
-				top := stack[len(stack)-1]
-				top.Children = append(top.Children, n)
-			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmlutil: unbalanced end element %q", t.Name.Local)
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) > 0 {
-				top := stack[len(stack)-1]
-				top.Text += string(t)
-			}
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmlutil: empty document")
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmlutil: unterminated document")
-	}
-	trimWhitespace(root)
-	return root, nil
-}
-
-// localName reports whether name's local part is an XML name on its own.
-// The tree keeps only local names, so <p:0/> (a name, but one whose local
-// part starts with a digit) would encode as the malformed <0/>. The
-// decoder has already checked every character as a name character; only
-// the first can still be wrong, and past ASCII the decoder itself decides.
-func localName(name xml.Name) bool {
-	if name.Space == "" || name.Local == "" {
-		return true
-	}
-	if c := name.Local[0]; c < utf8.RuneSelf {
-		return c != '-' && c != '.' && (c < '0' || c > '9')
-	}
-	_, err := xml.NewDecoder(strings.NewReader("<" + name.Local + "/>")).RawToken()
-	return err == nil
-}
-
-// ParseString parses XML from a string.
-func ParseString(s string) (*Node, error) { return Parse(strings.NewReader(s)) }
-
-// MustParse parses XML and panics on error. For use with literals in tests
-// and examples.
-func MustParse(s string) *Node {
-	n, err := ParseString(s)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
-// trimWhitespace removes pure-formatting whitespace text from elements that
-// have children (mixed content is preserved only when non-blank).
-func trimWhitespace(n *Node) {
-	if strings.TrimSpace(n.Text) == "" {
-		n.Text = ""
-	} else {
-		n.Text = strings.TrimSpace(n.Text)
-	}
-	for _, c := range n.Children {
-		trimWhitespace(c)
-	}
 }

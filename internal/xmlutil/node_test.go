@@ -1,6 +1,7 @@
 package xmlutil
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/xml"
 	"fmt"
@@ -12,8 +13,10 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func TestBuildAndQueryTree(t *testing.T) {
@@ -246,7 +249,7 @@ func oracleEscapeText(s string) string {
 
 func oracleEscapeAttr(s string) string {
 	return strings.NewReplacer(
-		"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;",
+		"&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "\r", "&#xD;",
 	).Replace(s)
 }
 
@@ -410,26 +413,11 @@ var envelopeSeeds = []string{
 	`<a x="&#xD;&#xA;y&#xD;"/>`,
 }
 
-// attrCRToLF is what a second parse makes of n. The encoder writes a CR in
-// an attribute value raw, as it always has, and the decoder normalises a
-// raw CR or CRLF to LF; text escapes CR as &#xD; and keeps it.
-func attrCRToLF(n *Node) *Node {
-	c := n.Clone()
-	c.Walk(func(d *Node) bool {
-		for i := range d.Attrs {
-			v := strings.ReplaceAll(d.Attrs[i].Value, "\r\n", "\n")
-			d.Attrs[i].Value = strings.ReplaceAll(v, "\r", "\n")
-		}
-		return true
-	})
-	return c
-}
-
-// Parse never panics, and whatever it accepts survives String and a second
-// Parse structurally intact, up to the CR normalisation in attribute values
-// that attrCRToLF describes.
+// Parse never panics; it accepts exactly what oracleParse accepts (short of
+// the nesting bound) and builds the same tree; and whatever it accepts,
+// String encodes so that a second Parse reads the same tree back.
 func FuzzParse(f *testing.F) {
-	for _, pattern := range []string{"*_test.go", "../deployfile/*_test.go", "../transport/*_test.go"} {
+	for _, pattern := range []string{"*_test.go", "../deployfile/*_test.go", "../transport/*_test.go", "../../cost_test.go"} {
 		for _, s := range xmlLiterals(f, pattern) {
 			f.Add(s)
 		}
@@ -438,6 +426,9 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {
+		if d := differFromOracle(doc); d != "" {
+			t.Fatalf("%q: %s", doc, d)
+		}
 		n, err := Parse(hideByteReader(doc))
 		if err != nil {
 			return
@@ -447,8 +438,115 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-parse of %q: %v", enc, err)
 		}
-		if !again.Equal(attrCRToLF(n)) {
-			t.Fatalf("round trip changed the tree:\n  doc %q\n  enc %q\nagain %q", doc, enc, again.String())
+		if got := again.String(); got != enc {
+			t.Fatalf("round trip changed the tree:\n  doc %q\n  enc %q\nagain %q", doc, enc, got)
 		}
 	})
+}
+
+// readers recycles the bufio.Reader encoding/xml would otherwise allocate
+// for every Parse of a reader that is not an io.ByteReader.
+var readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+// oracleParse is the parser Parse replaced, kept as it was: a loop over
+// encoding/xml's Decoder.Token. Parse must accept exactly what it accepts
+// (short of the nesting bound) and build a tree with the same String.
+//
+// Every string in the tree is a copy, so nothing refers to r or to the
+// recycled read buffer once Parse returns.
+func oracleParse(r io.Reader) (*Node, error) {
+	if _, ok := r.(io.ByteReader); !ok {
+		br := readers.Get().(*bufio.Reader)
+		br.Reset(r)
+		defer func() {
+			br.Reset(nil) // the pool must not keep r reachable
+			readers.Put(br)
+		}()
+		r = br
+	}
+	dec := xml.NewDecoder(r)
+	var stack []*Node
+	var root *Node
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("xmlutil: parse: %w", err)
+		}
+		switch t := tok.(type) {
+		case xml.StartElement:
+			if !localName(t.Name) {
+				return nil, fmt.Errorf("xmlutil: element %s:%s: local part is not a name", t.Name.Space, t.Name.Local)
+			}
+			n := NewNode(t.Name.Local)
+			for _, a := range t.Attr {
+				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
+					continue
+				}
+				if !localName(a.Name) {
+					return nil, fmt.Errorf("xmlutil: attribute %s:%s: local part is not a name", a.Name.Space, a.Name.Local)
+				}
+				n.SetAttr(a.Name.Local, a.Value)
+			}
+			if len(stack) == 0 {
+				if root != nil {
+					return nil, fmt.Errorf("xmlutil: multiple root elements")
+				}
+				root = n
+			} else {
+				top := stack[len(stack)-1]
+				top.Children = append(top.Children, n)
+			}
+			stack = append(stack, n)
+		case xml.EndElement:
+			if len(stack) == 0 {
+				return nil, fmt.Errorf("xmlutil: unbalanced end element %q", t.Name.Local)
+			}
+			stack = stack[:len(stack)-1]
+		case xml.CharData:
+			if len(stack) > 0 {
+				top := stack[len(stack)-1]
+				top.Text += string(t)
+			}
+		}
+	}
+	if root == nil {
+		return nil, fmt.Errorf("xmlutil: empty document")
+	}
+	if len(stack) != 0 {
+		return nil, fmt.Errorf("xmlutil: unterminated document")
+	}
+	trimWhitespace(root)
+	return root, nil
+}
+
+// localName reports whether name's local part is an XML name on its own.
+// The tree keeps only local names, so <p:0/> (a name, but one whose local
+// part starts with a digit) would encode as the malformed <0/>. The
+// decoder has already checked every character as a name character; only
+// the first can still be wrong, and past ASCII the decoder itself decides.
+func localName(name xml.Name) bool {
+	if name.Space == "" || name.Local == "" {
+		return true
+	}
+	if c := name.Local[0]; c < utf8.RuneSelf {
+		return c != '-' && c != '.' && (c < '0' || c > '9')
+	}
+	_, err := xml.NewDecoder(strings.NewReader("<" + name.Local + "/>")).RawToken()
+	return err == nil
+}
+
+// trimWhitespace removes pure-formatting whitespace text from elements that
+// have children (mixed content is preserved only when non-blank).
+func trimWhitespace(n *Node) {
+	if strings.TrimSpace(n.Text) == "" {
+		n.Text = ""
+	} else {
+		n.Text = strings.TrimSpace(n.Text)
+	}
+	for _, c := range n.Children {
+		trimWhitespace(c)
+	}
 }
