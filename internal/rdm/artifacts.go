@@ -41,13 +41,6 @@ import (
 // before the rendezvous home; each attempt is a wire call.
 const maxPeerCandidates = 2
 
-// casJournal is the slice of the durable store the artifact manager needs
-// (satisfied by *store.CASLog).
-type casJournal interface {
-	RecordPut(store.CASBlob)
-	RecordDelete(string)
-}
-
 // casCounters bundles the artifact-grid telemetry.
 type casCounters struct {
 	hits           *telemetry.Counter
@@ -184,18 +177,14 @@ func (s *Service) casIngest(e cas.Entry) {
 	for _, ev := range evicted {
 		s.casTel.evictions.Inc()
 		s.casLoc.Drop(ev.Key, self)
-		if s.casJournal != nil {
-			s.casJournal.RecordDelete(ev.Key.String())
-		}
+		_ = s.store.DeleteBlob(ev.Key.String())
 	}
 	if stored {
 		s.casLoc.Note(e.Key, self, e.Added)
-		if s.casJournal != nil {
-			s.casJournal.RecordPut(store.CASBlob{
-				Algo: e.Key.Algo, Sum: e.Key.Sum, Actual: e.Sum, Size: e.Size,
-				MD5: e.MD5, Artifact: e.Artifact, URL: e.URL, Added: e.Added,
-			})
-		}
+		_ = s.store.PutBlob(store.CASBlob{
+			Algo: e.Key.Algo, Sum: e.Key.Sum, Actual: e.Sum, Size: e.Size,
+			MD5: e.MD5, Artifact: e.Artifact, URL: e.URL, Added: e.Added,
+		})
 	}
 	s.casGauges()
 }
@@ -204,9 +193,7 @@ func (s *Service) casIngest(e cas.Entry) {
 func (s *Service) casDrop(key cas.Key) {
 	if _, ok := s.cas.Delete(key); ok {
 		s.casLoc.Drop(key, s.selfName())
-		if s.casJournal != nil {
-			s.casJournal.RecordDelete(key.String())
-		}
+		_ = s.store.DeleteBlob(key.String())
 	}
 	s.casGauges()
 }
@@ -219,7 +206,8 @@ func (s *Service) casGauges() {
 
 // restoreCAS re-offers the blobs a recovered WAL says the site held,
 // oldest first so the LRU order survives the restart. Called by
-// attachStore before the journal binds, so restore is not re-journaled.
+// attachStore before the store becomes the site's, so restore is not
+// re-journaled.
 func (s *Service) restoreCAS(state *store.State) {
 	if len(state.CAS) == 0 {
 		return

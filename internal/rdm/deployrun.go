@@ -108,13 +108,6 @@ func (l DeployLimits) withDefaults() DeployLimits {
 	return d
 }
 
-// deployJournal is what the engine needs from the durable store; nil means
-// checkpoints live only in memory (they still enable same-process resume).
-type deployJournal interface {
-	RecordStep(st store.DeployStep)
-	RecordClear(typeName string)
-}
-
 // deployCounters bundles the glare_deploy_* metrics.
 type deployCounters struct {
 	resumes      *telemetry.Counter
@@ -546,9 +539,7 @@ func (s *Service) recordStep(ck store.DeployStep) {
 	}
 	s.resume[ck.Type] = append(list, ck)
 	s.mu.Unlock()
-	if s.deployJournal != nil {
-		s.deployJournal.RecordStep(ck)
-	}
+	_ = s.store.RecordStep(ck)
 }
 
 // clearCheckpoints drops a type's checkpoints after the build completed
@@ -558,8 +549,8 @@ func (s *Service) clearCheckpoints(typeName string) {
 	_, had := s.resume[typeName]
 	delete(s.resume, typeName)
 	s.mu.Unlock()
-	if had && s.deployJournal != nil {
-		s.deployJournal.RecordClear(typeName)
+	if had {
+		_ = s.store.ClearSteps(typeName)
 	}
 }
 
@@ -575,8 +566,8 @@ func (s *Service) rollbackBuild(typeName string) {
 	for i := len(cks) - 1; i >= 0; i-- {
 		s.undoEffects(cks[i])
 	}
-	if len(cks) > 0 && s.deployJournal != nil {
-		s.deployJournal.RecordClear(typeName)
+	if len(cks) > 0 {
+		_ = s.store.ClearSteps(typeName)
 	}
 	s.deployTel.rollbacks.Inc()
 }

@@ -87,13 +87,6 @@ func DefaultRollupMetrics() []string {
 	}
 }
 
-// historyJournal is the slice of the durable store the sampler writes
-// through (store.HistoryLog satisfies it).
-type historyJournal interface {
-	RecordCreate(def rrd.SeriesDef)
-	RecordBatch(b rrd.Batch)
-}
-
 // History returns the site's telemetry history store.
 func (s *Service) History() *rrd.Store { return s.history }
 
@@ -146,9 +139,7 @@ func (s *Service) SampleTelemetry() int {
 		}
 	}
 	if len(batch.Samples) > 0 {
-		if s.historyJournal != nil {
-			s.historyJournal.RecordBatch(batch)
-		}
+		_ = s.store.AppendBatch(batch)
 		s.historySamples.Add(uint64(len(batch.Samples)))
 	}
 	s.evaluateAlerts(now)
@@ -164,9 +155,7 @@ func (s *Service) historyObserve(b *rrd.Batch, name string, kind rrd.Kind, v flo
 		if err := s.history.Create(def); err != nil {
 			return
 		}
-		if s.historyJournal != nil {
-			s.historyJournal.RecordCreate(def)
-		}
+		_ = s.store.CreateSeries(def)
 	}
 	if err := s.history.Update(name, b.TS, v); err != nil {
 		return // ErrPast: clock did not advance since the last tick
@@ -352,9 +341,7 @@ func (s *Service) foldGridSeries(gridName string, sums map[int64]float64) int {
 		if err := s.history.Create(def); err != nil {
 			return 0
 		}
-		if s.historyJournal != nil {
-			s.historyJournal.RecordCreate(def)
-		}
+		_ = s.store.CreateSeries(def)
 	}
 	order := make([]int64, 0, len(sums))
 	for ts := range sums {
@@ -366,12 +353,10 @@ func (s *Service) foldGridSeries(gridName string, sums map[int64]float64) int {
 		if err := s.history.Update(gridName, time.Unix(0, ts), sums[ts]); err != nil {
 			continue
 		}
-		if s.historyJournal != nil {
-			s.historyJournal.RecordBatch(rrd.Batch{
-				TS:      time.Unix(0, ts),
-				Samples: []rrd.Sample{{Name: gridName, Value: sums[ts]}},
-			})
-		}
+		_ = s.store.AppendBatch(rrd.Batch{
+			TS:      time.Unix(0, ts),
+			Samples: []rrd.Sample{{Name: gridName, Value: sums[ts]}},
+		})
 		folded++
 	}
 	if folded > 0 {

@@ -186,24 +186,21 @@ type Service struct {
 	historyCfg     HistoryConfig
 	history        *rrd.Store
 	alerts         *rrd.Alerts
-	historyJournal historyJournal
 	historySamples *telemetry.Counter
 	rollupPoints   *telemetry.Counter
 
 	// Deployment execution engine state (deployrun.go).
-	limits        DeployLimits
-	deployHook    DeployHook
-	gate          *buildGate
-	deployJournal deployJournal
-	deployTel     deployCounters
+	limits     DeployLimits
+	deployHook DeployHook
+	gate       *buildGate
+	deployTel  deployCounters
 
 	// Content-addressed artifact store state (artifacts.go).
-	cas        *cas.Store
-	casLoc     *artifactLocations
-	casJournal casJournal
-	casTel     casCounters
-	casMu      sync.Mutex
-	casFlight  map[cas.Key]*casPull
+	cas       *cas.Store
+	casLoc    *artifactLocations
+	casTel    casCounters
+	casMu     sync.Mutex
+	casFlight map[cas.Key]*casPull
 
 	mu             sync.Mutex
 	inflight       map[string]*buildCall         // in-flight builds by type
@@ -353,15 +350,14 @@ func New(cfg Config) (*Service, error) {
 		s.ADR.ExpireByType(typeName)
 		s.localIndex.Unregister(typeName)
 	})
-	// Durability last: replay the journal into the assembled registries,
-	// then bind the journals so new traffic is logged.
-	var recovered *store.State
+	// Durability last: replay the store into the assembled registries,
+	// lease service and replica holder, then bind the site journal once so
+	// new traffic is logged and replicated and replay never is.
+	s.setupReplication(cfg)
 	if cfg.Store != nil {
-		recovered = s.attachStore(cfg.Store)
+		s.attachStore(cfg.Store)
 	}
-	// Replication after durability: the replicator wraps the journals the
-	// store just bound, so a mutation is durable locally before it fans out.
-	s.setupReplication(cfg, recovered)
+	s.bindJournal()
 	return s, nil
 }
 

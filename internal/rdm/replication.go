@@ -21,21 +21,14 @@ import (
 )
 
 // This file wires quorum replication (internal/replicate) under the RDM:
-// every ATR/ADR/lease mutation a site journals is intercepted at the
-// journal layer and fanned out to the site's replica set; registrations
-// additionally block on the write quorum before acknowledging the client.
+// the site journal (durability.go) fans every ATR/ADR/lease mutation out to
+// the site's replica set after its WAL append; registrations additionally
+// block on the write quorum before acknowledging the client.
 // Replicas keep the copies as shadow state ("replica:<origin>:<reg>"
 // registries riding the ordinary WAL), the super-peer promotes the
 // most-caught-up replica when an owner dies permanently, read repair
 // back-fills replicas that missed writes, and a promoted holder hands the
 // data back when the dead site's replacement rejoins.
-
-// Registry names on the replication wire.
-const (
-	replRegATR   = "atr"
-	replRegADR   = "adr"
-	replRegLease = "lease"
-)
 
 // replSuspicionThreshold is how many consecutive failed liveness probes
 // the replica monitor tolerates before declaring an owner permanently
@@ -60,69 +53,12 @@ func parseReplicaReg(name string) (origin, reg string, ok bool) {
 	return origin, reg, ok && origin != "" && reg != ""
 }
 
-// replJournal composes a registry home's durable journal with the
-// replication fan-out: the local write lands first (it is the owner's
-// quorum vote), then the mutation ships to the replica set asynchronously.
-type replJournal struct {
-	next wsrf.Journal // the store's WAL adapter; nil on memory-only sites
-	repl *replicate.Replicator
-	reg  string
-}
-
-func (j replJournal) RecordPut(key string, doc *xmlutil.Node, lut, term time.Time) {
-	if j.next != nil {
-		j.next.RecordPut(key, doc, lut, term)
-	}
-	j.repl.ForwardPut(j.reg, key, doc, lut, term)
-}
-
-func (j replJournal) RecordDelete(key string) {
-	if j.next != nil {
-		j.next.RecordDelete(key)
-	}
-	j.repl.ForwardDelete(j.reg, key)
-}
-
-// replLeaseJournal is the lease-side composition. Tickets travel as JSON
-// inside a <LeaseTicket> node so they ride the same entry transport as
-// registry documents. Lease grants replicate asynchronously (no quorum
-// gate — a lease is a lost-on-failure reservation, not registry data),
-// but a promoted replica still revives unexpired tickets so clients keep
-// their reservations across an owner's death.
-type replLeaseJournal struct {
-	next lease.Journal
-	repl *replicate.Replicator
-	// now is the site's HLC: the replication LUT for a grant comes from it
-	// rather than from the ticket's Start so that the later release
-	// tombstone (also HLC-stamped) always orders after the grant, however
-	// skewed the granting site's wall clock is. The ticket itself keeps its
-	// physical-clock Start/End — lease validity is judged in the granter's
-	// own time frame (see lease.Service).
-	now func() time.Time
-}
-
-func (j replLeaseJournal) RecordAcquire(t lease.Ticket) {
-	if j.next != nil {
-		j.next.RecordAcquire(t)
-	}
-	j.repl.ForwardPut(replRegLease, strconv.FormatUint(t.ID, 10), leaseTicketDoc(t), j.now(), t.End)
-}
-
-func (j replLeaseJournal) RecordRelease(id uint64) {
-	if j.next != nil {
-		j.next.RecordRelease(id)
-	}
-	j.repl.ForwardDelete(replRegLease, strconv.FormatUint(id, 10))
-}
-
-func (j replLeaseJournal) RecordLimit(deployment string, max int) {
-	// Shared-lease limits are operator configuration, not acknowledged
-	// client state; they stay site-local.
-	if j.next != nil {
-		j.next.RecordLimit(deployment, max)
-	}
-}
-
+// leaseTicketDoc renders a ticket for the replication wire: tickets travel
+// as JSON inside a <LeaseTicket> node so they ride the same entry
+// transport as registry documents. Lease grants replicate asynchronously
+// (no quorum gate — a lease is a lost-on-failure reservation, not registry
+// data), but a promoted replica still revives unexpired tickets so clients
+// keep their reservations across an owner's death.
 func leaseTicketDoc(t lease.Ticket) *xmlutil.Node {
 	b, _ := json.Marshal(t)
 	return xmlutil.NewNode("LeaseTicket", string(b))
@@ -137,21 +73,12 @@ func ticketFromDoc(doc *xmlutil.Node) (lease.Ticket, error) {
 	return t, err
 }
 
-// setupReplication assembles the replicator and re-binds the registry
-// homes' and the lease service's journals through it. Runs after
-// attachStore, so the wrapped journals compose with (not replace) the WAL
-// adapters, and the shadow registries of the state attachStore recovered
-// (nil for a memory-only site) are replayed into the holder.
-func (s *Service) setupReplication(cfg Config, recovered *store.State) {
+// setupReplication assembles the replicator. New runs it before
+// attachStore, so recovery restores the holder's shadow registries too.
+// Replica entries ride the site's store (nothing on a memory-only site).
+func (s *Service) setupReplication(cfg Config) {
 	if cfg.ReplicaK <= 1 {
 		return
-	}
-	var factory replicate.JournalFactory
-	if s.store != nil {
-		st := s.store
-		factory = func(origin, reg string) replicate.Journal {
-			return st.RegistryJournal(replicaRegName(origin, reg))
-		}
 	}
 	s.repl = replicate.New(replicate.Config{
 		Self: s.agent.Self(),
@@ -160,45 +87,16 @@ func (s *Service) setupReplication(cfg Config, recovered *store.State) {
 		Call: func(ctx context.Context, address, op string, body *xmlutil.Node) (*xmlutil.Node, error) {
 			return s.call(ctx, nil, address, op, body)
 		},
-		Service:  ServiceName,
-		Journals: factory,
-		Now:      s.hlc.Now,
-		Tel:      s.tel,
+		Service: ServiceName,
+		Journals: func(origin, reg string) replicate.Journal {
+			return cfg.Store.RegistryJournal(replicaRegName(origin, reg))
+		},
+		Now: s.hlc.Now,
+		Tel: s.tel,
 	})
-	var atrNext, adrNext wsrf.Journal
-	var leaseNext lease.Journal
-	if s.store != nil {
-		atrNext = s.store.RegistryJournal(store.RegATR)
-		adrNext = s.store.RegistryJournal(store.RegADR)
-		leaseNext = s.store.LeaseJournal()
-		s.restoreReplicas(recovered)
-	}
-	s.ATR.Home().SetJournal(replJournal{next: atrNext, repl: s.repl, reg: replRegATR})
-	s.ADR.Home().SetJournal(replJournal{next: adrNext, repl: s.repl, reg: replRegADR})
-	s.Leases.SetJournal(replLeaseJournal{next: leaseNext, repl: s.repl, now: s.hlc.Now})
 	// The overlay carries the factor: every coordinated view is stamped
 	// with it, so all sites derive the same replica-set assignment.
 	s.agent.SetReplicaK(cfg.ReplicaK)
-}
-
-// restoreReplicas replays the shadow registries ("replica:<origin>:<reg>")
-// out of the recovered store state into the holder. restoreFromStore only
-// reads the site's own atr/adr registries, so the two recoveries are
-// disjoint.
-func (s *Service) restoreReplicas(state *store.State) {
-	for name, entries := range state.Registries {
-		origin, reg, ok := parseReplicaReg(name)
-		if !ok {
-			continue
-		}
-		for key, e := range entries {
-			doc, err := xmlutil.ParseString(e.Doc)
-			if err != nil {
-				continue
-			}
-			s.repl.Holder().Restore(origin, reg, replicate.Entry{Key: key, Doc: doc, LUT: e.LUT, Term: e.Term})
-		}
-	}
 }
 
 // MountReplication adds the replication wire operations to the RDM's
@@ -270,7 +168,7 @@ func (s *Service) MountReplication(srv *transport.Server) {
 // the journal fan-out only.
 func (s *Service) ownEntries() map[string][]replicate.Entry {
 	out := map[string][]replicate.Entry{}
-	for reg, home := range map[string]*wsrf.Home{replRegATR: s.ATR.Home(), replRegADR: s.ADR.Home()} {
+	for reg, home := range map[string]*wsrf.Home{store.RegATR: s.ATR.Home(), store.RegADR: s.ADR.Home()} {
 		for _, res := range home.All() {
 			out[reg] = append(out[reg], replicate.Entry{Key: res.Key(), Doc: res.Document(),
 				LUT: res.LastUpdate(), Term: res.TerminationTime()})
@@ -283,7 +181,7 @@ func (s *Service) ownEntries() map[string][]replicate.Entry {
 func (s *Service) heldEntries(origin string) map[string][]replicate.Entry {
 	h := s.repl.Holder()
 	out := map[string][]replicate.Entry{}
-	for _, reg := range []string{replRegATR, replRegADR, replRegLease} {
+	for _, reg := range []string{store.RegATR, store.RegADR, store.RegLease} {
 		if es := h.Entries(origin, reg); len(es) > 0 {
 			out[reg] = es
 		}
@@ -309,19 +207,19 @@ func (s *Service) adoptEntries(regs map[string][]replicate.Entry) int {
 		return true
 	}
 	adopted := 0
-	for _, e := range regs[replRegATR] {
+	for _, e := range regs[store.RegATR] {
 		if !adopt(s.ATR.Home(), e) {
 			continue
 		}
 		s.localIndex.Register(s.ATR.EPR(e.Key), e.Doc.Clone())
 		adopted++
 	}
-	for _, e := range regs[replRegADR] {
+	for _, e := range regs[store.RegADR] {
 		if adopt(s.ADR.Home(), e) {
 			adopted++
 		}
 	}
-	for _, e := range regs[replRegLease] {
+	for _, e := range regs[store.RegLease] {
 		t, err := ticketFromDoc(e.Doc)
 		if err != nil {
 			continue

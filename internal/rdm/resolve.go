@@ -10,6 +10,7 @@ import (
 	"glare/internal/adr"
 	"glare/internal/atr"
 	"glare/internal/epr"
+	"glare/internal/store"
 	"glare/internal/superpeer"
 	"glare/internal/telemetry"
 	"glare/internal/transport"
@@ -45,7 +46,7 @@ func (s *Service) RegisterType(t *activity.Type) (epr.EPR, error) {
 	// journaled the copy that the registration survives this site's
 	// permanent loss.
 	if s.repl != nil {
-		if qerr := s.repl.AwaitQuorum(replRegATR, t.Name); qerr != nil {
+		if qerr := s.repl.AwaitQuorum(store.RegATR, t.Name); qerr != nil {
 			return epr.EPR{}, fmt.Errorf("rdm: type %q registered locally but not quorum-replicated: %w", t.Name, qerr)
 		}
 	}
@@ -64,7 +65,7 @@ func (s *Service) RegisterDeployment(d *activity.Deployment) (epr.EPR, error) {
 		return epr.EPR{}, err
 	}
 	if s.repl != nil {
-		if qerr := s.repl.AwaitQuorum(replRegADR, d.Name); qerr != nil {
+		if qerr := s.repl.AwaitQuorum(store.RegADR, d.Name); qerr != nil {
 			return epr.EPR{}, fmt.Errorf("rdm: deployment %q registered locally but not quorum-replicated: %w", d.Name, qerr)
 		}
 	}

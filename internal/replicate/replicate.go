@@ -48,7 +48,7 @@ type Config struct {
 
 // pendingWrite tracks one mutation's outstanding remote acknowledgements.
 type pendingWrite struct {
-	need        int // remote acks required for quorum (self already counted)
+	need        int // remote acks required for quorum (a durable owner already counted)
 	acks        int
 	outstanding int // sends still in flight
 	signaled    bool
@@ -118,48 +118,56 @@ func (r *Replicator) Replicas() []superpeer.SiteInfo {
 }
 
 // ForwardPut fans one put mutation out to the replica set asynchronously.
-// Called on the owner's journal path, after the local write is durable; a
-// following AwaitQuorum on the same (reg, key) blocks until the write
-// quorum acknowledged. The fan-out always targets the FULL replica set —
-// quorum only gates the client ack — so once sends drain, every replica
-// holds the entry and any k−1 simultaneous permanent losses still leave a
-// copy alive.
-func (r *Replicator) ForwardPut(reg, key string, doc *xmlutil.Node, lut, term time.Time) {
+// Called on the owner's journal path after the local append; durable
+// reports whether that append succeeded (a memory-only site passes true),
+// and the owner's copy counts toward the write quorum a following
+// AwaitQuorum on (reg, key) waits for only when it did. The fan-out always
+// targets the FULL replica set — quorum only gates the client ack — so
+// once sends drain, every replica holds the entry and any k−1
+// simultaneous permanent losses still leave a copy alive. doc is read
+// during the call and never kept: the asynchronous sends get the one copy
+// made here. A nil Replicator (replication off) forwards nothing.
+func (r *Replicator) ForwardPut(reg, key string, doc *xmlutil.Node, lut, term time.Time, durable bool) {
+	r.forward(Mutation{Reg: reg, Key: key, Doc: doc, LUT: lut, Term: term}, durable)
+}
+
+// ForwardDelete fans one delete mutation out to the replica set, as
+// ForwardPut does. The delete is stamped with the owner's ordering clock
+// (Config.Now) so replicas can order it against puts of the same key that
+// arrive out of order (see Holder); an HLC stamp source guarantees the
+// tombstone orders after the put it deletes even on a skewed site.
+func (r *Replicator) ForwardDelete(reg, key string, durable bool) {
+	r.forward(Mutation{Reg: reg, Key: key, Delete: true}, durable)
+}
+
+// forward stamps m with this site's name, view epoch and sequence number
+// and sends it to every replica; see ForwardPut.
+func (r *Replicator) forward(m Mutation, durable bool) {
+	if r == nil {
+		return
+	}
 	view := r.cfg.View()
 	replicas := ReplicaSet(view, r.cfg.Self.Name, r.cfg.K)
 	if len(replicas) == 0 {
 		return
 	}
 	r.Writes.Inc()
-	m := Mutation{Origin: r.cfg.Self.Name, Epoch: view.Epoch, Reg: reg, Key: key,
-		Doc: doc, LUT: lut, Term: term}
-	r.send(reg, key, m, replicas)
-}
-
-// ForwardDelete fans one delete mutation out to the replica set. The
-// delete is stamped with the owner's ordering clock (Config.Now) so
-// replicas can order it against puts of the same key that arrive out of
-// order (see Holder); an HLC stamp source guarantees the tombstone orders
-// after the put it deletes even on a skewed site.
-func (r *Replicator) ForwardDelete(reg, key string) {
-	view := r.cfg.View()
-	replicas := ReplicaSet(view, r.cfg.Self.Name, r.cfg.K)
-	if len(replicas) == 0 {
-		return
+	m.Origin, m.Epoch = r.cfg.Self.Name, view.Epoch
+	if m.Delete {
+		m.LUT = r.cfg.Now()
+	} else if m.Doc != nil {
+		m.Doc = m.Doc.Clone()
 	}
-	r.Writes.Inc()
-	m := Mutation{Origin: r.cfg.Self.Name, Epoch: view.Epoch, Reg: reg, Key: key,
-		Delete: true, LUT: r.cfg.Now()}
-	r.send(reg, key, m, replicas)
-}
-
-func (r *Replicator) send(reg, key string, m Mutation, replicas []superpeer.SiteInfo) {
-	pkey := reg + "|" + key
+	pkey := m.Reg + "|" + m.Key
 	r.mu.Lock()
 	r.seq++
 	m.Seq = r.seq
 	// Effective k: the owner plus however many replicas the group yields.
-	need := Quorum(len(replicas)+1) - 1
+	// The owner's copy is one of the quorum only if its append succeeded.
+	need := Quorum(len(replicas) + 1)
+	if durable {
+		need--
+	}
 	p := &pendingWrite{need: need, outstanding: len(replicas), done: make(chan struct{})}
 	if need <= 0 {
 		p.signaled = true

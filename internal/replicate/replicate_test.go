@@ -246,9 +246,32 @@ func TestAwaitQuorumSucceedsWithOneRemoteAck(t *testing.T) {
 		}
 		return nil, errors.New("unreachable")
 	})
-	r.ForwardPut("atr", "povray", xmlutil.NewNode("T"), time.Now(), time.Now().Add(time.Hour))
+	r.ForwardPut("atr", "povray", xmlutil.NewNode("T"), time.Now(), time.Now().Add(time.Hour), true)
 	if err := r.AwaitQuorum("atr", "povray"); err != nil {
 		t.Fatalf("quorum should hold with one remote ack: %v", err)
+	}
+}
+
+// TestOwnerVotesOnlyWhenDurable: at K = 3 with one of the two replicas
+// refusing, the write quorum of two copies holds only if the owner's own
+// WAL append succeeded. An owner whose append failed is not a copy, so
+// one remote ack is not enough.
+func TestOwnerVotesOnlyWhenDurable(t *testing.T) {
+	for _, durable := range []bool{true, false} {
+		r := quorumReplicator(t, 3, func(ctx context.Context, addr, op string, body *xmlutil.Node) (*xmlutil.Node, error) {
+			if addr == "http://r2/wsrf/services/RDM" {
+				return nil, errors.New("refused")
+			}
+			return xmlutil.NewNode("Applied"), nil
+		})
+		r.ForwardPut("atr", "povray", xmlutil.NewNode("T"), time.Now(), time.Now().Add(time.Hour), durable)
+		err := r.AwaitQuorum("atr", "povray")
+		if durable && err != nil {
+			t.Fatalf("durable owner plus one remote ack must reach quorum: %v", err)
+		}
+		if !durable && err == nil {
+			t.Fatal("quorum acknowledged with one remote ack and a failed owner append")
+		}
 	}
 }
 
@@ -256,7 +279,7 @@ func TestAwaitQuorumFailsWhenAllReplicasDown(t *testing.T) {
 	r := quorumReplicator(t, 3, func(ctx context.Context, addr, op string, body *xmlutil.Node) (*xmlutil.Node, error) {
 		return nil, errors.New("unreachable")
 	})
-	r.ForwardPut("atr", "povray", xmlutil.NewNode("T"), time.Now(), time.Now().Add(time.Hour))
+	r.ForwardPut("atr", "povray", xmlutil.NewNode("T"), time.Now(), time.Now().Add(time.Hour), true)
 	if err := r.AwaitQuorum("atr", "povray"); err == nil {
 		t.Fatal("quorum reported with zero remote acks")
 	}
@@ -275,7 +298,7 @@ func TestAwaitQuorumFailsAfterDrainWithoutQuorum(t *testing.T) {
 	r := quorumReplicator(t, 3, func(ctx context.Context, addr, op string, body *xmlutil.Node) (*xmlutil.Node, error) {
 		return nil, errors.New("connection refused")
 	})
-	r.ForwardPut("atr", "povray", xmlutil.NewNode("T"), time.Now(), time.Now().Add(time.Hour))
+	r.ForwardPut("atr", "povray", xmlutil.NewNode("T"), time.Now(), time.Now().Add(time.Hour), true)
 	// The in-flight gauge hits zero only after every goroutine has run
 	// settle, so this waits out the full drain before awaiting.
 	for i := 0; r.Lag.Value() != 0; i++ {
@@ -311,7 +334,7 @@ func TestAwaitQuorumNoReplicasIsTrivial(t *testing.T) {
 			return nil, nil
 		},
 		Timeout: 100 * time.Millisecond})
-	r.ForwardPut("atr", "x", nil, time.Now(), time.Now())
+	r.ForwardPut("atr", "x", nil, time.Now(), time.Now(), true)
 	if err := r.AwaitQuorum("atr", "x"); err != nil {
 		t.Fatalf("singleton group must self-quorum: %v", err)
 	}

@@ -21,15 +21,14 @@ func histDef(name string) rrd.SeriesDef {
 }
 
 // TestHistoryJournalRecovery: series creates and sample batches journaled
-// through HistoryLog survive a close/reopen, and the recovered rrd store
+// through the store's history methods survive a close/reopen, and the recovered rrd store
 // serves the same consolidated points.
 func TestHistoryJournalRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir})
-	j := s.HistoryJournal()
-	j.RecordCreate(histDef("glare_fails_total"))
+	s.CreateSeries(histDef("glare_fails_total"))
 	for i := 0; i <= 20; i++ {
-		j.RecordBatch(rrd.Batch{
+		s.AppendBatch(rrd.Batch{
 			TS:      histEpoch.Add(time.Duration(i) * time.Second),
 			Samples: []rrd.Sample{{Name: "glare_fails_total", Value: float64(i * 2)}},
 		})
@@ -63,15 +62,14 @@ func TestHistoryJournalRecovery(t *testing.T) {
 func TestHistorySnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir, SnapshotEvery: 16, SegmentMaxBytes: 1 << 12})
-	j := s.HistoryJournal()
-	j.RecordCreate(histDef("glare_fails_total"))
+	s.CreateSeries(histDef("glare_fails_total"))
 	total := 0.0
 	for i := 0; i <= 40; i++ {
 		if i%7 == 3 {
 			continue // leave unknown slots so NaN crosses the snapshot
 		}
 		total += 1
-		j.RecordBatch(rrd.Batch{
+		s.AppendBatch(rrd.Batch{
 			TS:      histEpoch.Add(time.Duration(i) * time.Second),
 			Samples: []rrd.Sample{{Name: "glare_fails_total", Value: total}},
 		})

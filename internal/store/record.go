@@ -9,12 +9,15 @@ import (
 	"glare/internal/rrd"
 )
 
-// Registry names the store journals under. The store itself is agnostic to
-// what a registry holds; these constants keep the RDM wiring and the
-// recovery path agreeing on the names.
+// Registry names the store journals under, and the names the replication
+// wire carries. The store itself is agnostic to what a registry holds;
+// these constants keep the RDM wiring, the recovery path and the replica
+// sets agreeing on the names. RegLease names lease tickets on the
+// replication wire only: the store journals leases as lease records.
 const (
-	RegATR = "atr"
-	RegADR = "adr"
+	RegATR   = "atr"
+	RegADR   = "adr"
+	RegLease = "lease"
 )
 
 // Op is the kind of one journaled mutation.

@@ -131,7 +131,9 @@ func TestRecoverSeedsCoverEveryOp(t *testing.T) {
 // frame and a mutation can splice several), and boots a store on it.
 // Open must succeed without panicking whatever the frames decode to,
 // feeding every recovered history series one later sample must not panic,
-// and the history must still dump to JSON as a snapshot does.
+// and the history must still dump to JSON as a snapshot does. A snapshot
+// of that state, closed and reopened, must then recover the same
+// registries, leases, deploy checkpoints, CAS entries and history.
 func FuzzRecover(f *testing.F) {
 	seeds := recoverSeeds(f)
 	for _, r := range seeds {
@@ -164,5 +166,48 @@ func FuzzRecover(f *testing.F) {
 		if _, err := json.Marshal(h.Dump()); err != nil {
 			t.Fatalf("recovered history does not dump: %v", err)
 		}
+
+		// A snapshot of the recovered state must reopen to that state.
+		want, wantHist := stateJSON(t, s)
+		if err := s.Snapshot(); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		re, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatalf("reopen after snapshot: %v", err)
+		}
+		defer re.Close()
+		got, gotHist := stateJSON(t, re)
+		if got != want {
+			t.Fatalf("state after snapshot and reopen:\n%s\nwant:\n%s", got, want)
+		}
+		if gotHist != wantHist {
+			t.Fatalf("history after snapshot and reopen:\n%s\nwant:\n%s", gotHist, wantHist)
+		}
 	})
+}
+
+// stateJSON renders a store's registries, leases, deploy checkpoints and
+// CAS entries, and separately its history dump, in a canonical form
+// (encoding/json sorts map keys).
+func stateJSON(t *testing.T, s *Store) (state, history string) {
+	t.Helper()
+	st := s.State()
+	b, err := json.Marshal(struct {
+		Registries map[string]map[string]Entry
+		Leases     LeaseState
+		Deploys    map[string][]DeployStep
+		CAS        map[string]CASBlob
+	}{st.Registries, st.Leases, st.Deploys, st.CAS})
+	if err != nil {
+		t.Fatalf("state does not encode: %v", err)
+	}
+	h, err := json.Marshal(s.History().Dump())
+	if err != nil {
+		t.Fatalf("history does not dump: %v", err)
+	}
+	return string(b), string(h)
 }

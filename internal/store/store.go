@@ -571,109 +571,123 @@ func (s *Store) Close() error {
 	return err
 }
 
-// --- journal adapters ---------------------------------------------------
+// --- journaling -------------------------------------------------------
 //
-// The registries' resource homes and the lease service journal through
-// tiny interfaces their packages declare (wsrf.Journal, lease.Journal);
-// the types below satisfy them. Append errors do not bubble into registry
-// calls — a mutation that served traffic is not failed because its journal
-// write did not; the error is sticky, counted on
-// glare_store_append_errors_total and visible in Status, and the site
-// degrades to memory-only durability.
+// A site journals every mutation through one method per record kind. Each
+// returns Append's error, which is also sticky, counted on
+// glare_store_append_errors_total and shown in Status; the site's
+// replication counts the owner's copy toward quorum only when it is nil.
+// On a nil store every method does nothing and reports success, so a
+// memory-only site makes the same calls. PutEntry encodes doc in place
+// and never keeps it.
 
-// RegistryLog journals one registry's mutations into the store.
+// log appends rec, or does nothing on a nil store.
+func (s *Store) log(rec Record) error {
+	if s == nil {
+		return nil
+	}
+	return s.Append(rec)
+}
+
+// PutEntry journals an upsert of a registry entry's full property
+// document.
+func (s *Store) PutEntry(reg, key string, doc *xmlutil.Node, lut, term time.Time) error {
+	if s == nil {
+		return nil
+	}
+	return s.Append(Record{Op: OpPut, Reg: reg, Key: key, Doc: doc.String(), LUT: lut, Term: term})
+}
+
+// DeleteEntry journals a registry entry's removal.
+func (s *Store) DeleteEntry(reg, key string) error {
+	return s.log(Record{Op: OpDelete, Reg: reg, Key: key})
+}
+
+// AcquireLease journals a granted ticket.
+func (s *Store) AcquireLease(t lease.Ticket) error {
+	return s.log(Record{Op: OpLeaseAcquire, Ticket: &t})
+}
+
+// ReleaseLease journals an early release.
+func (s *Store) ReleaseLease(id uint64) error {
+	return s.log(Record{Op: OpLeaseRelease, ID: id})
+}
+
+// LimitLease journals a shared-concurrency bound.
+func (s *Store) LimitLease(deployment string, max int) error {
+	return s.log(Record{Op: OpLeaseLimit, Key: deployment, Limit: max})
+}
+
+// RecordStep journals one completed build step.
+func (s *Store) RecordStep(st DeployStep) error {
+	return s.log(Record{Op: OpDeployStep, Key: st.Type, Deploy: &st})
+}
+
+// ClearSteps journals the end of a type's build — completion or rollback
+// — dropping its checkpoints.
+func (s *Store) ClearSteps(typeName string) error {
+	return s.log(Record{Op: OpDeployClear, Key: typeName})
+}
+
+// CreateSeries journals a new telemetry-history series definition.
+func (s *Store) CreateSeries(def rrd.SeriesDef) error {
+	return s.log(Record{Op: OpHistoryCreate, Key: def.Name, HistoryDef: &def})
+}
+
+// AppendBatch journals one history-sampler tick's raw samples. Snapshot
+// compaction turns the batches into fixed-size ring dumps, so a site's
+// history costs bounded disk no matter how long it runs.
+func (s *Store) AppendBatch(b rrd.Batch) error {
+	return s.log(Record{Op: OpHistoryBatch, HistoryBatch: &b})
+}
+
+// PutBlob journals a verified blob's ingest into the content-addressed
+// artifact store, so a restarted site can re-offer every blob it held
+// without re-fetching a byte.
+func (s *Store) PutBlob(b CASBlob) error {
+	return s.log(Record{Op: OpCASPut, Key: b.ID(), CAS: &b})
+}
+
+// DeleteBlob journals a blob leaving the artifact store (eviction or
+// purge).
+func (s *Store) DeleteBlob(id string) error {
+	return s.log(Record{Op: OpCASDelete, Key: id})
+}
+
+// RegistryLog journals one registry's mutations into the store: the
+// journal the replica Holder's factory mints for shadow registries. Like
+// LeaseLog it drops Append's error, which its interface cannot return.
 type RegistryLog struct {
 	s   *Store
 	reg string
 }
 
-// RegistryJournal returns the journal adapter for the named registry
-// (RegATR, RegADR).
+// RegistryJournal returns the journal for the named registry.
 func (s *Store) RegistryJournal(reg string) *RegistryLog {
 	return &RegistryLog{s: s, reg: reg}
 }
 
 // RecordPut journals an upsert of the full property document.
 func (l *RegistryLog) RecordPut(key string, doc *xmlutil.Node, lut, term time.Time) {
-	_ = l.s.Append(Record{Op: OpPut, Reg: l.reg, Key: key, Doc: doc.String(), LUT: lut, Term: term})
+	_ = l.s.PutEntry(l.reg, key, doc, lut, term)
 }
 
 // RecordDelete journals a removal.
-func (l *RegistryLog) RecordDelete(key string) {
-	_ = l.s.Append(Record{Op: OpDelete, Reg: l.reg, Key: key})
-}
+func (l *RegistryLog) RecordDelete(key string) { _ = l.s.DeleteEntry(l.reg, key) }
 
-// LeaseLog journals the lease service's mutations into the store.
+// LeaseLog journals a lease service's mutations into the store. Sites
+// journal leases through their site journal; this forwarder stays for
+// bench/layers.go's lease probe.
 type LeaseLog struct{ s *Store }
 
-// LeaseJournal returns the lease journal adapter.
+// LeaseJournal returns the lease journal forwarder.
 func (s *Store) LeaseJournal() *LeaseLog { return &LeaseLog{s: s} }
 
 // RecordAcquire journals a granted ticket.
-func (l *LeaseLog) RecordAcquire(t lease.Ticket) {
-	_ = l.s.Append(Record{Op: OpLeaseAcquire, Ticket: &t})
-}
+func (l *LeaseLog) RecordAcquire(t lease.Ticket) { _ = l.s.AcquireLease(t) }
 
 // RecordRelease journals an early release.
-func (l *LeaseLog) RecordRelease(id uint64) {
-	_ = l.s.Append(Record{Op: OpLeaseRelease, ID: id})
-}
+func (l *LeaseLog) RecordRelease(id uint64) { _ = l.s.ReleaseLease(id) }
 
 // RecordLimit journals a shared-concurrency bound.
-func (l *LeaseLog) RecordLimit(deployment string, max int) {
-	_ = l.s.Append(Record{Op: OpLeaseLimit, Key: deployment, Limit: max})
-}
-
-// DeployLog journals deployment step checkpoints into the store.
-type DeployLog struct{ s *Store }
-
-// DeployJournal returns the deployment checkpoint journal adapter.
-func (s *Store) DeployJournal() *DeployLog { return &DeployLog{s: s} }
-
-// RecordStep journals one completed build step.
-func (l *DeployLog) RecordStep(st DeployStep) {
-	_ = l.s.Append(Record{Op: OpDeployStep, Key: st.Type, Deploy: &st})
-}
-
-// RecordClear journals the end of a type's build — completion or rollback
-// — dropping its checkpoints.
-func (l *DeployLog) RecordClear(typeName string) {
-	_ = l.s.Append(Record{Op: OpDeployClear, Key: typeName})
-}
-
-// HistoryLog journals the telemetry-history sampler's output into the
-// store: series definitions once, then one small batch per sampler tick.
-// Snapshot compaction turns the batches into fixed-size ring dumps, so a
-// site's history costs bounded disk no matter how long it runs.
-type HistoryLog struct{ s *Store }
-
-// HistoryJournal returns the telemetry-history journal adapter.
-func (s *Store) HistoryJournal() *HistoryLog { return &HistoryLog{s: s} }
-
-// RecordCreate journals a new history series definition.
-func (l *HistoryLog) RecordCreate(def rrd.SeriesDef) {
-	_ = l.s.Append(Record{Op: OpHistoryCreate, Key: def.Name, HistoryDef: &def})
-}
-
-// RecordBatch journals one sampler tick's raw samples.
-func (l *HistoryLog) RecordBatch(b rrd.Batch) {
-	_ = l.s.Append(Record{Op: OpHistoryBatch, HistoryBatch: &b})
-}
-
-// CASLog journals the content-addressed artifact store's mutations, so
-// RestartSite can re-offer every verified blob the site held without
-// re-fetching a byte.
-type CASLog struct{ s *Store }
-
-// CASJournal returns the artifact-store journal adapter.
-func (s *Store) CASJournal() *CASLog { return &CASLog{s: s} }
-
-// RecordPut journals a verified blob's ingest.
-func (l *CASLog) RecordPut(b CASBlob) {
-	_ = l.s.Append(Record{Op: OpCASPut, Key: b.ID(), CAS: &b})
-}
-
-// RecordDelete journals a blob leaving the store (eviction or purge).
-func (l *CASLog) RecordDelete(id string) {
-	_ = l.s.Append(Record{Op: OpCASDelete, Key: id})
-}
+func (l *LeaseLog) RecordLimit(deployment string, max int) { _ = l.s.LimitLease(deployment, max) }

@@ -265,18 +265,17 @@ func TestStatusSurface(t *testing.T) {
 func TestDeployCheckpointRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
-	j := s.DeployJournal()
-	j.RecordStep(DeployStep{Type: "Wien2k", Build: "Wien2k", Step: "Init", Index: 0})
-	j.RecordStep(DeployStep{Type: "Wien2k", Build: "Wien2k", Step: "Download", Index: 1,
+	s.RecordStep(DeployStep{Type: "Wien2k", Build: "Wien2k", Step: "Init", Index: 0})
+	s.RecordStep(DeployStep{Type: "Wien2k", Build: "Wien2k", Step: "Download", Index: 1,
 		Transfer: true, MD5: "abc123",
 		Files: []DeployFile{{Path: "/tmp/wien2k/wien2k.tgz", Size: 100, New: true}}})
-	j.RecordStep(DeployStep{Type: "Wien2k", Build: "Wien2k", Step: "Expand", Index: 2,
+	s.RecordStep(DeployStep{Type: "Wien2k", Build: "Wien2k", Step: "Expand", Index: 2,
 		Unpacks: []DeployUnpack{{Dir: "/tmp/wien2k/wien2k-05", Artifact: "Wien2k"}}})
-	j.RecordStep(DeployStep{Type: "Counter", Build: "Counter", Step: "Init", Index: 0})
+	s.RecordStep(DeployStep{Type: "Counter", Build: "Counter", Step: "Init", Index: 0})
 	// A re-run at index 1 truncates the stale Expand checkpoint.
-	j.RecordStep(DeployStep{Type: "Wien2k", Build: "Wien2k", Step: "Download", Index: 1,
+	s.RecordStep(DeployStep{Type: "Wien2k", Build: "Wien2k", Step: "Download", Index: 1,
 		Transfer: true, MD5: "def456"})
-	j.RecordClear("Counter")
+	s.ClearSteps("Counter")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -384,14 +383,13 @@ func TestCASBlobRoundTrip(t *testing.T) {
 	added := clock.Now().Add(time.Minute)
 
 	s := mustOpen(t, Options{Dir: dir, Clock: clock, SnapshotEvery: -1})
-	j := s.CASJournal()
-	j.RecordPut(CASBlob{Algo: "sha256", Sum: "aaa", Actual: "aaa", Size: 5 << 20,
+	s.PutBlob(CASBlob{Algo: "sha256", Sum: "aaa", Actual: "aaa", Size: 5 << 20,
 		MD5: "m1", Artifact: "Ant", URL: "http://repo/ant.tgz", Added: added})
-	j.RecordPut(CASBlob{Algo: "md5", Sum: "bbb", Actual: "bbb", Size: 1 << 20, Artifact: "POVray"})
-	j.RecordPut(CASBlob{Algo: "md5", Sum: "ccc", Actual: "ccc", Size: 2 << 20})
-	j.RecordDelete("md5:ccc") // evicted: must not survive replay
+	s.PutBlob(CASBlob{Algo: "md5", Sum: "bbb", Actual: "bbb", Size: 1 << 20, Artifact: "POVray"})
+	s.PutBlob(CASBlob{Algo: "md5", Sum: "ccc", Actual: "ccc", Size: 2 << 20})
+	s.DeleteBlob("md5:ccc") // evicted: must not survive replay
 	// Re-ingest after corruption: last write wins.
-	j.RecordPut(CASBlob{Algo: "md5", Sum: "bbb", Actual: "rot-bbb", Size: 1 << 20, Artifact: "POVray"})
+	s.PutBlob(CASBlob{Algo: "md5", Sum: "bbb", Actual: "rot-bbb", Size: 1 << 20, Artifact: "POVray"})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,18 @@ import (
 	"glare/internal/xmlutil"
 )
 
-// Journal receives every mutation of a Home for durable replay (the
-// write-ahead log of internal/store satisfies it). Implementations must be
-// safe for concurrent use and must not call back into the Home: records
-// are written under the mutated resource's lock, so a key's records reach
-// the journal in the order its mutations applied and a replay ends in the
-// live state.
+// Journal receives every mutation of a Home for durable replay and
+// replication (a site binds its one site journal: the write-ahead log of
+// internal/store, then the replica fan-out). Implementations must be safe
+// for concurrent use and must not call back into the Home: records are
+// written under the mutated resource's lock, so a key's records reach the
+// journal in the order its mutations applied and a replay ends in the live
+// state.
 type Journal interface {
 	// RecordPut journals the full property document after a mutation.
+	// doc is the resource's live document, handed over under its write
+	// lock: read it during the call and never keep it or a part of it.
+	// An implementation that needs the document later copies it.
 	RecordPut(key string, doc *xmlutil.Node, lut, term time.Time)
 	// RecordDelete journals a resource removal.
 	RecordDelete(key string)
@@ -90,11 +94,13 @@ func (r *Resource) Expired(now time.Time) bool {
 	return !r.termination.IsZero() && now.After(r.termination)
 }
 
-// recordPut journals r's current state. The caller holds r.mu, so a
-// resource's records reach the journal in the order its mutations applied.
+// recordPut journals r's current state, handing the journal the live
+// document (see Journal). The caller holds r.mu, so nothing mutates the
+// document during the call and a resource's records reach the journal in
+// the order its mutations applied.
 func (r *Resource) recordPut(j Journal) {
 	if j != nil {
-		j.RecordPut(r.key, r.doc.Clone(), r.lastUpdate, r.termination)
+		j.RecordPut(r.key, r.doc, r.lastUpdate, r.termination)
 	}
 }
 
