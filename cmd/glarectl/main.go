@@ -182,7 +182,8 @@ func discover(cli *transport.Client, url, typeName, deployMode string) error {
 }
 
 func deployments(cli *transport.Client, url, typeName string) error {
-	resp, err := cli.Call(url, "LocalDeployments", xmlutil.NewNode("Type", typeName))
+	req := xmlutil.NewNode("Resolve").SetAttr("name", typeName).SetAttr("scope", "site")
+	resp, err := cli.Call(url, "Resolve", req)
 	if err != nil {
 		return err
 	}

@@ -98,6 +98,11 @@ func TestCommandsEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "site-b") {
 		owner = aURL
 	}
+	// The owner lists the deployment and its path from its own registry.
+	out, err = ctl("-url", owner, "deployments", "CLIApp")
+	if err != nil || !strings.Contains(out, "ant ") || !strings.Contains(out, "/opt/glare/deployments/ant/bin/ant") {
+		t.Fatalf("deployments before undeploy: %v\n%s", err, out)
+	}
 	out, err = ctl("-url", owner, "lease", "ant", "cli-user", "exclusive", "60")
 	if err != nil {
 		t.Fatalf("lease: %v\n%s", err, out)

@@ -40,6 +40,10 @@ func rpcRequests(g *Grid) map[string]uint64 {
 // Cache Refresher pass then probes every cached entry with one GetLUT
 // round trip. The other ops are the liveness, view, rollup, replica and
 // digest traffic of a fixed-size grid.
+//
+// The resolve_miss cases are one cold resolution each: every rung of the
+// ladder is one round of Resolve calls, so the counts are the rounds'
+// widths.
 func TestCost(t *testing.T) {
 	t.Run("idle", func(t *testing.T) {
 		want := map[int]map[string]uint64{
@@ -80,6 +84,63 @@ func TestCost(t *testing.T) {
 			}
 		}
 		t.Logf("RPCs in one idle minute (8 sites, K = 3):\n%s", table.String())
+	})
+	t.Run("resolve_miss", func(t *testing.T) {
+		// One cold DiscoverNoDeploy per scenario; every RPC it causes, on
+		// any site, is counted by op.
+		rows := []struct {
+			name, typ string
+			grid      func(t *testing.T) (g *Grid, caller int)
+			calls     uint64
+			deps      []string
+		}{
+			// resolve_grid's shape: one round to the three peers.
+			{"concrete name, 4 sites in one group, 2 of 3 peers hold it", "Render", concreteMiss, 3,
+				[]string{"render-a", "render-b"}},
+			// Site 2 holds a deployment of Render under its placeholder
+			// type, without the link to Imaging, so it and the empty site
+			// are asked again about Render: 3 + 2.
+			{"abstract name, one holder without the base chain", "Imaging", abstractMiss, 5,
+				[]string{"render-a", "render-b"}},
+			// The caller's peer (its super-peer), then the super-peer for
+			// the VO: it asks its other member and the other super-peer,
+			// which asks its member, the holder.
+			{"group-wide miss, 4 sites in 2 groups", "Render", groupMiss, 5,
+				[]string{"render-a"}},
+		}
+		var table strings.Builder
+		table.WriteString("| cold miss | Resolve | other ops | deployments |\n|---|---|---|---|\n")
+		for _, row := range rows {
+			g, caller := row.grid(t)
+			before := rpcRequests(g)
+			deps, err := g.Client(caller).DiscoverNoDeploy(row.typ)
+			if err != nil {
+				t.Fatalf("%s: %v", row.name, err)
+			}
+			var other []string
+			var calls uint64
+			for op, v := range rpcRequests(g) {
+				switch d := v - before[op]; {
+				case op == "Resolve":
+					calls = d
+				case d > 0:
+					other = append(other, fmt.Sprintf("%s %d", op, d))
+				}
+			}
+			sort.Strings(other)
+			var got []string
+			for _, d := range deps {
+				got = append(got, d.Name)
+			}
+			fmt.Fprintf(&table, "| %s | %d | %s | %s |\n", row.name, calls, strings.Join(other, ", "), strings.Join(got, " "))
+			if calls != row.calls || len(other) > 0 {
+				t.Errorf("%s: Resolve = %d and other ops %v, want Resolve = %d and nothing else", row.name, calls, other, row.calls)
+			}
+			if strings.Join(got, " ") != strings.Join(row.deps, " ") {
+				t.Errorf("%s: deployments %v, want %v", row.name, got, row.deps)
+			}
+		}
+		t.Logf("RPCs per cold resolve:\n%s", table.String())
 	})
 	t.Run("allocs", func(t *testing.T) {
 		if raceDetector {
@@ -182,4 +243,64 @@ func idleMinute(t *testing.T, n int) (map[string]uint64, time.Duration) {
 		}
 	}
 	return delta, wall
+}
+
+// concreteMiss is resolve_grid's shape for one type: site 0 asks, and
+// Render with one deployment each lives on sites 1 and 2 of a 4-site group.
+func concreteMiss(t *testing.T) (*Grid, int) {
+	g := newGrid(t, GridOptions{Sites: 4, GroupSize: 4})
+	if err := g.Elect(); err != nil {
+		t.Fatal(err)
+	}
+	for i, dep := range []string{"render-a", "render-b"} {
+		if err := g.Client(1 + i).RegisterType(&Type{Name: "Render"}); err != nil {
+			t.Fatal(err)
+		}
+		registerDeployment(t, g, 1+i, dep, "Render")
+	}
+	return g, 0
+}
+
+// abstractMiss: site 1 holds the abstract Imaging, its concrete subtype
+// Render and one deployment; site 2 holds the other deployment under the
+// placeholder type that registering it created; site 3 holds nothing.
+func abstractMiss(t *testing.T) (*Grid, int) {
+	g := newGrid(t, GridOptions{Sites: 4, GroupSize: 4})
+	if err := g.Elect(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Client(1).RegisterTypes(&Type{Name: "Imaging", Abstract: true},
+		&Type{Name: "Render", Base: []string{"Imaging"}}); err != nil {
+		t.Fatal(err)
+	}
+	registerDeployment(t, g, 1, "render-a", "Render")
+	registerDeployment(t, g, 2, "render-b", "Render")
+	return g, 0
+}
+
+// groupMiss: two groups of two; a member of one group asks, and the
+// member of the other group holds Render and its deployment.
+func groupMiss(t *testing.T) (*Grid, int) {
+	g := newGrid(t, GridOptions{Sites: 4, GroupSize: 2})
+	if err := g.Elect(); err != nil {
+		t.Fatal(err)
+	}
+	caller, holder := -1, -1
+	for i := 0; i < g.Sites(); i++ {
+		switch {
+		case g.IsSuperPeer(i):
+		case caller < 0:
+			caller = i
+		case g.SuperPeerOf(i) != g.SuperPeerOf(caller):
+			holder = i
+		}
+	}
+	if caller < 0 || holder < 0 {
+		t.Fatal("the election did not form two groups of two")
+	}
+	if err := g.Client(holder).RegisterType(&Type{Name: "Render"}); err != nil {
+		t.Fatal(err)
+	}
+	registerDeployment(t, g, holder, "render-a", "Render")
+	return g, caller
 }

@@ -73,9 +73,9 @@ func RunAblationOverlay(sites, entries, requests int) ([]AblationPoint, error) {
 	for r := 0; r < requests; r++ {
 		t0 := time.Now()
 		total := 0
+		req := xmlutil.NewNode("Resolve").SetAttr("name", "AblApp").SetAttr("scope", "site")
 		for _, n := range v.Nodes[1:] {
-			resp, err := v.Client.Call(n.Info.ServiceURL(rdm.ServiceName),
-				"LocalDeployments", xmlutil.NewNode("Type", "AblApp"))
+			resp, err := v.Client.Call(n.Info.ServiceURL(rdm.ServiceName), "Resolve", req)
 			if err != nil {
 				return nil, err
 			}

@@ -180,6 +180,9 @@ func (s *Service) RefreshCaches() (revived, discarded int) {
 		if err != nil {
 			return epr.EPR{}, nil, err
 		}
+		if resp == nil {
+			return epr.EPR{}, nil, errEmptyAnswer
+		}
 		lut, err := s.probeLUT(context.Background(), sp, source.Address, source.Key)
 		if err != nil {
 			return epr.EPR{}, nil, err

@@ -5,8 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"glare/internal/activity"
+	"glare/internal/adr"
+	"glare/internal/epr"
 	"glare/internal/simclock"
 	"glare/internal/telemetry"
+	"glare/internal/transport"
+	"glare/internal/xmlutil"
 )
 
 // TestScheduleDriverSkipsBusyPass: the StartMonitors driver starts each
@@ -57,4 +62,39 @@ func TestScheduleDriverSkipsBusyPass(t *testing.T) {
 	tick()
 	until(func() bool { return slow.Load() == 2 }, "the released pass to run again")
 	until(func() bool { return passRuns("fast") == 12 }, "the fast pass count")
+}
+
+// TestRefresherDiscardsEmptyAnswers: a source that answers GetLUT or Get
+// with an empty body (its handler returned nil, nil) makes the Cache
+// Refresher discard the entry it was checking, instead of crashing on the
+// missing LUT or caching a nil document for a later lookup to trip over.
+func TestRefresherDiscardsEmptyAnswers(t *testing.T) {
+	svc, _ := single(t)
+	empty := func(*xmlutil.Node) (*xmlutil.Node, error) { return nil, nil }
+	newer := func(*xmlutil.Node) (*xmlutil.Node, error) {
+		return xmlutil.NewNode("LUT", time.Date(2030, 1, 1, 0, 0, 0, 0, time.UTC).Format(epr.TimeLayout)), nil
+	}
+	peer := transport.NewServer()
+	peer.Register("NoLUT", "GetLUT", empty)
+	peer.Register("NoDoc", "GetLUT", newer)
+	peer.Register("NoDoc", "Get", empty)
+	if err := peer.Start("127.0.0.1:0", nil); err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	keys := map[string]string{"dep:no-lut": "NoLUT", "dep:no-doc": "NoDoc"}
+	for key, service := range keys {
+		d := &activity.Deployment{Name: key[len("dep:"):], Type: "App", Kind: activity.KindExecutable, Path: "/opt/app/bin/run"}
+		svc.depCache.Put(key, epr.New(peer.ServiceURL(service), adr.KeyName, d.Name), d.ToXML())
+	}
+	revived, discarded := svc.RefreshCaches()
+	if revived != 0 || discarded != len(keys) {
+		t.Fatalf("refresh revived %d and discarded %d entries, want 0 and %d", revived, discarded, len(keys))
+	}
+	for key := range keys {
+		if _, ok := svc.depCache.Peek(key); ok {
+			t.Errorf("%s is still cached after its source answered with nothing", key)
+		}
+	}
 }

@@ -82,62 +82,7 @@ func (s *Service) Mount(srv *transport.Server) {
 		},
 
 		// --- overlay resolution protocol -----------------------------
-		"ConcreteOf": func(_ context.Context, _ *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
-			types, err := s.ATR.ConcreteOf(textOf(body))
-			if err != nil {
-				return nil, err
-			}
-			return typeList(types), nil
-		},
-		"GroupConcreteOf": func(ctx context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
-			return typeList(s.groupConcreteOf(ctx, sp, textOf(body))), nil
-		},
-		"ForwardConcreteOf": func(ctx context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
-			name := textOf(body)
-			// Answer from our group first, then the other super-peers.
-			if types := s.groupConcreteOf(ctx, sp, name); len(types) > 0 {
-				return typeList(types), nil
-			}
-			// Best effort: peers this super-peer cannot reach are simply
-			// absent from the answer; the querying site tracks its own
-			// unavailability.
-			types, _ := s.superFanOut(ctx, sp, name)
-			return typeList(types), nil
-		},
-		"LocalDeployments": func(ctx context.Context, _ *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
-			ds := s.ADR.ByType(textOf(body))
-			if s.scanDelay > 0 {
-				// Modeled container processing: proportional to the size
-				// of the local registry this site had to scan. The caller's
-				// deadline interrupts the scan — finishing it would only
-				// produce an answer nobody is waiting for.
-				t := time.NewTimer(time.Duration(s.ADR.Len()) * s.scanDelay)
-				defer t.Stop()
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-			return deploymentList(ds), nil
-		},
-		"GroupDeployments": func(ctx context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
-			return deploymentList(s.groupDeployments(ctx, sp, textOf(body))), nil
-		},
-		"ForwardDeployments": func(ctx context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
-			name := textOf(body)
-			merged := map[string]*activity.Deployment{}
-			for _, d := range s.groupDeployments(ctx, sp, name) {
-				merged[d.Name] = d
-			}
-			forwarded, _ := s.forwardDeployments(ctx, sp, name)
-			for _, d := range forwarded {
-				if _, dup := merged[d.Name]; !dup {
-					merged[d.Name] = d
-				}
-			}
-			return deploymentList(sortedDeployments(merged)), nil
-		},
+		"Resolve": s.answerResolve,
 		"RegistryDigest": func(context.Context, *telemetry.Span, *xmlutil.Node) (*xmlutil.Node, error) {
 			// Anti-entropy: the caller reconciles against this site's
 			// (name → LastUpdateTime) registry summary.
@@ -303,14 +248,6 @@ func textOf(body *xmlutil.Node) string {
 		return ""
 	}
 	return body.Text
-}
-
-func typeList(ts []*activity.Type) *xmlutil.Node {
-	n := xmlutil.NewNode("Types")
-	for _, t := range ts {
-		n.Add(t.ToXML())
-	}
-	return n
 }
 
 func deploymentList(ds []*activity.Deployment) *xmlutil.Node {

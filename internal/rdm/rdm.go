@@ -84,7 +84,8 @@ type Config struct {
 	// configuration).
 	CacheDisabled bool
 	// ScanDelayPerEntry models the remote registry container's processing
-	// time per scanned deployment entry when answering LocalDeployments.
+	// time per scanned deployment entry when answering a site-scope
+	// Resolve call, once per call.
 	// It is a blocking delay, so scans on different (simulated) sites
 	// overlap like real machines would; zero disables the model.
 	ScanDelayPerEntry time.Duration

@@ -2,8 +2,12 @@ package rdm
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 
 	"glare/internal/activity"
@@ -100,26 +104,22 @@ func (s *Service) GetDeploymentsCtx(ctx context.Context, parent *telemetry.Span,
 }
 
 func (s *Service) getDeployments(ctx context.Context, sp *telemetry.Span, typeName string, method Method, allowDeploy bool) ([]*activity.Deployment, error) {
-	concrete, err := s.resolveConcrete(ctx, sp, typeName)
+	c, err := s.climb(ctx, sp, typeName, nil, "")
 	if err != nil {
 		return nil, err
 	}
-	if len(concrete) == 0 {
+	if len(c.types) == 0 {
 		return nil, fmt.Errorf("rdm: no activity type matching %q in the VO", typeName)
 	}
-	var out []*activity.Deployment
-	for _, ct := range concrete {
-		out = append(out, s.resolveDeployments(ctx, sp, ct.Name)...)
-	}
-	if len(out) > 0 {
-		return dedupeDeployments(out), nil
+	if out := c.open.all(c.closed); len(out) > 0 {
+		return out, nil
 	}
 	if !allowDeploy {
 		return nil, fmt.Errorf("rdm: no deployments of %q and on-demand deployment disabled", typeName)
 	}
 	// On-demand deployment of the first installable concrete type.
 	var lastErr error
-	for _, ct := range concrete {
+	for _, ct := range c.types {
 		if ct.Installation == nil {
 			continue
 		}
@@ -148,368 +148,352 @@ func (s *Service) getDeployments(ctx context.Context, sp *telemetry.Span, typeNa
 // to concrete types, looking successively at the local registry, the local
 // cache, the peer group, and — through the super-peer — the wider VO.
 func (s *Service) ResolveConcrete(typeName string) ([]*activity.Type, error) {
-	return s.resolveConcrete(context.Background(), nil, typeName)
+	c, err := s.climb(context.Background(), nil, typeName, nil, "")
+	return c.types, err
 }
 
-func (s *Service) resolveConcrete(ctx context.Context, sp *telemetry.Span, typeName string) ([]*activity.Type, error) {
-	// 1. Local hierarchy (hash lookup + subtype closure).
-	local, err := s.ATR.ConcreteOf(typeName)
-	if err != nil {
-		return nil, err
-	}
-	if len(local) > 0 {
-		s.resolveSrc("local").Inc()
-		return local, nil
-	}
-	// 2. Cache.
-	if !s.cacheOff {
-		if e, ok := s.typeCache.Get("concrete:" + typeName); ok {
-			s.resolveSrc("cache").Inc()
-			return typesFromList(e.Doc), nil
+// Scopes of a Resolve call: how much of the VO the answering site speaks
+// for.
+const (
+	scopeSite  = "site"  // its own registries
+	scopeGroup = "group" // its peer group; one super-peer asks another
+	scopeVO    = "vo"    // the whole VO; a group member asks its super-peer
+)
+
+// A climb is one walk up the resolution ladder: local registry, cache,
+// peer group, super-peer.
+type climb struct {
+	types  []*activity.Type
+	source string                 // the rung that resolved the name
+	open   found                  // deployments of the types the remote rungs serve
+	closed []*activity.Deployment // deployments of the types the cache closed
+}
+
+// climb walks the ladder for name, taking listed types as resolved. The
+// first rung that resolves the name fixes the concrete types; each rung is
+// one round of Resolve calls about every open type. Peers whose answer
+// missed a type are asked again about it, and the last rung is asked
+// once, about the types the group holds no deployment of: "A super-peer
+// is contacted when other peers could not find information about some
+// activity types or deployments within the group."
+//
+// scope is empty for the site's own resolution, which alone uses the
+// cache and counts its source once and, per type, degradation and the
+// stale fallback. Answering a call, a site climbs no higher than its
+// scope. The climb returned is never nil.
+func (s *Service) climb(ctx context.Context, sp *telemetry.Span, name string, listed []*activity.Type, scope string) (*climb, error) {
+	own := scope == ""
+	cache := own && !s.cacheOff
+	c := &climb{open: found{}}
+	fix := func(types []*activity.Type, source string) {
+		c.types, c.source = types, source
+		for _, t := range types {
+			local := s.ADR.ByType(t.Name)
+			if cached, ok := s.indexed(cache, t.Name, false); ok && len(local)+len(cached) > 0 {
+				c.closed = append(append(c.closed, local...), cached...)
+			} else {
+				c.open[t.Name] = local
+			}
 		}
 	}
-	// 3. Peer group (peer-to-peer interaction within the group).
-	view := s.view()
-	unreachable := false
-	for _, peer := range view.Peers(s.selfName()) {
-		types, err := s.remoteConcreteOf(ctx, sp, peer, typeName)
-		if transport.IsUnavailable(err) {
-			unreachable = true
-		}
-		if len(types) > 0 {
-			s.cacheTypes(typeName, peer, types)
-			s.resolveSrc("peer").Inc()
-			return types, nil
+	// "It then forwards requests to other super-peers and caches the
+	// results."
+	adopt := func(by *ask, source string, keep bool) {
+		if by != nil {
+			if fix(typesFromList(by.resp), source); keep {
+				s.cacheTypes(name, by.to, c.types)
+			}
 		}
 	}
-	// 4. Super-peer forwarding ("A super-peer is contacted when other
-	// peers could not find information ... It then forwards requests to
-	// other super-peers and caches the results").
-	types, err := s.forwardConcreteOf(ctx, sp, typeName)
-	if transport.IsUnavailable(err) {
-		unreachable = true
+	types := listed
+	if len(listed) == 0 {
+		var err error
+		if types, err = s.ATR.ConcreteOf(name); err != nil {
+			return c, err
+		}
 	}
-	if len(types) > 0 {
-		s.resolveSrc("superpeer").Inc()
-		return types, nil
+	if fix(types, "local"); len(types) == 0 && cache {
+		if e, ok := s.typeCache.Get("concrete:" + name); ok {
+			fix(typesFromList(e.Doc), "cache")
+		}
 	}
-	// 5. Degraded: part of the VO was unreachable, so "not found" is not
-	// trustworthy — an expired cache entry beats an error. The revival
-	// window (SetStaleFor) bounds how old an answer we are willing to
-	// serve.
-	if unreachable {
+	// The remote rungs: the group peers, and the sites of the last rung
+	// with the scope they are asked at. A cache hit reads no view.
+	var peers, tops []superpeer.SiteInfo
+	top := scopeGroup
+	if scope != scopeSite && (len(c.types) == 0 || len(c.open) > 0) {
+		view, self := s.view(), s.selfName()
+		peers = view.Peers(self)
+		switch {
+		case scope == scopeVO || own && view.SuperPeer.Name == self:
+			tops = superpeer.View{Group: view.SuperPeers}.Peers(self)
+		case own:
+			tops, top = []superpeer.SiteInfo{view.SuperPeer}, scopeVO
+		case scope != scopeGroup:
+			return c, fmt.Errorf("Resolve: unknown scope %q", scope)
+		}
+	}
+	var group, super []*ask
+	if len(c.types) == 0 || len(c.open) > 0 {
+		group = asksTo(peers, c.open.names(false))
+		adopt(s.askAll(ctx, sp, scopeSite, name, group), "peer", own)
+	}
+	if len(c.types) == 0 {
+		super = asksTo(tops, nil)
+		adopt(s.askAll(ctx, sp, top, name, super), "superpeer", true)
+	}
+	if len(c.types) == 0 && own && unreached(append(group, super...), name, name) {
+		// Part of the VO was unreachable, so "not found" is not
+		// trustworthy: an expired entry inside its revival window
+		// (SetStaleFor) beats an error.
 		s.degraded.Inc()
-		if !s.cacheOff {
-			if e, ok := s.typeCache.GetStale("concrete:" + typeName); ok {
+		if cache {
+			if e, ok := s.typeCache.GetStale("concrete:" + name); ok {
+				fix(typesFromList(e.Doc), "stale")
+			}
+		}
+	}
+	group = append(group, s.askAgain(ctx, sp, name, group, c.open.names(false))...)
+	s.gather(c.open, name, group, own)
+	// The last rung speaks only for the types the group holds nothing of.
+	bare := c.open.names(true)
+	if len(bare) == 0 {
+		super = nil
+	} else if super == nil {
+		super = asksTo(tops, bare)
+		s.askAll(ctx, sp, top, name, super)
+	}
+	for _, a := range super {
+		a.listed = bare
+	}
+	s.gather(c.open, name, super, true)
+	if !own || len(c.types) == 0 {
+		return c, nil
+	}
+	s.resolveSrc(c.source).Inc()
+	asks := append(group, super...)
+	for t, ds := range c.open {
+		// Part of the VO did not answer about t: count the degraded
+		// resolution and, when nothing was found, serve stale cache
+		// entries inside their revival window, marked Degraded. They are
+		// not re-indexed, which would hide the degradation.
+		if unreached(asks, name, t) {
+			s.degraded.Inc()
+			if stale, _ := s.indexed(cache && len(ds) == 0, t, true); len(stale) > 0 {
+				c.open[t] = stale
 				s.resolveSrc("stale").Inc()
-				return typesFromList(e.Doc), nil
+				continue
+			}
+		}
+		if cache && len(ds) > 0 {
+			idx := xmlutil.NewNode("Index")
+			for _, d := range ds {
+				idx.Elem("Name", d.Name)
+			}
+			s.depCache.Put("index:"+t, epr.EPR{}, idx)
+		}
+	}
+	return c, nil
+}
+
+// indexed returns, when use is set, the cached deployments typeName's
+// cached index names: fresh entries or, with stale set, entries inside
+// their revival window, marked Degraded. ok reports an index was there.
+func (s *Service) indexed(use bool, typeName string, stale bool) (out []*activity.Deployment, ok bool) {
+	if !use {
+		return nil, false
+	}
+	get := s.depCache.Get
+	if stale {
+		get = s.depCache.GetStale
+	}
+	idx, ok := get("index:" + typeName)
+	if !ok {
+		return nil, false
+	}
+	out = make([]*activity.Deployment, 0, len(idx.Doc.Children))
+	for _, n := range idx.Doc.All("Name") {
+		if e, ok := get("dep:" + n.Text); ok {
+			if d, err := activity.DeploymentFromXML(e.Doc); err == nil {
+				d.Degraded = stale
+				out = append(out, d)
 			}
 		}
 	}
-	return nil, nil
+	return out, true
 }
 
-// remoteConcreteOf asks one remote RDM for its local concrete resolution.
-// An Unavailable error means the peer could not be reached (as opposed to
-// not knowing the type) and feeds the caller's degradation decision.
-func (s *Service) remoteConcreteOf(ctx context.Context, sp *telemetry.Span, target superpeer.SiteInfo, typeName string) ([]*activity.Type, error) {
-	if target.IsZero() {
-		return nil, nil
-	}
-	resp, err := s.call(ctx, sp, target.ServiceURL(ServiceName), "ConcreteOf",
-		xmlutil.NewNode("Name", typeName))
-	if err != nil {
-		return nil, err
-	}
-	if resp == nil {
-		return nil, nil
-	}
-	return typesFromList(resp), nil
+// An ask is one Resolve call and, once made, its answer.
+type ask struct {
+	to     superpeer.SiteInfo
+	listed []string // the types asked about; none: resolve the name
+	resp   *xmlutil.Node
+	err    error
 }
 
-// forwardConcreteOf routes the lookup through the super-peer overlay.
-func (s *Service) forwardConcreteOf(ctx context.Context, sp *telemetry.Span, typeName string) ([]*activity.Type, error) {
-	view := s.view()
-	if view.SuperPeer.IsZero() {
-		return nil, nil
+// covers reports whether the answer speaks for type t. A call that listed
+// types is taken at its list. One that listed none covers the types it
+// resolved the name to and the name itself, and, when it failed, any type.
+func (a *ask) covers(name, t string) bool {
+	switch {
+	case len(a.listed) > 0:
+		return slices.Contains(a.listed, t)
+	case a.resp == nil:
+		return a.err != nil
 	}
-	if view.SuperPeer.Name == s.selfName() {
-		// We are the super-peer: fan out to the other super-peers' groups.
-		return s.superFanOut(ctx, sp, typeName)
-	}
-	resp, err := s.call(ctx, sp, view.SuperPeer.ServiceURL(ServiceName), "ForwardConcreteOf",
-		xmlutil.NewNode("Name", typeName))
-	if err != nil {
-		return nil, err
-	}
-	if resp == nil {
-		return nil, nil
-	}
-	types := typesFromList(resp)
-	if len(types) > 0 {
-		s.cacheTypes(typeName, view.SuperPeer, types)
-	}
-	return types, nil
+	return t == name || slices.ContainsFunc(a.resp.Children, func(n *xmlutil.Node) bool {
+		return n.Name == "ActivityTypeEntry" && n.AttrOr("name", "") == t
+	})
 }
 
-// superFanOut is the super-peer side of type forwarding: ask every other
-// super-peer to answer from its group, cache what comes back. When no
-// answer is found and at least one super-peer was unreachable, the
-// returned error reports that the miss is untrustworthy.
-func (s *Service) superFanOut(ctx context.Context, sp *telemetry.Span, typeName string) ([]*activity.Type, error) {
-	view := s.view()
-	var lastUnavailable error
-	for _, peer := range view.SuperPeers {
-		if peer.Name == s.selfName() {
-			continue
+// unreached reports whether a call that would have spoken for type t
+// found its site unreachable, so the answer about t may be incomplete.
+func unreached(asks []*ask, name, t string) bool {
+	return slices.ContainsFunc(asks, func(a *ask) bool {
+		return transport.IsUnavailable(a.err) && a.covers(name, t)
+	})
+}
+
+// asksTo returns one ask to each site about the listed types.
+func asksTo(sites []superpeer.SiteInfo, listed []string) (asks []*ask) {
+	for _, site := range sites {
+		if !site.IsZero() {
+			asks = append(asks, &ask{to: site, listed: listed})
 		}
-		resp, err := s.call(ctx, sp, peer.ServiceURL(ServiceName), "GroupConcreteOf",
-			xmlutil.NewNode("Name", typeName))
-		if err != nil {
-			if transport.IsUnavailable(err) {
-				lastUnavailable = err
+	}
+	return asks
+}
+
+// askAgain asks each peer whose answer in asks left some of types
+// uncovered about those types only: a peer can hold deployments of a type
+// without that type's link to an abstract name.
+func (s *Service) askAgain(ctx context.Context, sp *telemetry.Span, name string, asks []*ask, types []string) []*ask {
+	var again []*ask
+	for _, a := range asks {
+		var missing []string
+		for _, t := range types {
+			if a.resp != nil && !a.covers(name, t) {
+				missing = append(missing, t)
 			}
-			continue
 		}
-		if resp == nil {
-			continue
-		}
-		if types := typesFromList(resp); len(types) > 0 {
-			s.cacheTypes(typeName, peer, types)
-			return types, nil
+		if len(missing) > 0 {
+			again = append(again, &ask{to: a.to, listed: missing})
 		}
 	}
-	return nil, lastUnavailable
+	s.askAll(ctx, sp, scopeSite, name, again)
+	return again
 }
 
-// groupConcreteOf answers a forwarded lookup from this super-peer's group:
-// our own registry plus every group member's.
-func (s *Service) groupConcreteOf(ctx context.Context, sp *telemetry.Span, typeName string) []*activity.Type {
-	local, err := s.ATR.ConcreteOf(typeName)
-	if err == nil && len(local) > 0 {
-		return local
+// askAll makes every ask's Resolve call at scope, concurrently, and
+// returns the first answer, in order, that resolved the name.
+func (s *Service) askAll(ctx context.Context, sp *telemetry.Span, scope, name string, asks []*ask) *ask {
+	var wg sync.WaitGroup
+	for _, a := range asks {
+		req := xmlutil.NewNode("Resolve").SetAttr("name", name).SetAttr("scope", scope)
+		for _, t := range a.listed {
+			req.Elem("Type", t)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a.resp, a.err = s.call(ctx, sp, a.to.ServiceURL(ServiceName), "Resolve", req)
+		}()
 	}
-	view := s.view()
-	for _, peer := range view.Peers(s.selfName()) {
-		if types, _ := s.remoteConcreteOf(ctx, sp, peer, typeName); len(types) > 0 {
-			return types
+	wg.Wait()
+	for _, a := range asks {
+		if a.resp != nil && a.resp.First("ActivityTypeEntry") != nil {
+			return a
 		}
 	}
 	return nil
 }
 
-// resolveDeployments collects the deployments of a concrete type from the
-// whole VO: local registry, cache, peer group, super-peer fan-out. Results
-// are merged (Fig. 12 spreads deployments across sites and expects the
-// full list back).
-func (s *Service) resolveDeployments(ctx context.Context, sp *telemetry.Span, typeName string) []*activity.Deployment {
-	merged := map[string]*activity.Deployment{}
-	for _, d := range s.ADR.ByType(typeName) {
-		merged[d.Name] = d
-	}
-	// Cache: a per-type index of deployment names, each name its own
-	// cached entry (so LUT-based revival works per deployment).
-	if !s.cacheOff {
-		if idx, ok := s.depCache.Get("index:" + typeName); ok {
-			for _, n := range idx.Doc.All("Name") {
-				if e, ok := s.depCache.Get("dep:" + n.Text); ok {
-					if d, err := activity.DeploymentFromXML(e.Doc); err == nil {
-						if _, dup := merged[d.Name]; !dup {
-							merged[d.Name] = d
-						}
-					}
+// gather files the deployments the answers hold of the types f has a key
+// for and the answers cover. With keep set, each is also cached under the
+// site that sent it.
+func (s *Service) gather(f found, name string, asks []*ask, keep bool) {
+	for _, a := range asks {
+		if a.resp == nil {
+			continue
+		}
+		for _, d := range deploymentsFromList(a.resp) {
+			if _, ok := f[d.Type]; ok && a.covers(name, d.Type) {
+				f[d.Type] = append(f[d.Type], d)
+				if keep {
+					s.cacheDeployment(a.to, d)
 				}
 			}
-			if len(merged) > 0 {
-				return sortedDeployments(merged)
-			}
 		}
 	}
-	// Peer group — queried concurrently: with deployments spread across k
-	// sites each registry scans only its share, so the wall-clock cost of
-	// one request drops as k grows (the Fig. 12 effect).
-	view := s.view()
-	answers, unreachable := s.fanOutDeployments(ctx, sp, view.Peers(s.selfName()), typeName)
-	for peer, ds := range answers {
-		for _, d := range ds {
-			if _, dup := merged[d.Name]; !dup {
-				merged[d.Name] = d
-				s.cacheDeployment(peer, d)
-			}
-		}
-	}
-	// Super-peer fan-out — only on a group-wide miss: "A super-peer is
-	// contacted when other peers could not find information about some
-	// activity types or deployments within the group."
-	if len(merged) == 0 {
-		ds, err := s.forwardDeployments(ctx, sp, typeName)
-		if transport.IsUnavailable(err) {
-			unreachable = true
-		}
-		for _, d := range ds {
-			if _, dup := merged[d.Name]; !dup {
-				merged[d.Name] = d
-			}
-		}
-	}
-	staleServed := false
-	if unreachable {
-		// Part of the VO did not answer: the merged set may be missing
-		// that part's deployments. Count the degraded resolution and, when
-		// we would otherwise return nothing, fall back to stale cache
-		// entries past their revival window, marked so schedulers can
-		// prefer fresh alternatives.
-		s.degraded.Inc()
-		if len(merged) == 0 && !s.cacheOff {
-			if idx, ok := s.depCache.GetStale("index:" + typeName); ok {
-				for _, n := range idx.Doc.All("Name") {
-					e, ok := s.depCache.GetStale("dep:" + n.Text)
-					if !ok {
-						continue
-					}
-					if d, err := activity.DeploymentFromXML(e.Doc); err == nil {
-						d.Degraded = true
-						if _, dup := merged[d.Name]; !dup {
-							merged[d.Name] = d
-						}
-					}
-				}
-			}
-			if len(merged) > 0 {
-				s.resolveSrc("stale").Inc()
-				staleServed = true
-			}
-		}
-	}
-	out := sortedDeployments(merged)
-	// Do not re-index a stale-served result: that would stamp outdated
-	// data as fresh and hide the degradation from the next resolution.
-	if !s.cacheOff && len(out) > 0 && !staleServed {
-		idx := xmlutil.NewNode("Index")
-		for _, d := range out {
-			idx.Elem("Name", d.Name)
-		}
-		s.depCache.Put("index:"+typeName, epr.EPR{}, idx)
-	}
-	return out
 }
 
-// remoteDeployments asks one peer for its local deployments. An
-// Unavailable error distinguishes a dead peer from one with nothing to
-// offer.
-func (s *Service) remoteDeployments(ctx context.Context, sp *telemetry.Span, target superpeer.SiteInfo, typeName string) ([]*activity.Deployment, error) {
-	if target.IsZero() {
-		return nil, nil
+// answerResolve serves a Resolve call: the concrete types the scope
+// resolves the name to, only when the request listed none, and the
+// deployments the scope holds of those or of the listed types; a site
+// scope adds its deployments of the name itself. Unreachable sites are
+// simply absent: the caller tracks its own unavailability.
+func (s *Service) answerResolve(ctx context.Context, sp *telemetry.Span, req *xmlutil.Node) (*xmlutil.Node, error) {
+	if req == nil {
+		return nil, fmt.Errorf("Resolve: missing request")
 	}
-	resp, err := s.call(ctx, sp, target.ServiceURL(ServiceName), "LocalDeployments",
-		xmlutil.NewNode("Type", typeName))
+	name, scope := req.AttrOr("name", ""), req.AttrOr("scope", scopeSite)
+	var listed []*activity.Type
+	for _, n := range req.All("Type") {
+		listed = append(listed, &activity.Type{Name: n.Text})
+	}
+	c, err := s.climb(ctx, sp, name, listed, scope)
 	if err != nil {
 		return nil, err
 	}
-	if resp == nil {
-		return nil, nil
+	if _, ok := c.open[name]; !ok && scope == scopeSite {
+		c.open[name] = s.ADR.ByType(name)
 	}
-	return deploymentsFromList(resp), nil
-}
-
-func (s *Service) forwardDeployments(ctx context.Context, sp *telemetry.Span, typeName string) ([]*activity.Deployment, error) {
-	view := s.view()
-	if view.SuperPeer.IsZero() {
-		return nil, nil
-	}
-	if view.SuperPeer.Name == s.selfName() {
-		var out []*activity.Deployment
-		var lastUnavailable error
-		for _, peer := range view.SuperPeers {
-			if peer.Name == s.selfName() {
-				continue
-			}
-			resp, err := s.call(ctx, sp, peer.ServiceURL(ServiceName), "GroupDeployments",
-				xmlutil.NewNode("Type", typeName))
-			if err != nil {
-				if transport.IsUnavailable(err) {
-					lastUnavailable = err
-				}
-				continue
-			}
-			if resp == nil {
-				continue
-			}
-			for _, d := range deploymentsFromList(resp) {
-				out = append(out, d)
-				s.cacheDeployment(peer, d)
-			}
+	if scope == scopeSite && s.scanDelay > 0 {
+		// Modeled container processing, once per call and proportional to
+		// the registry scanned; the caller's deadline interrupts it.
+		select {
+		case <-time.After(time.Duration(s.ADR.Len()) * s.scanDelay):
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		if len(out) > 0 {
-			return out, nil
+	}
+	out := xmlutil.NewNode("Resolved")
+	if len(listed) == 0 {
+		for _, t := range c.types {
+			out.Add(t.ToXML())
 		}
-		return nil, lastUnavailable
 	}
-	resp, err := s.call(ctx, sp, view.SuperPeer.ServiceURL(ServiceName), "ForwardDeployments",
-		xmlutil.NewNode("Type", typeName))
-	if err != nil {
-		return nil, err
-	}
-	if resp == nil {
-		return nil, nil
-	}
-	out := deploymentsFromList(resp)
-	for _, d := range out {
-		s.cacheDeployment(view.SuperPeer, d)
+	for _, d := range c.open.all(nil) {
+		out.Add(d.ToXML())
 	}
 	return out, nil
 }
 
-// groupDeployments answers a forwarded deployment lookup from this
-// super-peer's whole group, fanning out to the members concurrently.
-func (s *Service) groupDeployments(ctx context.Context, sp *telemetry.Span, typeName string) []*activity.Deployment {
-	merged := map[string]*activity.Deployment{}
-	for _, d := range s.ADR.ByType(typeName) {
-		merged[d.Name] = d
-	}
-	view := s.view()
-	answers, _ := s.fanOutDeployments(ctx, sp, view.Peers(s.selfName()), typeName)
-	for _, ds := range answers {
-		for _, d := range ds {
-			if _, dup := merged[d.Name]; !dup {
-				merged[d.Name] = d
-			}
+// found holds deployments by concrete type; only the types it has a key
+// for take any.
+type found map[string][]*activity.Deployment
+
+// names returns the types in name order; with bare set, only those
+// without a deployment.
+func (f found) names(bare bool) []string {
+	var out []string
+	for t, ds := range f {
+		if !bare || len(ds) == 0 {
+			out = append(out, t)
 		}
 	}
-	return sortedDeployments(merged)
+	sort.Strings(out)
+	return out
 }
 
-// fanOutDeployments queries several remote registries concurrently. It
-// additionally reports whether any peer was unreachable, so the caller
-// knows the merged answer may be incomplete.
-func (s *Service) fanOutDeployments(ctx context.Context, sp *telemetry.Span, peers []superpeer.SiteInfo, typeName string) (map[superpeer.SiteInfo][]*activity.Deployment, bool) {
-	out := make(map[superpeer.SiteInfo][]*activity.Deployment, len(peers))
-	if len(peers) == 0 {
-		return out, false
+// all returns first and then every deployment in f, the first copy of
+// each name, in name order.
+func (f found) all(first []*activity.Deployment) []*activity.Deployment {
+	for _, t := range f.names(false) {
+		first = append(first, f[t]...)
 	}
-	type answer struct {
-		peer superpeer.SiteInfo
-		ds   []*activity.Deployment
-		err  error
-	}
-	ch := make(chan answer, len(peers))
-	for _, peer := range peers {
-		go func(p superpeer.SiteInfo) {
-			ds, err := s.remoteDeployments(ctx, sp, p, typeName)
-			ch <- answer{peer: p, ds: ds, err: err}
-		}(peer)
-	}
-	unreachable := false
-	for range peers {
-		a := <-ch
-		if transport.IsUnavailable(a.err) {
-			unreachable = true
-		}
-		if len(a.ds) > 0 {
-			out[a.peer] = a.ds
-		}
-	}
-	return out, unreachable
+	slices.SortStableFunc(first, func(a, b *activity.Deployment) int { return strings.Compare(a.Name, b.Name) })
+	return slices.CompactFunc(first, func(a, b *activity.Deployment) bool { return a.Name == b.Name })
 }
 
 // ----------------------------------------------------------- cache plumbing
@@ -562,29 +546,6 @@ func deploymentsFromList(list *xmlutil.Node) []*activity.Deployment {
 	return out
 }
 
-func sortedDeployments(m map[string]*activity.Deployment) []*activity.Deployment {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*activity.Deployment, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out
-}
-
-func dedupeDeployments(in []*activity.Deployment) []*activity.Deployment {
-	m := map[string]*activity.Deployment{}
-	for _, d := range in {
-		if _, dup := m[d.Name]; !dup {
-			m[d.Name] = d
-		}
-	}
-	return sortedDeployments(m)
-}
-
 // LookupType finds a single named type locally, in cache, or remotely.
 func (s *Service) LookupType(name string) (*activity.Type, bool) {
 	return s.lookupType(context.Background(), nil, name)
@@ -626,12 +587,19 @@ func (s *Service) lookupType(ctx context.Context, sp *telemetry.Span, name strin
 	return nil, false
 }
 
+// errEmptyAnswer reports a call that succeeded with no answer where the
+// cache refresher needs one: the entry it was checking is discarded.
+var errEmptyAnswer = errors.New("rdm: empty answer")
+
 // probeLUT fetches the current LastUpdateTime of a remote resource for the
 // cache refresher.
 func (s *Service) probeLUT(ctx context.Context, sp *telemetry.Span, service string, key string) (time.Time, error) {
 	resp, err := s.call(ctx, sp, service, "GetLUT", xmlutil.NewNode("Name", key))
 	if err != nil {
 		return time.Time{}, err
+	}
+	if resp == nil {
+		return time.Time{}, errEmptyAnswer
 	}
 	return time.Parse(epr.TimeLayout, resp.Text)
 }

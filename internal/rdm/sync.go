@@ -178,7 +178,7 @@ func (s *Service) syncWith(sp *telemetry.Span, target superpeer.SiteInfo) int {
 }
 
 // mergeDepIndex folds one deployment name into the cached per-type index
-// that resolveDeployments consults, so a synced deployment is reachable
+// that resolution consults, so a synced deployment is reachable
 // before the next VO-wide fan-out rebuilds the list.
 func (s *Service) mergeDepIndex(typeName, depName string) {
 	key := "index:" + typeName

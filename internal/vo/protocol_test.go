@@ -18,6 +18,14 @@ func call(t *testing.T, v *VO, node int, op string, body *xmlutil.Node) (*xmluti
 	return v.Client.Call(v.Nodes[node].Info.ServiceURL(rdm.ServiceName), op, body)
 }
 
+// resolveReq builds a Resolve request for name at the given scope.
+func resolveReq(name, scope string) *xmlutil.Node {
+	req := xmlutil.NewNode("Resolve")
+	req.SetAttr("name", name)
+	req.SetAttr("scope", scope)
+	return req
+}
+
 func TestSiteAttrsOverWire(t *testing.T) {
 	v := buildVO(t, Options{Sites: 1})
 	resp, err := call(t, v, 0, "SiteAttrs", nil)
@@ -40,8 +48,8 @@ func TestGroupAndForwardOpsOverWire(t *testing.T) {
 	if err := v.RegisterImagingStack(3); err != nil {
 		t.Fatal(err)
 	}
-	// Ask a super-peer to resolve from its group (GroupConcreteOf) and
-	// across groups (ForwardConcreteOf); both answer the concrete type.
+	// Ask a super-peer to resolve from its group (scope "group") and
+	// across groups (scope "vo"); both answer the concrete type.
 	spName := v.Nodes[3].Agent.View().SuperPeer.Name
 	spIdx := -1
 	for i, n := range v.Nodes {
@@ -49,7 +57,7 @@ func TestGroupAndForwardOpsOverWire(t *testing.T) {
 			spIdx = i
 		}
 	}
-	resp, err := call(t, v, spIdx, "GroupConcreteOf", xmlutil.NewNode("Name", "POVray"))
+	resp, err := call(t, v, spIdx, "Resolve", resolveReq("POVray", "group"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +74,7 @@ func TestGroupAndForwardOpsOverWire(t *testing.T) {
 	if otherSP < 0 {
 		t.Skip("single group formed")
 	}
-	resp, err = call(t, v, otherSP, "ForwardConcreteOf", xmlutil.NewNode("Name", "POVray"))
+	resp, err = call(t, v, otherSP, "Resolve", resolveReq("POVray", "vo"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +97,7 @@ func TestForwardDeploymentsOverWire(t *testing.T) {
 		if n.Agent.Role().String() != "SuperPeer" {
 			continue
 		}
-		resp, err := call(t, v, i, "ForwardDeployments", xmlutil.NewNode("Type", "JPOVray"))
+		resp, err := call(t, v, i, "Resolve", resolveReq("JPOVray", "vo"))
 		if err != nil {
 			t.Fatal(err)
 		}
