@@ -139,6 +139,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// HLC exchange: the site's stamps ride every envelope it sends and
+	// every response it serves, so peers merge them and skew surveillance
+	// sees every peer this daemon talks to.
+	client.SetHLC(svc.HLC())
+	srv.SetHLC(svc.HLC())
 	if durable != nil {
 		s := durable.Status()
 		fmt.Printf("glared: store %s recovered %d record(s) in %s (live=%d, truncated=%dB, fsync=%s)\n",

@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"glare/internal/childproc"
+	"glare/internal/superpeer"
+	"glare/internal/transport"
 )
 
 // TestCommandsEndToEnd builds the real glared and glarectl binaries, boots
@@ -79,6 +81,16 @@ func TestCommandsEndToEnd(t *testing.T) {
 			t.Fatalf("discover from B never succeeded: %v\n%s", err, out)
 		}
 		time.Sleep(500 * time.Millisecond)
+	}
+
+	// Both daemons exchange HLC stamps, so A's skew surveillance has seen
+	// B by the time B's discovery has reached A.
+	view, err := transport.NewClient(nil).Call(aURL+transport.ServicePrefix+superpeer.ServiceName, "ViewStatus", nil)
+	if err != nil {
+		t.Fatalf("ViewStatus on A: %v", err)
+	}
+	if peer := view.AttrOr("skewPeer", ""); peer != "site-b" {
+		t.Fatalf("A's ViewStatus names skewPeer %q, want site-b", peer)
 	}
 
 	// The grid-wide metrics table scraped through A's community index must

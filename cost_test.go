@@ -1,9 +1,14 @@
 package glare
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"maps"
+	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,48 +35,55 @@ func rpcRequests(g *Grid) map[string]uint64 {
 	return out
 }
 
-// TestCost records what the grid costs in wire calls. The idle case is
-// one minute of the shipped monitor schedule on an 8-site grid (two peer
+// TestCost records what the grid costs on the wire. The idle case is one
+// minute of the shipped monitor schedule on an 8-site grid (two peer
 // groups, K = 3, durable stores) holding N registered types and serving
 // no requests.
 //
-// Only GetType and GetLUT grow with N. A super-peer's SyncRegistries pass
-// pulls and caches every remote type document once (GetType), and each
-// Cache Refresher pass then probes every cached entry with one GetLUT
-// round trip. The other ops are the liveness, view, rollup, replica and
-// digest traffic of a fixed-size grid.
+// No call count grows with N: the ops are the liveness, view, rollup,
+// replica and digest traffic of a fixed-size grid, and anti-entropy
+// copies no documents. Only ReplicaFetch bytes still grow with N, since
+// each read repair pulls the origin's whole replicated registry.
 //
 // The resolve_miss cases are one cold resolution each: every rung of the
 // ladder is one round of Resolve calls, so the counts are the rounds'
 // widths.
 func TestCost(t *testing.T) {
 	t.Run("idle", func(t *testing.T) {
-		want := map[int]map[string]uint64{
-			100: {"GetLUT": 1100, "GetType": 100, "HistoryXport": 360, "Ping": 360,
-				"ViewStatus": 240, "ReplicaFetch": 192, "RegistryDigest": 96},
-			400: {"GetLUT": 4400, "GetType": 400, "HistoryXport": 360, "Ping": 360,
-				"ViewStatus": 240, "ReplicaFetch": 192, "RegistryDigest": 96},
+		// Each of the two super-peers' rollup passes, 12 a minute, asks
+		// its 3 members about each of the 4 rollup metrics: 288 HistoryXport.
+		want := map[string]uint64{"HistoryXport": 288, "Ping": 360, "ViewStatus": 240,
+			"ReplicaFetch": 192, "RegistryDigest": 96}
+		ops := []string{"HistoryXport", "Ping", "ViewStatus", "ReplicaFetch", "RegistryDigest"}
+		sizes := []int{100, 400, 1600}
+		if testing.Short() || raceDetector {
+			sizes = sizes[:2]
 		}
-		ops := []string{"GetLUT", "GetType", "HistoryXport", "Ping", "ViewStatus", "ReplicaFetch", "RegistryDigest"}
 		var table strings.Builder
-		fmt.Fprintf(&table, "| N | %s | wall |\n|---|%s---|\n", strings.Join(ops, " | "), strings.Repeat("---|", len(ops)))
-		for _, n := range []int{100, 400} {
-			got, wall := idleMinute(t, n)
-			fmt.Fprintf(&table, "| %d |", n)
-			for _, op := range ops {
-				fmt.Fprintf(&table, " %d |", got[op])
+		fmt.Fprintf(&table, "| N | per idle minute | %s | wall |\n|---|---|%s---|\n", strings.Join(ops, " | "), strings.Repeat("---|", len(ops)))
+		var base map[string]uint64
+		for _, n := range sizes {
+			calls, volume, wall := idleMinute(t, n)
+			for _, row := range []struct {
+				what string
+				per  map[string]uint64
+			}{{"calls", calls}, {"bytes", volume}} {
+				fmt.Fprintf(&table, "| %d | %s |", n, row.what)
+				for _, op := range ops {
+					fmt.Fprintf(&table, " %d |", row.per[op])
+				}
+				fmt.Fprintf(&table, " %v |\n", wall.Round(time.Millisecond))
 			}
-			fmt.Fprintf(&table, " %v |\n", wall.Round(time.Millisecond))
 			for _, op := range ops {
-				if got[op] != want[n][op] {
-					t.Errorf("N=%d: %s = %d calls, want %d", n, op, got[op], want[n][op])
+				if calls[op] != want[op] {
+					t.Errorf("N=%d: %s = %d calls, want %d", n, op, calls[op], want[op])
 				}
 			}
 			// A late Replicate from the registration fan-out is not part
 			// of the schedule's cost; anything else is.
 			var extra []string
-			for op := range got {
-				if _, ok := want[n][op]; !ok && op != "Replicate" {
+			for op := range calls {
+				if _, ok := want[op]; !ok && op != "Replicate" {
 					extra = append(extra, op)
 				}
 			}
@@ -79,11 +91,22 @@ func TestCost(t *testing.T) {
 			if len(extra) > 0 {
 				t.Errorf("N=%d: unexpected ops during the idle minute: %v", n, extra)
 			}
+			// ReplicaFetch bytes grow with N until read repair stops
+			// pulling whole registries (ROADMAP item 9(b)); every other op
+			// moves the same bytes at any N.
+			if base == nil {
+				base = volume
+			}
+			for _, op := range ops {
+				if b, b0 := float64(volume[op]), float64(base[op]); op != "ReplicaFetch" && (b > 1.02*b0 || b < 0.98*b0) {
+					t.Errorf("N=%d: %s moved %.0f bytes, want within 2%% of the %.0f at N=%d", n, op, b, b0, sizes[0])
+				}
+			}
 			if wall > 3*time.Second && !raceDetector {
 				t.Errorf("N=%d: the idle minute took %v of wall time, want <= 3s", n, wall)
 			}
 		}
-		t.Logf("RPCs in one idle minute (8 sites, K = 3):\n%s", table.String())
+		t.Logf("Wire cost of one idle minute (8 sites, K = 3):\n%s", table.String())
 	})
 	t.Run("resolve_miss", func(t *testing.T) {
 		// One cold DiscoverNoDeploy per scenario; every RPC it causes, on
@@ -208,11 +231,15 @@ func metricsUpdate(t *testing.T) func() {
 }
 
 // idleMinute builds the idle-cost grid with n synthetic types, lets the
-// registration fan-out drain, and returns the per-op RPC deltas and wall
-// time of one minute of the monitor schedule.
-func idleMinute(t *testing.T, n int) (map[string]uint64, time.Duration) {
+// registration fan-out drain, and returns the per-op RPC and byte deltas
+// and the wall time of one minute of the monitor schedule.
+func idleMinute(t *testing.T, n int) (calls, volume map[string]uint64, wall time.Duration) {
 	t.Helper()
 	g := newGrid(t, GridOptions{Sites: 8, Replicas: 3, DataDir: t.TempDir()})
+	wire := &wireBytes{byOp: map[string]uint64{}}
+	for _, node := range g.vo.Nodes {
+		node.Client.WrapTransport(wire.wrap)
+	}
 	if err := g.Elect(); err != nil {
 		t.Fatal(err)
 	}
@@ -230,20 +257,72 @@ func idleMinute(t *testing.T, n int) (map[string]uint64, time.Duration) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	before := rpcRequests(g)
+	callsBefore, bytesBefore := rpcRequests(g), wire.snapshot()
 	start := time.Now()
 	if err := g.Advance(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	wall := time.Since(start)
-	delta := map[string]uint64{}
-	for op, v := range rpcRequests(g) {
-		if d := v - before[op]; d > 0 {
-			delta[op] = d
+	wall = time.Since(start)
+	return delta(rpcRequests(g), callsBefore), delta(wire.snapshot(), bytesBefore), wall
+}
+
+// delta is after - before for every key that grew.
+func delta(after, before map[string]uint64) map[string]uint64 {
+	out := map[string]uint64{}
+	for k, v := range after {
+		if d := v - before[k]; d > 0 {
+			out[k] = d
 		}
 	}
-	return delta, wall
+	return out
 }
+
+// wireBytes counts the request and answer body bytes of every envelope
+// the clients it wraps exchange, by op.
+type wireBytes struct {
+	mu   sync.Mutex
+	byOp map[string]uint64
+}
+
+func (w *wireBytes) wrap(next http.RoundTripper) http.RoundTripper {
+	return roundTrip(func(req *http.Request) (*http.Response, error) {
+		var body []byte
+		if req.Body != nil {
+			var err error
+			if body, err = io.ReadAll(req.Body); err != nil {
+				return nil, err
+			}
+			req.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		_, op, _ := strings.Cut(string(body), "<Operation>")
+		op, _, _ = strings.Cut(op, "</Operation>")
+		resp, err := next.RoundTrip(req)
+		if err != nil {
+			return nil, err
+		}
+		answer, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		resp.Body = io.NopCloser(bytes.NewReader(answer))
+		w.mu.Lock()
+		w.byOp[op] += uint64(len(body) + len(answer))
+		w.mu.Unlock()
+		return resp, nil
+	})
+}
+
+func (w *wireBytes) snapshot() map[string]uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return maps.Clone(w.byOp)
+}
+
+// roundTrip adapts a function to http.RoundTripper.
+type roundTrip func(*http.Request) (*http.Response, error)
+
+func (f roundTrip) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
 
 // concreteMiss is resolve_grid's shape for one type: site 0 asks, and
 // Render with one deployment each lives on sites 1 and 2 of a 4-site group.

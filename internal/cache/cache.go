@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"glare/internal/epr"
-	"glare/internal/hlc"
 	"glare/internal/simclock"
 	"glare/internal/telemetry"
 	"glare/internal/xmlutil"
@@ -104,27 +103,6 @@ func (c *Cache) Put(key string, source epr.EPR, doc *xmlutil.Node) {
 	c.entries[key] = &Entry{Key: key, Source: source, Doc: doc, Fetched: c.clock.Now()}
 }
 
-// PutIfNewer stores the resource only when no entry exists for key or the
-// offered copy orders strictly after the cached one: source LastUpdateTime
-// first, origin site name (the "OriginSite" extra reference property) as
-// the deterministic tiebreak for equal stamps. It is the anti-entropy
-// write path: concurrent syncs against several peers may offer the same
-// resource, and every site must converge on the same winner — equal-stamp
-// conflicts are real under hybrid logical clocks, whose instants only
-// totally order together with the stamping site's name. Reports whether
-// the entry was written.
-func (c *Cache) PutIfNewer(key string, source epr.EPR, doc *xmlutil.Node) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && !hlc.Newer(
-		source.LastUpdateTime, source.Extra["OriginSite"],
-		e.Source.LastUpdateTime, e.Source.Extra["OriginSite"]) {
-		return false
-	}
-	c.entries[key] = &Entry{Key: key, Source: source, Doc: doc, Fetched: c.clock.Now()}
-	return true
-}
-
 // Get returns the cached document for key if present and fresh. Expired
 // entries miss; they are evicted immediately unless a stale-retention
 // window (SetStaleFor) keeps them reachable through GetStale.
@@ -182,14 +160,6 @@ func (c *Cache) GetStale(key string) (*Entry, bool) {
 	c.misses.Inc()
 	c.discarded.Inc()
 	return nil, false
-}
-
-// Peek is Get without statistics or TTL eviction; used by the refresher.
-func (c *Cache) Peek(key string) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	return e, ok
 }
 
 // Invalidate removes one entry.

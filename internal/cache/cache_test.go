@@ -119,18 +119,6 @@ func TestRefreshDiscardsWhenResolveFails(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotCountOrEvict(t *testing.T) {
-	c, v := fixture()
-	c.Put("a", src("a", v.Now()), nil)
-	v.Advance(2 * time.Minute)
-	if _, ok := c.Peek("a"); !ok {
-		t.Fatal("peek must see stale entries")
-	}
-	if c.Stats().Hits != 0 && c.Stats().Misses != 0 {
-		t.Fatal("peek must not count")
-	}
-}
-
 func TestKeys(t *testing.T) {
 	c, v := fixture()
 	c.Put("a", src("a", v.Now()), nil)

@@ -301,6 +301,12 @@ func ChecksumOfStep(s *Step) (algo, sum string) {
 	return "", ""
 }
 
+// Expand substitutes $VAR and ${VAR} references in s through lookup. A
+// bare name runs over letters, digits and underscores; a '$' not followed
+// by a name, and an unterminated "${", stay as written. The site shell
+// expands its command lines the same way.
+func Expand(s string, lookup func(string) string) string { return expand(s, lookup) }
+
 func expand(s string, lookup func(string) string) string {
 	var bld strings.Builder
 	for i := 0; i < len(s); {

@@ -558,8 +558,7 @@ func (s *Service) ArtifactStatusXML() *xmlutil.Node {
 // Anti-entropy advertisement.
 
 // appendBlobDigest adds one <Blob> element per known (blob, holder)
-// location to the registry digest, so holdings ride the same anti-entropy
-// pass that reconciles ATR/ADR entries.
+// location to the registry digest, which the anti-entropy pass exchanges.
 func (s *Service) appendBlobDigest(n *xmlutil.Node) {
 	for _, loc := range s.casLoc.Snapshot() {
 		b := n.Elem("Blob", "")

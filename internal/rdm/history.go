@@ -82,7 +82,6 @@ func DefaultRollupMetrics() []string {
 		"glare_deploy_rollbacks_total",
 		"glare_deploy_quarantined_total",
 		"glare_rdm_resolve_degraded_total",
-		"glare_sync_entries_pulled_total",
 		"glare_server_sheds_total",
 	}
 }

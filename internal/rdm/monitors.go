@@ -39,7 +39,7 @@ func (s *Service) monitorPasses() []monitorPass {
 		{"index", 3 * time.Second, nil, func() { _ = s.CheckIndex() }},
 		{"status", 5 * time.Second, nil, func() { s.CheckDeployments() }},
 		{"liveness", 2 * time.Second, nil, s.agent.Maintain},
-		{"sync", 5 * time.Second, superPeer, func() { s.SyncRegistries() }},
+		{"sync", 5 * time.Second, superPeer, s.SyncRegistries},
 		{"sample", 2 * time.Second, nil, func() { s.SampleTelemetry() }},
 		{"rollup", 5 * time.Second, superPeer, func() { s.RollupHistory() }},
 		{"replica-check", 2 * time.Second, func() bool { return replicating() && superPeer() }, func() { s.CheckReplicas() }},
@@ -97,14 +97,24 @@ func (sc *schedule) credit(d time.Duration) (claimed []bool) {
 	return claimed
 }
 
-// run runs claimed pass i, timed on glare_monitor_pass_seconds{pass}.
+// run runs claimed pass i, timed on glare_monitor_pass_seconds{pass}. A
+// pass that panics does not take the site down: the panic is counted on
+// glare_monitor_pass_panics_total{pass}, its value ends a failed
+// monitor.<pass> span, and the pass runs again when it next comes due.
 func (sc *schedule) run(i int) {
+	name := sc.passes[i].name
+	defer func() {
+		if r := recover(); r != nil {
+			sc.tel.Counter("glare_monitor_pass_panics_total", telemetry.L("pass", name)).Inc()
+			sc.tel.StartSpan("monitor."+name, nil).End(fmt.Errorf("panic: %v", r))
+		}
+		sc.mu.Lock()
+		sc.running[i] = false
+		sc.mu.Unlock()
+	}()
 	start := time.Now()
 	sc.passes[i].fn()
-	sc.tel.Histogram("glare_monitor_pass_seconds", telemetry.L("pass", sc.passes[i].name)).Observe(time.Since(start))
-	sc.mu.Lock()
-	sc.running[i] = false
-	sc.mu.Unlock()
+	sc.tel.Histogram("glare_monitor_pass_seconds", telemetry.L("pass", name)).Observe(time.Since(start))
 }
 
 // drive runs the schedule on clock until stop closes: it waits for each

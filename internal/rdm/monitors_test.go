@@ -64,6 +64,68 @@ func TestScheduleDriverSkipsBusyPass(t *testing.T) {
 	until(func() bool { return passRuns("fast") == 12 }, "the fast pass count")
 }
 
+// TestSchedulePassSurvivesPanic: a pass that panics once neither stops
+// the schedule nor stays marked running. The panic is counted once on
+// glare_monitor_pass_panics_total, and the pass runs again when it next
+// comes due, through the StartMonitors driver and through
+// AdvanceMonitors alike.
+func TestSchedulePassSurvivesPanic(t *testing.T) {
+	newPanicky := func(tel *telemetry.Telemetry) (*schedule, *atomic.Int32) {
+		runs := new(atomic.Int32)
+		return newSchedule([]monitorPass{
+			{"panicky", time.Second, nil, func() {
+				if runs.Add(1) == 1 {
+					panic("first run fails")
+				}
+			}},
+		}, tel), runs
+	}
+	check := func(t *testing.T, tel *telemetry.Telemetry, runs *atomic.Int32) {
+		t.Helper()
+		if n := runs.Load(); n != 2 {
+			t.Fatalf("the pass ran %d times in 2 s, want twice", n)
+		}
+		if n := tel.Counter("glare_monitor_pass_panics_total", telemetry.L("pass", "panicky")).Value(); n != 1 {
+			t.Fatalf("glare_monitor_pass_panics_total = %d, want 1", n)
+		}
+	}
+
+	t.Run("driver", func(t *testing.T) {
+		vc := simclock.NewVirtual(time.Time{})
+		tel := telemetry.New("site")
+		sc, runs := newPanicky(tel)
+		stop := make(chan struct{})
+		defer close(stop)
+		go sc.drive(vc, stop)
+		// settled reports whether the driver waits on the clock again
+		// after n runs, none of them still marked running.
+		settled := func(n int32) bool {
+			sc.mu.Lock()
+			defer sc.mu.Unlock()
+			return vc.Pending() == 1 && runs.Load() == n && !sc.running[0]
+		}
+		for n := int32(0); n <= 2; n++ {
+			for deadline := time.Now().Add(5 * time.Second); !settled(n); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("timed out waiting for run %d to finish", n)
+				}
+			}
+			if n < 2 {
+				vc.Advance(time.Second)
+			}
+		}
+		check(t, tel, runs)
+	})
+	t.Run("AdvanceMonitors", func(t *testing.T) {
+		svc, vc := single(t)
+		tel := telemetry.New("site")
+		sc, runs := newPanicky(tel)
+		svc.sched = sc
+		AdvanceMonitors([]*Service{svc}, 2*time.Second, vc.Advance)
+		check(t, tel, runs)
+	})
+}
+
 // TestRefresherDiscardsEmptyAnswers: a source that answers GetLUT or Get
 // with an empty body (its handler returned nil, nil) makes the Cache
 // Refresher discard the entry it was checking, instead of crashing on the
@@ -93,7 +155,7 @@ func TestRefresherDiscardsEmptyAnswers(t *testing.T) {
 		t.Fatalf("refresh revived %d and discarded %d entries, want 0 and %d", revived, discarded, len(keys))
 	}
 	for key := range keys {
-		if _, ok := svc.depCache.Peek(key); ok {
+		if _, ok := svc.depCache.Get(key); ok {
 			t.Errorf("%s is still cached after its source answered with nothing", key)
 		}
 	}

@@ -84,8 +84,8 @@ func (s *Service) Mount(srv *transport.Server) {
 		// --- overlay resolution protocol -----------------------------
 		"Resolve": s.answerResolve,
 		"RegistryDigest": func(context.Context, *telemetry.Span, *xmlutil.Node) (*xmlutil.Node, error) {
-			// Anti-entropy: the caller reconciles against this site's
-			// (name → LastUpdateTime) registry summary.
+			// Anti-entropy: the caller merges the blob locations this
+			// site knows.
 			return s.RegistryDigest(), nil
 		},
 		"ArtifactFetch": func(_ context.Context, _ *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {

@@ -164,9 +164,6 @@ type Service struct {
 	// degraded counts resolutions that ran with part of the VO
 	// unreachable (the result set may be incomplete or stale).
 	degraded *telemetry.Counter
-	// syncPulled counts registry entries pulled by anti-entropy passes
-	// (glare_sync_entries_pulled_total).
-	syncPulled *telemetry.Counter
 	// skewDetected counts peer stamps that disagreed with this site's
 	// physical clock beyond the alarm bound
 	// (glare_clock_skew_detected_total).
@@ -308,7 +305,6 @@ func New(cfg Config) (*Service, error) {
 	s.typeCache.InstrumentStale(tel.Counter("glare_rdm_cache_stale_served_total", telemetry.L("cache", "types")))
 	s.depCache.InstrumentStale(tel.Counter("glare_rdm_cache_stale_served_total", telemetry.L("cache", "deps")))
 	s.degraded = tel.Counter("glare_rdm_resolve_degraded_total")
-	s.syncPulled = tel.Counter("glare_sync_entries_pulled_total")
 	// Clock-skew surveillance: every envelope exchange lets the HLC compare
 	// the sender's stamp against this site's physical clock; disagreements
 	// beyond the alarm bound count on glare_clock_skew_detected_total and

@@ -2,10 +2,12 @@ package rdm
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"glare/internal/activity"
+	"glare/internal/cas"
 	"glare/internal/mds"
 	"glare/internal/simclock"
 	"glare/internal/site"
@@ -77,9 +79,12 @@ func newSyncSites(t *testing.T, n int) []*syncSite {
 	return sites
 }
 
-// TestSyncRegistriesPullsNewerEntries is the anti-entropy core: a type and
-// a deployment registered on one super-peer become resolvable on another
-// after one SyncRegistries pass, without re-registering anything.
+// TestSyncRegistriesPullsNewerEntries: anti-entropy copies no documents.
+// A super-peer that runs SyncRegistries against a peer holding a type and
+// a deployment caches nothing and clones no ownership; the peer's entries
+// stay reachable through ordinary resolution, which alone fills the
+// cache. A peer's copy of a name this site also owns never replaces the
+// local one.
 func TestSyncRegistriesPullsNewerEntries(t *testing.T) {
 	sites := newSyncSites(t, 2)
 	a, b := sites[0], sites[1]
@@ -93,49 +98,7 @@ func TestSyncRegistriesPullsNewerEntries(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-
-	pulled := a.svc.SyncRegistries()
-	if pulled != 2 {
-		t.Fatalf("pulled = %d, want 2 (one type, one deployment)", pulled)
-	}
-	if n := a.tel.Counter("glare_sync_entries_pulled_total").Value(); n != 2 {
-		t.Fatalf("glare_sync_entries_pulled_total = %d, want 2", n)
-	}
-
-	// The pulled entries landed in the two-level cache (not the local
-	// registries: site B stays the owner), so ordinary resolution finds
-	// them without any further network round.
-	if _, ok := a.svc.typeCache.Peek("type:SyncedType"); !ok {
-		t.Fatal("type not cached")
-	}
-	if _, ok := a.svc.depCache.Peek("dep:synced-dep"); !ok {
-		t.Fatal("deployment not cached")
-	}
-	if a.svc.ATR.Len() != 0 || a.svc.ADR.Len() != 0 {
-		t.Fatal("anti-entropy must not clone ownership into local registries")
-	}
-	deps, err := a.svc.GetDeployments("SyncedType", MethodExpect, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deps) != 1 || deps[0].Name != "synced-dep" {
-		t.Fatalf("post-sync resolution = %+v", deps)
-	}
-
-	// A second pass is a no-op: everything is already at the same
-	// LastUpdateTime.
-	if again := a.svc.SyncRegistries(); again != 0 {
-		t.Fatalf("idempotent re-sync pulled %d entries", again)
-	}
-}
-
-// TestSyncRegistriesSkipsOlderEntries: a site holding the newer version of
-// an entry must not have it clobbered by a peer's older copy.
-func TestSyncRegistriesSkipsOlderEntries(t *testing.T) {
-	sites := newSyncSites(t, 2)
-	a, b := sites[0], sites[1]
-
-	// Both sides own the same type name; A's copy is strictly newer.
+	// Both sides own Contested; A's copy is strictly newer.
 	if _, err := b.svc.RegisterType(&activity.Type{Name: "Contested"}); err != nil {
 		t.Fatal(err)
 	}
@@ -144,27 +107,42 @@ func TestSyncRegistriesSkipsOlderEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if pulled := a.svc.SyncRegistries(); pulled != 0 {
-		t.Fatalf("pulled %d entries over a newer local copy", pulled)
+	for _, s := range []*syncSite{a, b, a} {
+		s.svc.SyncRegistries()
 	}
-	got, ok := a.svc.ATR.Lookup("Contested")
-	if !ok || got.Artifact != "newer" {
-		t.Fatalf("local registry lost the newer copy: %+v", got)
+	for _, s := range sites {
+		if n := s.svc.typeCache.Len() + s.svc.depCache.Len(); n != 0 {
+			t.Fatalf("%s caches %d entries after anti-entropy, want 0", s.info.Name, n)
+		}
 	}
-	// B, running its own pass, pulls A's newer version into its cache.
-	if pulled := b.svc.SyncRegistries(); pulled != 1 {
-		t.Fatalf("older side pulled %d entries, want 1", pulled)
+	if a.svc.ATR.Len() != 1 || a.svc.ADR.Len() != 0 {
+		t.Fatalf("A's registries hold %d types and %d deployments, want only its own Contested",
+			a.svc.ATR.Len(), a.svc.ADR.Len())
 	}
-	e, ok := b.svc.typeCache.Peek("type:Contested")
-	if !ok {
-		t.Fatal("newer version not cached on the older side")
+	if got, ok := a.svc.ATR.Lookup("Contested"); !ok || got.Artifact != "newer" {
+		t.Fatalf("A's registry lost its own copy: %+v", got)
 	}
-	if ty, err := activity.TypeFromXML(e.Doc); err != nil || ty.Artifact != "newer" {
-		t.Fatalf("cached version = %+v (%v)", e.Doc, err)
+	if got, ok := b.svc.ATR.Lookup("Contested"); !ok || got.Artifact != "" {
+		t.Fatalf("B's registry took A's copy: %+v", got)
+	}
+
+	deps, err := a.svc.GetDeployments("SyncedType", MethodExpect, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(deps) != 1 || deps[0].Name != "synced-dep" {
+		t.Fatalf("post-sync resolution = %+v", deps)
+	}
+	if a.svc.typeCache.Len()+a.svc.depCache.Len() == 0 {
+		t.Fatal("A's own resolution cached nothing")
+	}
+	if a.svc.ATR.Len() != 1 || a.svc.ADR.Len() != 0 {
+		t.Fatal("resolution must not clone ownership into local registries")
 	}
 }
 
-// TestRegistryDigestShape checks the wire format the reconciler exchanges.
+// TestRegistryDigestShape checks the wire format the reconciler
+// exchanges: the site and its known blob locations, and no registry rows.
 func TestRegistryDigestShape(t *testing.T) {
 	sites := newSyncSites(t, 1)
 	s := sites[0]
@@ -176,17 +154,19 @@ func TestRegistryDigestShape(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	key := cas.Key{Algo: "sha256", Sum: strings.Repeat("ab", 32)}
+	s.svc.casLoc.Note(key, "holder.uibk", time.Date(2005, 11, 12, 0, 0, 0, 0, time.UTC))
 	d := s.svc.RegistryDigest()
 	if d.AttrOr("site", "") != s.info.Name {
 		t.Fatalf("digest site = %q", d.AttrOr("site", ""))
 	}
-	types, deps := d.All("Type"), d.All("Dep")
-	if len(types) != 1 || types[0].AttrOr("name", "") != "DigestType" || types[0].AttrOr("lut", "") == "" {
-		t.Fatalf("digest types = %v", render(types))
+	if rows := append(d.All("Type"), d.All("Dep")...); len(rows) != 0 {
+		t.Fatalf("digest carries registry rows %v", render(rows))
 	}
-	if len(deps) != 1 || deps[0].AttrOr("name", "") != "digest-dep" ||
-		deps[0].AttrOr("type", "") != "DigestType" || deps[0].AttrOr("lut", "") == "" {
-		t.Fatalf("digest deps = %v", render(deps))
+	blobs := d.All("Blob")
+	if len(blobs) != 1 || blobs[0].AttrOr("algo", "") != key.Algo || blobs[0].AttrOr("sum", "") != key.Sum ||
+		blobs[0].AttrOr("site", "") != "holder.uibk" || blobs[0].AttrOr("lut", "") != "2005-11-12T00:00:00Z" {
+		t.Fatalf("digest blobs = %v", render(blobs))
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"glare/internal/deployfile"
 )
 
 // Shell is an interactive command interpreter bound to one site. It is the
@@ -48,47 +50,7 @@ func (sh *Shell) Chdir(dir string) error {
 
 // expand substitutes $VAR and ${VAR} references from the shell env.
 func (sh *Shell) expand(s string) string {
-	return expandWith(s, func(k string) string { return sh.env[k] })
-}
-
-func expandWith(s string, lookup func(string) string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c != '$' {
-			b.WriteByte(c)
-			i++
-			continue
-		}
-		i++
-		if i < len(s) && s[i] == '{' {
-			end := strings.IndexByte(s[i:], '}')
-			if end < 0 {
-				b.WriteByte('$')
-				b.WriteByte('{')
-				i++
-				continue
-			}
-			b.WriteString(lookup(s[i+1 : i+end]))
-			i += end + 1
-			continue
-		}
-		j := i
-		for j < len(s) && (isAlnum(s[j]) || s[j] == '_') {
-			j++
-		}
-		if j == i {
-			b.WriteByte('$')
-			continue
-		}
-		b.WriteString(lookup(s[i:j]))
-		i = j
-	}
-	return b.String()
-}
-
-func isAlnum(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+	return deployfile.Expand(s, func(k string) string { return sh.env[k] })
 }
 
 func (sh *Shell) abs(p string) string {

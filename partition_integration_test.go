@@ -149,15 +149,6 @@ func TestPartitionHealConvergesToSingleReign(t *testing.T) {
 			}, "resolving "+typeName+" from site "+g.SiteName(i))
 		}
 	}
-
-	// Anti-entropy on the winner pulls the entries it does not own into its
-	// cache, so the merged overlay serves them without re-fanning out.
-	if pulled := g.vo.Nodes[winner].RDM.SyncRegistries(); pulled == 0 {
-		t.Fatal("registry sync pulled nothing after the heal")
-	}
-	if n := g.Telemetry(winner).Counter("glare_sync_entries_pulled_total").Value(); n == 0 {
-		t.Fatal("glare_sync_entries_pulled_total did not move")
-	}
 }
 
 // waitUntil polls cond until it holds or the deadline passes.

@@ -1,9 +1,8 @@
 // Clock-skew benchmarks: how long a partitioned-then-healed grid takes to
-// converge back to full cross-site resolution, and how much anti-entropy
-// work the heal costs, at increasing amounts of injected clock skew. CI
-// publishes the numbers as BENCH_skew.json so a skew-sensitivity
-// regression (convergence slowing down, or sync suddenly re-pulling
-// entries it should recognise) shows up as a metric shift.
+// converge back to full cross-site resolution at increasing amounts of
+// injected clock skew. CI publishes the numbers as BENCH_skew.json so a
+// skew-sensitivity regression (convergence slowing down) shows up as a
+// metric shift.
 package glare
 
 import (
@@ -16,15 +15,17 @@ import (
 // heals, and clocks the time until both registrations resolve from every
 // site — with every site's clock displaced by a seeded schedule drawn
 // from ±maxSkew. The relative encoding of deadlines and the HLC ordering
-// stamps mean convergence time should be flat across the skew axis; the
-// entries-pulled metric counts the anti-entropy transfer volume per heal.
+// stamps mean convergence time should be flat across the skew axis. Each
+// polling round runs every site's anti-entropy pass, which moves blob
+// locations and re-registers local types in the index, then resolves both
+// names from every site.
 func BenchmarkSkewConvergence(b *testing.B) {
 	for _, bench := range []struct {
 		name    string
 		maxSkew time.Duration
 	}{{"true-clocks", 0}, {"skew-1m", time.Minute}, {"skew-10m", 10 * time.Minute}} {
 		b.Run(bench.name, func(b *testing.B) {
-			var totalMS, totalPulled float64
+			var totalMS float64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				g, err := NewGrid(GridOptions{
@@ -65,7 +66,6 @@ func BenchmarkSkewConvergence(b *testing.B) {
 				if err := g.HealPartition(); err != nil {
 					b.Fatal(err)
 				}
-				pulledBefore := syncPulledTotal(g)
 				b.StartTimer()
 				start := time.Now()
 				deadline := start.Add(20 * time.Second)
@@ -83,11 +83,9 @@ func BenchmarkSkewConvergence(b *testing.B) {
 				elapsed := time.Since(start)
 				b.StopTimer()
 				totalMS += float64(elapsed.Microseconds()) / 1e3
-				totalPulled += float64(syncPulledTotal(g) - pulledBefore)
 				g.Close()
 			}
 			b.ReportMetric(totalMS/float64(b.N), "converge-ms")
-			b.ReportMetric(totalPulled/float64(b.N), "entries-pulled")
 		})
 	}
 }
@@ -101,13 +99,4 @@ func resolvesEverywhere(g *Grid, typeName string) bool {
 		}
 	}
 	return true
-}
-
-// syncPulledTotal sums the anti-entropy pull counter across the grid.
-func syncPulledTotal(g *Grid) uint64 {
-	var n uint64
-	for j := 0; j < g.Sites(); j++ {
-		n += g.Telemetry(j).Counter("glare_sync_entries_pulled_total").Value()
-	}
-	return n
 }
