@@ -51,8 +51,13 @@ func rpcRequests(g *Grid) map[string]uint64 {
 func TestCost(t *testing.T) {
 	t.Run("idle", func(t *testing.T) {
 		// Each of the two super-peers' rollup passes, 12 a minute, asks
-		// its 3 members about each of the 4 rollup metrics: 288 HistoryXport.
-		want := map[string]uint64{"HistoryXport": 288, "Ping": 360, "ViewStatus": 240,
+		// each of its 3 members once for all 4 rollup metrics: 72
+		// HistoryXport. Each liveness pass, 30 a minute, is the one
+		// failure detector: the 6 members each Ping their super-peer
+		// (180 Ping), and the 2 super-peers each probe their 3 members
+		// and the other super-peer with ViewStatus (240 ViewStatus),
+		// which also drives replica failover, so no pass pings members.
+		want := map[string]uint64{"HistoryXport": 72, "Ping": 180, "ViewStatus": 240,
 			"ReplicaFetch": 192, "RegistryDigest": 96}
 		ops := []string{"HistoryXport", "Ping", "ViewStatus", "ReplicaFetch", "RegistryDigest"}
 		sizes := []int{100, 400, 1600}

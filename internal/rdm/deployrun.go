@@ -454,7 +454,7 @@ func (s *Service) executeStep(exec stepExecutor, typeName string, build *deployf
 			break
 		}
 		s.deployTel.stepRetries.Inc()
-		s.clock.Sleep(retryDelay(s.limits.Retry, attempt))
+		s.clock.Sleep(s.limits.Retry.Delay(attempt, nil))
 	}
 
 	afterFS := s.site.FS.Entries()
@@ -870,27 +870,6 @@ func retryableStep(err error) bool {
 		return tr.Transient()
 	}
 	return transport.IsUnavailable(err)
-}
-
-// retryDelay mirrors the transport policy's exponential backoff (without
-// jitter: deployment retries sleep on the virtual clock, where determinism
-// matters more than decorrelation).
-func retryDelay(p transport.RetryPolicy, attempt int) time.Duration {
-	d := float64(p.BaseDelay)
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 1
-	}
-	for i := 1; i < attempt; i++ {
-		d *= mult
-		if p.MaxDelay > 0 && d >= float64(p.MaxDelay) {
-			return p.MaxDelay
-		}
-	}
-	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
-		return p.MaxDelay
-	}
-	return time.Duration(d)
 }
 
 // ---------------------------------------------------------------------------

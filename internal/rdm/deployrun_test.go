@@ -490,8 +490,8 @@ func TestRetryDelayBackoff(t *testing.T) {
 	p := transport.RetryPolicy{BaseDelay: 10 * time.Millisecond, Multiplier: 2, MaxDelay: 35 * time.Millisecond}
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 35 * time.Millisecond, 35 * time.Millisecond}
 	for i, w := range want {
-		if got := retryDelay(p, i+1); got != w {
-			t.Errorf("retryDelay(attempt=%d) = %v, want %v", i+1, got, w)
+		if got := p.Delay(i+1, nil); got != w {
+			t.Errorf("Delay(attempt=%d, nil) = %v, want %v", i+1, got, w)
 		}
 	}
 }

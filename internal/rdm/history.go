@@ -119,9 +119,10 @@ func (s *Service) healthSnapshot() telemetry.Health {
 // histograms contribute a _count counter and a _p99_ms gauge. Returns
 // how many samples the rings accepted.
 func (s *Service) SampleTelemetry() int {
-	// Site-level gauges piggyback on the sampler so history covers the
-	// container, not just the RDM's own counters.
+	// Site-level and clock-skew gauges piggyback on the sampler so history
+	// covers the container and its clock, not just the RDM's own counters.
 	s.tel.Gauge("glare_site_services").Set(int64(s.site.ServiceCount()))
+	s.CheckClockSkew()
 	now := s.clock.Now()
 	batch := rrd.Batch{TS: now}
 	for _, sm := range s.tel.Registry().Snapshot() {
@@ -181,22 +182,28 @@ func (s *Service) evaluateAlerts(now time.Time) {
 // means every series). finest="true" restricts the response to the
 // finest AVERAGE archive and drops live/unfinalized points — the form
 // the super-peer rollup consumes; sinceNs bounds the payload to points
-// after that instant.
+// after that instant, and a <Metric sinceNs> overrides it for that
+// series, so one request serves series folded up to different instants.
 func (s *Service) historyXportXML(body *xmlutil.Node) (*xmlutil.Node, error) {
 	var metrics []string
 	finest := false
 	var sinceNs int64
+	since := map[string]int64{}
 	if body != nil {
 		if m := body.AttrOr("metric", ""); m != "" {
 			metrics = append(metrics, m)
 		}
+		sinceNs, _ = strconv.ParseInt(body.AttrOr("sinceNs", "0"), 10, 64)
 		for _, n := range body.All("Metric") {
-			if n.Text != "" {
-				metrics = append(metrics, n.Text)
+			if n.Text == "" {
+				continue
+			}
+			metrics = append(metrics, n.Text)
+			if v, err := strconv.ParseInt(n.AttrOr("sinceNs", ""), 10, 64); err == nil {
+				since[n.Text] = v
 			}
 		}
 		finest = body.AttrOr("finest", "") == "true"
-		sinceNs, _ = strconv.ParseInt(body.AttrOr("sinceNs", "0"), 10, 64)
 	}
 	if len(metrics) == 0 {
 		metrics = s.history.Names()
@@ -211,6 +218,10 @@ func (s *Service) historyXportXML(body *xmlutil.Node) (*xmlutil.Node, error) {
 		sn := resp.Elem("Series", "")
 		sn.SetAttr("name", x.Def.Name)
 		sn.SetAttr("kind", x.Def.Kind.String())
+		cut, ok := since[m]
+		if !ok {
+			cut = sinceNs
+		}
 		for _, arch := range x.Archives {
 			if finest && !(arch.Spec.CF == rrd.Average && arch.Spec.Steps == 1) {
 				continue
@@ -220,7 +231,7 @@ func (s *Service) historyXportXML(body *xmlutil.Node) (*xmlutil.Node, error) {
 			an.SetAttr("stepNs", strconv.FormatInt(int64(arch.Step), 10))
 			an.SetAttr("rows", strconv.Itoa(arch.Spec.Rows))
 			for _, p := range arch.Points {
-				if p.TS.UnixNano() <= sinceNs {
+				if p.TS.UnixNano() <= cut {
 					continue
 				}
 				if finest && p.Live {
@@ -241,37 +252,40 @@ func (s *Service) historyXportXML(body *xmlutil.Node) (*xmlutil.Node, error) {
 }
 
 // RollupHistory is one super-peer rollup pass: xport every group
-// member's finalized fine-grained points for the configured metrics,
-// sum the per-second rates per timestamp across the community (self
-// included), and feed the sums into local grid:<metric> series. Only
-// timestamps newer than the grid series' last sample are pulled, and
-// the rings reject stale timestamps anyway, so re-pulls never
-// double-count. Returns how many consolidated points were folded in.
+// member's finalized fine-grained points for the configured metrics, one
+// call per member, sum the per-second rates per timestamp across the
+// community (self included), and feed the sums into local grid:<metric>
+// series. Each metric is pulled only from after its own grid series'
+// last sample, and the rings reject stale timestamps anyway, so re-pulls
+// never double-count. Returns how many consolidated points were folded
+// in.
 func (s *Service) RollupHistory() int {
 	view := s.view()
 	if view.SuperPeer.IsZero() || view.SuperPeer.Name != s.selfName() {
 		return 0
 	}
 	sp := s.tel.StartSpan("rdm.RollupHistory", nil)
+	metrics := DefaultRollupMetrics()
+	// metric -> closed fine points after since[metric], summed across
+	// the community.
+	since := make(map[string]int64, len(metrics))
+	sums := make(map[string]map[int64]float64, len(metrics))
+	req := xmlutil.NewNode("History")
+	req.SetAttr("finest", "true")
+	for _, metric := range metrics {
+		if last, ok := s.history.LastTS(GridSeriesPrefix + metric); ok {
+			since[metric] = last.UnixNano()
+		}
+		sums[metric] = map[int64]float64{}
+		s.rollupLocal(metric, since[metric], sums[metric])
+		req.Elem("Metric", metric).SetAttr("sinceNs", strconv.FormatInt(since[metric], 10))
+	}
+	for _, t := range view.Peers(s.selfName()) {
+		s.rollupFrom(sp, t, req, since, sums)
+	}
 	folded := 0
-	for _, metric := range DefaultRollupMetrics() {
-		gridName := GridSeriesPrefix + metric
-		var sinceNs int64
-		if last, ok := s.history.LastTS(gridName); ok {
-			sinceNs = last.UnixNano()
-		}
-		// metric -> closed fine points, summed across the community.
-		sums := map[int64]float64{}
-		s.rollupLocal(metric, sinceNs, sums)
-		seen := map[string]bool{s.selfName(): true}
-		for _, t := range view.Peers(s.selfName()) {
-			if seen[t.Name] {
-				continue
-			}
-			seen[t.Name] = true
-			s.rollupFrom(sp, t, metric, sinceNs, sums)
-		}
-		folded += s.foldGridSeries(gridName, sums)
+	for _, metric := range metrics {
+		folded += s.foldGridSeries(GridSeriesPrefix+metric, sums[metric])
 	}
 	sp.SetNote(fmt.Sprintf("points=%d", folded))
 	sp.End(nil)
@@ -300,17 +314,19 @@ func (s *Service) rollupLocal(metric string, sinceNs int64, sums map[int64]float
 	}
 }
 
-// rollupFrom pulls one member's closed fine points over the wire.
-func (s *Service) rollupFrom(sp *telemetry.Span, target superpeer.SiteInfo, metric string, sinceNs int64, sums map[int64]float64) {
-	req := xmlutil.NewNode("History")
-	req.SetAttr("metric", metric)
-	req.SetAttr("finest", "true")
-	req.SetAttr("sinceNs", strconv.FormatInt(sinceNs, 10))
+// rollupFrom pulls one member's closed fine points of every rollup
+// metric over the wire and adds each series' points to its sums.
+func (s *Service) rollupFrom(sp *telemetry.Span, target superpeer.SiteInfo, req *xmlutil.Node, since map[string]int64, sums map[string]map[int64]float64) {
 	resp, err := s.call(context.Background(), sp, target.ServiceURL(ServiceName), "HistoryXport", req)
 	if err != nil || resp == nil {
 		return
 	}
 	for _, sn := range resp.All("Series") {
+		name := sn.AttrOr("name", "")
+		into, ok := sums[name]
+		if !ok {
+			continue
+		}
 		for _, an := range sn.All("Archive") {
 			for _, pn := range an.All("P") {
 				vs := pn.AttrOr("v", "")
@@ -319,10 +335,10 @@ func (s *Service) rollupFrom(sp *telemetry.Span, target superpeer.SiteInfo, metr
 				}
 				tsNs, terr := strconv.ParseInt(pn.AttrOr("tsNs", ""), 10, 64)
 				v, verr := strconv.ParseFloat(vs, 64)
-				if terr != nil || verr != nil || tsNs <= sinceNs {
+				if terr != nil || verr != nil || tsNs <= since[name] {
 					continue
 				}
-				sums[tsNs] += v
+				into[tsNs] += v
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package rdm
 
 import (
+	"strconv"
 	"testing"
 
 	"glare/internal/xmlutil"
@@ -125,5 +126,51 @@ func TestHistoryXportWire(t *testing.T) {
 		if p.AttrOr("live", "") == "true" {
 			t.Fatalf("finest export leaked a live point: %+v", p)
 		}
+	}
+}
+
+// TestHistoryXportPerMetricSince: a <Metric sinceNs> bounds only its own
+// series, so the rollup's one call per member can ask for a metric with
+// no grid series yet (sinceNs 0) beside one already folded to the end.
+func TestHistoryXportPerMetricSince(t *testing.T) {
+	s, v := single(t)
+	step := s.historyCfg.Step
+	for i := 0; i < 4; i++ {
+		s.SampleTelemetry()
+		v.Advance(step)
+	}
+	points := func(metric string, body *xmlutil.Node) int {
+		t.Helper()
+		resp, err := s.historyXportXML(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sn := range resp.All("Series") {
+			if sn.AttrOr("name", "") == metric {
+				return len(sn.All("Archive")[0].All("P"))
+			}
+		}
+		t.Fatalf("no %s series in %s", metric, resp)
+		return 0
+	}
+	req := xmlutil.NewNode("History")
+	req.SetAttr("finest", "true")
+	req.Elem("Metric", "glare_site_services")
+	all := points("glare_site_services", req)
+	if all == 0 {
+		t.Fatal("finest export has no points")
+	}
+
+	end := strconv.FormatInt(v.Now().UnixNano(), 10)
+	req = xmlutil.NewNode("History")
+	req.SetAttr("finest", "true")
+	req.SetAttr("sinceNs", end)
+	req.Elem("Metric", "glare_site_services").SetAttr("sinceNs", "0")
+	req.Elem("Metric", "glare_clock_offset_ms")
+	if got := points("glare_site_services", req); got != all {
+		t.Fatalf("glare_site_services with its own sinceNs 0: %d points, want %d", got, all)
+	}
+	if got := points("glare_clock_offset_ms", req); got != 0 {
+		t.Fatalf("glare_clock_offset_ms under the request's sinceNs: %d points, want 0", got)
 	}
 }

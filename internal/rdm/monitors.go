@@ -28,23 +28,21 @@ type monitorPass struct {
 
 // monitorPasses is the site's schedule, in the order passes that come due
 // together run: the paper's Cache Refresher, Index Monitor and Deployment
-// Status Monitor (§3.2), overlay liveness (§4), anti-entropy, the history
-// sampler (which also evaluates the alert rules), the grid-wide rollup,
-// replica failure detection and promotion (failover completes within
-// replSuspicionThreshold checks), read repair, and the clock-skew gauges.
+// Status Monitor (§3.2), overlay liveness and replica failover (§4),
+// anti-entropy, the history sampler (which also evaluates the alert rules
+// and sets the site and clock-skew gauges), the grid-wide rollup, and
+// read repair.
 func (s *Service) monitorPasses() []monitorPass {
-	superPeer, replicating := s.agent.IsSuperPeer, func() bool { return s.repl != nil }
+	superPeer := s.agent.IsSuperPeer
 	return []monitorPass{
 		{"refresh", 5 * time.Second, nil, func() { s.RefreshCaches() }},
 		{"index", 3 * time.Second, nil, func() { _ = s.CheckIndex() }},
 		{"status", 5 * time.Second, nil, func() { s.CheckDeployments() }},
-		{"liveness", 2 * time.Second, nil, s.agent.Maintain},
+		{"liveness", 2 * time.Second, nil, func() { s.CheckLiveness() }},
 		{"sync", 5 * time.Second, superPeer, s.SyncRegistries},
 		{"sample", 2 * time.Second, nil, func() { s.SampleTelemetry() }},
 		{"rollup", 5 * time.Second, superPeer, func() { s.RollupHistory() }},
-		{"replica-check", 2 * time.Second, func() bool { return replicating() && superPeer() }, func() { s.CheckReplicas() }},
-		{"repair", 5 * time.Second, replicating, func() { s.RepairReplicas() }},
-		{"clock-skew", 5 * time.Second, nil, func() { s.CheckClockSkew() }},
+		{"repair", 5 * time.Second, func() bool { return s.repl != nil }, func() { s.RepairReplicas() }},
 	}
 }
 
@@ -209,6 +207,17 @@ func (s *Service) RefreshCaches() (revived, discarded int) {
 	return revived, discarded
 }
 
+// CheckLiveness is one liveness pass, the site's only failure detector:
+// the overlay agent probes its super-peer, or on a super-peer every site
+// in its view (superpeer.Agent.Maintain), and a replicating super-peer
+// then promotes the replicas of every member those probes suspect dead.
+// A member killed just before a pass is promoted by the second pass.
+// Returns how many promotions the pass ordered.
+func (s *Service) CheckLiveness() int {
+	s.agent.Maintain()
+	return s.checkReplicas()
+}
+
 // CheckIndex is one Index Monitor pass: "It periodically probes the GT4
 // Default Index to see whether it is a community index or local index. A
 // GLARE service on a site with [the] community index becomes super-peer
@@ -294,13 +303,14 @@ func (s *Service) CheckDeployments() (alive int, removed []string) {
 	return alive, removed
 }
 
-// CheckClockSkew is one clock-surveillance pass: publish the worst clock
-// offset this site has observed against any peer (sender HLC stamps vs the
-// local physical clock, signed — positive means that peer's stamps run
-// ahead of us) and the HLC's logical-counter watermark. A large offset
-// means real skew somewhere (here or there); a climbing logical counter
-// means the HLC is absorbing stamps from a clock ahead of ours. Returns
-// the worst-offset peer and its offset.
+// CheckClockSkew is the sampler's clock surveillance (SampleTelemetry
+// calls it): publish the worst clock offset this site has observed
+// against any peer (sender HLC stamps vs the local physical clock, signed
+// — positive means that peer's stamps run ahead of us) and the HLC's
+// logical-counter watermark. A large offset means real skew somewhere
+// (here or there); a climbing logical counter means the HLC is absorbing
+// stamps from a clock ahead of ours. Returns the worst-offset peer and
+// its offset.
 func (s *Service) CheckClockSkew() (peer string, offset time.Duration) {
 	peer, offset = s.hlc.MaxPeerOffset()
 	s.tel.Gauge("glare_clock_offset_ms").Set(offset.Milliseconds())

@@ -206,6 +206,7 @@ type Service struct {
 	quarantined    map[string]*quarState         // failing types in cool-down
 	buildRoots     map[string][]string           // directory roots owned by in-flight builds
 	coordinatedFor int                           // community size the last election covered
+	ordered        map[string]bool               // dead members whose promotion this super-peer ordered (replication.go)
 	sched          *schedule                     // monitor passes (monitors.go)
 	stop           chan struct{}
 	stopOnce       sync.Once
@@ -271,6 +272,7 @@ func New(cfg Config) (*Service, error) {
 		resume:      make(map[string][]store.DeployStep),
 		quarantined: make(map[string]*quarState),
 		buildRoots:  make(map[string][]string),
+		ordered:     make(map[string]bool),
 		stop:        make(chan struct{}),
 	}
 	s.sched = newSchedule(s.monitorPasses(), tel)
@@ -310,7 +312,7 @@ func New(cfg Config) (*Service, error) {
 	// beyond the alarm bound count on glare_clock_skew_detected_total and
 	// surface in the overlay's ViewStatus (the `glarectl status` SKEW
 	// column). The worst observation per peer is retained for the
-	// CheckClockSkew monitor pass.
+	// sampler's CheckClockSkew gauges.
 	s.skewDetected = tel.Counter("glare_clock_skew_detected_total")
 	hybrid.SetSkewBound(skewAlarm)
 	hybrid.OnSkew(func(peer string, offset time.Duration) {

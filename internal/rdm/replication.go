@@ -30,12 +30,6 @@ import (
 // back-fills replicas that missed writes, and a promoted holder hands the
 // data back when the dead site's replacement rejoins.
 
-// replSuspicionThreshold is how many consecutive failed liveness probes
-// the replica monitor tolerates before declaring an owner permanently
-// lost and promoting — so failover completes within a bounded number of
-// suspicion intervals.
-const replSuspicionThreshold = 2
-
 // replicaRegPrefix keys the shadow registries inside the store.
 const replicaRegPrefix = "replica:"
 
@@ -248,39 +242,40 @@ func (s *Service) PromoteOrigin(origin string) int {
 	return adopted
 }
 
-// CheckReplicas is one replica-failure-detection pass, run by super-peers:
-// probe every group member, and once a member misses
-// replSuspicionThreshold consecutive probes, find the most-caught-up
-// holder of its data — judged by (entries held, newest LastUpdateTime),
-// both of which survive a holder's own restart — and promote it. Returns
-// how many promotions this pass ordered.
-func (s *Service) CheckReplicas() int {
+// checkReplicas is the failover half of the liveness pass, run by a
+// replicating super-peer after its agent's probes: each group member the
+// agent suspects dead (superpeer.DefaultSuspicionThreshold consecutive
+// missed probes) has its data promoted on the most-caught-up holder,
+// judged by (entries held, newest LastUpdateTime), both of which survive
+// a holder's own restart. Returns how many promotions this pass ordered.
+func (s *Service) checkReplicas() int {
 	if s.repl == nil || !s.agent.IsSuperPeer() {
 		return 0
 	}
 	view := s.view()
 	promotions := 0
 	for _, member := range view.Peers(s.selfName()) {
-		if s.agent.Ping(member) {
-			// Clears the suspicion count AND any recorded promotion order:
-			// the site answers again, so a later death re-promotes.
-			s.repl.ClearSuspicion(member.Name)
-			continue
-		}
-		if s.repl.Suspect(member.Name) < replSuspicionThreshold {
-			continue
-		}
-		// Completion is tracked on the super-peer side (PromotionOrdered):
-		// the promoted best holder is usually a REMOTE site, so the local
-		// holder's flag cannot tell a done promotion from a pending one —
-		// relying on it would re-gather status and re-send ReplicaPromote
-		// on every pass forever. The holder check still short-circuits the
+		// Completion is tracked on the super-peer side: the promoted best
+		// holder is usually a REMOTE site, so the local holder's flag
+		// cannot tell a done promotion from a pending one — relying on it
+		// would re-gather status and re-send ReplicaPromote on every pass
+		// forever. The holder check still short-circuits the
 		// self-promotion case after a super-peer restart.
-		if s.repl.PromotionOrdered(member.Name) || s.repl.Holder().Promoted(member.Name) {
+		suspected := s.agent.Suspected(member.Name)
+		s.mu.Lock()
+		if !suspected {
+			// The member answers again, so a later death re-promotes.
+			delete(s.ordered, member.Name)
+		}
+		done := s.ordered[member.Name]
+		s.mu.Unlock()
+		if !suspected || done || s.repl.Holder().Promoted(member.Name) {
 			continue
 		}
 		if s.promoteBestHolder(view, member) {
-			s.repl.MarkPromotionOrdered(member.Name)
+			s.mu.Lock()
+			s.ordered[member.Name] = true
+			s.mu.Unlock()
 			promotions++
 		}
 	}

@@ -62,14 +62,9 @@ type Replicator struct {
 	cfg    Config
 	holder *Holder
 
-	mu        sync.Mutex
-	seq       uint64
-	pending   map[string]*pendingWrite
-	suspicion map[string]int
-	// ordered tracks, on the super-peer, the dead sites whose promotion
-	// has already been carried out — the promoted best holder is usually
-	// a REMOTE site, so the local holder's flag cannot record completion.
-	ordered map[string]bool
+	mu      sync.Mutex
+	seq     uint64
+	pending map[string]*pendingWrite
 
 	// Instruments; exported so the rdm layer bumps promotion/repair
 	// counters without replicate owning those passes.
@@ -87,11 +82,9 @@ func New(cfg Config) *Replicator {
 		cfg.Now = time.Now
 	}
 	r := &Replicator{
-		cfg:       cfg,
-		holder:    NewHolder(cfg.Journals),
-		pending:   map[string]*pendingWrite{},
-		suspicion: map[string]int{},
-		ordered:   map[string]bool{},
+		cfg:     cfg,
+		holder:  NewHolder(cfg.Journals),
+		pending: map[string]*pendingWrite{},
 
 		Writes:         cfg.Tel.Counter("glare_replica_writes_total"),
 		QuorumFailures: cfg.Tel.Counter("glare_replica_quorum_failures_total"),
@@ -287,42 +280,6 @@ func (r *Replicator) Apply(m Mutation) error {
 		r.Applies.Inc()
 	}
 	return nil
-}
-
-// Suspect bumps and returns a site's suspicion count (consecutive failed
-// liveness probes during replica checks).
-func (r *Replicator) Suspect(name string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.suspicion[name]++
-	return r.suspicion[name]
-}
-
-// ClearSuspicion resets a site's suspicion count after a successful
-// probe. The site answering again also clears any recorded promotion
-// order — should it die a second time, its data must be re-promoted.
-func (r *Replicator) ClearSuspicion(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.suspicion, name)
-	delete(r.ordered, name)
-}
-
-// MarkPromotionOrdered records that this super-peer already ordered a
-// promotion for a dead site, so failure-detection passes stop re-running
-// status gathering and re-sending ReplicaPromote every interval.
-func (r *Replicator) MarkPromotionOrdered(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ordered[name] = true
-}
-
-// PromotionOrdered reports whether a promotion was already ordered for a
-// dead site (and it has not answered a probe since).
-func (r *Replicator) PromotionOrdered(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ordered[name]
 }
 
 // Mutation is one replicated registry operation on the wire. Ordering

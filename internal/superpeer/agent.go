@@ -64,10 +64,12 @@ type Agent struct {
 	// notifications from multiple indices. It lives only for the current
 	// election window — installing a view resets it.
 	bestCommunity int
-	// suspicion counts consecutive missed super-peer probes; recovery
-	// starts only once it reaches DefaultSuspicionThreshold, so one dropped
-	// packet under chaos does not trigger an election storm.
-	suspicion int
+	// misses counts, per peer, the consecutive liveness-pass probes it
+	// left unanswered: a member's Ping of its super-peer, a super-peer's
+	// ViewStatus probes of its view. A peer is suspected dead only at
+	// DefaultSuspicionThreshold, so one dropped packet under chaos neither
+	// triggers an election storm nor promotes a live member's replicas.
+	misses map[string]int
 	// replicaK is this site's configured registry replication factor; the
 	// election coordinator stamps it into every view it assigns, so the
 	// whole overlay agrees on one K per epoch.
@@ -84,8 +86,8 @@ type Agent struct {
 // normal call.
 const DefaultPingTimeout = 1 * time.Second
 
-// DefaultSuspicionThreshold is how many consecutive missed probes declare
-// the super-peer dead.
+// DefaultSuspicionThreshold is how many consecutive missed liveness
+// probes declare a peer dead.
 const DefaultSuspicionThreshold = 2
 
 // NewAgent creates an overlay agent for a site. Every installed view is
@@ -93,7 +95,7 @@ const DefaultSuspicionThreshold = 2
 // should be the site's own, so its subscribers hear elections.
 func NewAgent(self SiteInfo, client *transport.Client, broker *wsrf.Broker) *Agent {
 	return &Agent{self: self, client: client, broker: broker,
-		pingTimeout: DefaultPingTimeout}
+		pingTimeout: DefaultPingTimeout, misses: map[string]int{}}
 }
 
 // SetReplicaK declares the registry replication factor this site wants
@@ -187,7 +189,6 @@ func (a *Agent) setView(v View) bool {
 	if wasSuper && a.role != RoleSuperPeer {
 		a.abdications.Inc()
 	}
-	a.suspicion = 0
 	a.mu.Unlock()
 	a.epochGauge.Set(int64(v.Epoch))
 	a.broker.Publish(wsrf.TopicElection, a.self.Name, v.ToXML())
@@ -260,6 +261,28 @@ func (a *Agent) handleGroupAssign(body *xmlutil.Node) (*xmlutil.Node, error) {
 		return nil, fmt.Errorf("GroupAssign: view (epoch %d) is older than the installed one", v.Epoch)
 	}
 	return xmlutil.NewNode("Assigned"), nil
+}
+
+// observe records one liveness-pass probe of a peer and returns the
+// peer's consecutive misses, zero once it answered.
+func (a *Agent) observe(name string, answered bool) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if answered {
+		delete(a.misses, name)
+		return 0
+	}
+	a.misses[name]++
+	return a.misses[name]
+}
+
+// Suspected reports whether the liveness pass has seen name miss
+// DefaultSuspicionThreshold consecutive probes. Only that pass moves the
+// count, once per probe of the peer; verification pings do not.
+func (a *Agent) Suspected(name string) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.misses[name] >= DefaultSuspicionThreshold
 }
 
 // Ping checks whether a remote site's agent answers. It probes under its
@@ -528,22 +551,12 @@ func (a *Agent) DetectAndRecover() (bool, error) {
 	if view.SuperPeer.IsZero() || view.SuperPeer.Name == a.self.Name {
 		return false, nil
 	}
-	if a.Ping(view.SuperPeer) {
-		a.mu.Lock()
-		a.suspicion = 0
-		a.mu.Unlock()
+	if a.observe(view.SuperPeer.Name, a.Ping(view.SuperPeer)) < DefaultSuspicionThreshold {
 		return false, nil
 	}
-	a.mu.Lock()
-	a.suspicion++
-	tripped := a.suspicion >= DefaultSuspicionThreshold
-	if tripped {
-		a.suspicion = 0
-	}
-	a.mu.Unlock()
-	if !tripped {
-		return false, nil
-	}
+	// Recovery restarts the count: should it fail, the next attempt waits
+	// out a full threshold of misses again.
+	a.observe(view.SuperPeer.Name, true)
 	survivors := make([]SiteInfo, 0, len(view.Group))
 	for _, s := range view.Group {
 		if s.Name != view.SuperPeer.Name {
@@ -669,7 +682,9 @@ func (a *Agent) broadcastView(v View) {
 // one of the two reigns must end. The loser by (epoch, rank, name)
 // abdicates: if that is us, we hand our view to the winner's Rejoin and
 // step down when its merged broadcast arrives; if that is them, we merge
-// their group into ours and broadcast. Reports whether a heal happened.
+// their group into ours and broadcast. Every probe also counts toward the
+// site's misses (Suspected), which drives replica failover. Reports
+// whether a heal happened.
 func (a *Agent) CheckRivals() (bool, error) {
 	if a.Role() != RoleSuperPeer || a.client == nil {
 		return false, nil
@@ -682,6 +697,8 @@ func (a *Agent) CheckRivals() (bool, error) {
 		}
 		probed[s.Name] = true
 		resp, err := a.client.Probe(s.PeerURL(), "ViewStatus", nil, a.pingTimeout)
+		// Any answer proves the site alive, a viewless one included.
+		a.observe(s.Name, err == nil)
 		if err != nil || resp == nil || resp.AttrOr("superPeer", "") == "" {
 			continue
 		}
@@ -723,9 +740,11 @@ func (a *Agent) CheckRivals() (bool, error) {
 	return false, nil
 }
 
-// Maintain is one overlay-maintenance pass: a super-peer probes for rival
-// reigns left behind by a healed partition (CheckRivals); any other site
-// probes its super-peer's liveness (DetectAndRecover).
+// Maintain is one overlay-maintenance pass, the site's failure detector:
+// a super-peer probes every site in its view for rival reigns left behind
+// by a healed partition (CheckRivals); any other site probes its
+// super-peer's liveness (DetectAndRecover). Either way each probe moves
+// that peer's miss count once.
 func (a *Agent) Maintain() {
 	if a.IsSuperPeer() {
 		_, _ = a.CheckRivals()

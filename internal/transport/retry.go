@@ -40,8 +40,10 @@ func DefaultRetryPolicy() RetryPolicy {
 	}
 }
 
-// delay computes the backoff after the attempt-th try (1-based) failed.
-func (p RetryPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
+// Delay computes the backoff after the attempt-th try (1-based) failed.
+// A nil rng means no jitter, for callers that sleep on a virtual clock,
+// where determinism matters more than decorrelation.
+func (p RetryPolicy) Delay(attempt int, rng *rand.Rand) time.Duration {
 	d := float64(p.BaseDelay)
 	mult := p.Multiplier
 	if mult < 1 {

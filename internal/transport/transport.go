@@ -778,7 +778,7 @@ func (c *Client) exchange(ctx context.Context, address, operation string, env *x
 func (c *Client) backoff(attempt int) time.Duration {
 	c.rngMu.Lock()
 	defer c.rngMu.Unlock()
-	return c.retry.delay(attempt, c.rng)
+	return c.retry.Delay(attempt, c.rng)
 }
 
 // post sends one envelope under the given timeout and parses the response

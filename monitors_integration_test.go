@@ -8,7 +8,7 @@ import (
 )
 
 var monitorPassNames = []string{"refresh", "index", "status", "liveness", "sync",
-	"sample", "rollup", "replica-check", "repair", "clock-skew"}
+	"sample", "rollup", "repair"}
 
 // passRuns reads site i's glare_monitor_pass_seconds count per pass.
 func passRuns(g *Grid, i int) map[string]uint64 {
@@ -46,8 +46,8 @@ func idleSchedule(t *testing.T, skew ...time.Duration) (runs []map[string]uint64
 // on the others.
 func TestMonitorScheduleRunsTable(t *testing.T) {
 	everySite := map[string]uint64{"refresh": 12, "index": 20, "status": 12, "liveness": 30,
-		"sample": 30, "repair": 12, "clock-skew": 12}
-	superPeerOnly := map[string]uint64{"sync": 12, "rollup": 12, "replica-check": 30}
+		"sample": 30, "repair": 12}
+	superPeerOnly := map[string]uint64{"sync": 12, "rollup": 12}
 	runs, superPeer := idleSchedule(t)
 	superPeers := 0
 	for i, got := range runs {

@@ -94,7 +94,7 @@ func BenchmarkReplicationFailover(b *testing.B) {
 				}
 				deadline := time.Now().Add(15 * time.Second)
 				for {
-					g.vo.Nodes[sp].RDM.CheckReplicas()
+					g.vo.Nodes[sp].RDM.CheckLiveness()
 					if types, err := g.Client(sp).ResolveTypes(name); err == nil && len(types) > 0 {
 						break
 					}

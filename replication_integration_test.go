@@ -134,13 +134,17 @@ func TestReplicationSurvivesPermanentSiteLoss(t *testing.T) {
 		}
 	}
 
-	// Failover: the surviving super-peer's failure detector needs two
-	// silent passes per site (the suspicion threshold) before it promotes
-	// the most-caught-up replica — itself, the only holder left.
+	// Failover: the surviving super-peer's liveness pass must see each
+	// dead site miss two probes (the suspicion threshold) before it
+	// promotes the most-caught-up replica — itself, the only holder left.
+	// So the first pass after the kills promotes nothing, and the second
+	// promotes.
 	survivor := g.Client(sp)
-	g.vo.Nodes[sp].RDM.CheckReplicas()
-	if n := g.vo.Nodes[sp].RDM.CheckReplicas(); n == 0 {
-		t.Fatal("second CheckReplicas pass promoted nothing")
+	if n := g.vo.Nodes[sp].RDM.CheckLiveness(); n != 0 {
+		t.Fatalf("first liveness pass after the kills promoted %d, want 0", n)
+	}
+	if n := g.vo.Nodes[sp].RDM.CheckLiveness(); n == 0 {
+		t.Fatal("second liveness pass promoted nothing")
 	}
 	if n := g.Telemetry(sp).Counter("glare_replica_promotions_total").Value(); n == 0 {
 		t.Fatal("glare_replica_promotions_total = 0 after failover")

@@ -147,11 +147,14 @@ func TestSkewedCrashStormZeroAckedWriteLoss(t *testing.T) {
 		t.Fatal("storm acknowledged no registrations; nothing to verify")
 	}
 
-	// Failover: two silent passes per dead site, then promotion.
+	// Failover: two silent liveness passes per dead site, then promotion.
+	// The first pass after the kills promotes nothing; the second does.
 	survivor := g.Client(sp)
-	g.vo.Nodes[sp].RDM.CheckReplicas()
-	if n := g.vo.Nodes[sp].RDM.CheckReplicas(); n == 0 {
-		t.Fatal("second CheckReplicas pass promoted nothing")
+	if n := g.vo.Nodes[sp].RDM.CheckLiveness(); n != 0 {
+		t.Fatalf("first liveness pass after the kills promoted %d, want 0", n)
+	}
+	if n := g.vo.Nodes[sp].RDM.CheckLiveness(); n == 0 {
+		t.Fatal("second liveness pass promoted nothing")
 	}
 
 	// The invariant under skew: zero acknowledged-write loss.
