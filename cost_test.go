@@ -47,7 +47,8 @@ func rpcRequests(g *Grid) map[string]uint64 {
 //
 // The resolve_miss cases are one cold resolution each: every rung of the
 // ladder is one round of Resolve calls, so the counts are the rounds'
-// widths.
+// widths. deploy_miss is one cold on-demand deploy, whose type lookups
+// climb the same ladder.
 func TestCost(t *testing.T) {
 	t.Run("idle", func(t *testing.T) {
 		// Each of the two super-peers' rollup passes, 12 a minute, asks
@@ -169,6 +170,30 @@ func TestCost(t *testing.T) {
 			}
 		}
 		t.Logf("RPCs per cold resolve:\n%s", table.String())
+	})
+	t.Run("deploy_miss", func(t *testing.T) {
+		// One cold Deploy("JPOVray") from a member of the group that owns
+		// only JPOVray; Java and Ant live in the other group. Each
+		// dependency is looked up by one climb, as wide as resolve_miss's
+		// group-wide miss: 5 Resolve calls each. No lookup asks GetType.
+		// The build adds its one pull-through ArtifactFetch to the blob's
+		// rendezvous home.
+		g, caller, owner := twoGroups(t)
+		if err := g.Client(owner).RegisterTypes(imagingTypes("Java", "Ant")...); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Client(caller).RegisterTypes(imagingTypes("JPOVray")...); err != nil {
+			t.Fatal(err)
+		}
+		before := rpcRequests(g)
+		if _, err := g.Client(caller).Deploy("JPOVray", MethodExpect); err != nil {
+			t.Fatal(err)
+		}
+		got := delta(rpcRequests(g), before)
+		t.Logf("RPCs of a cold cross-group deploy: %v", got)
+		if want := map[string]uint64{"Resolve": 10, "ArtifactFetch": 1}; !maps.Equal(got, want) {
+			t.Errorf("RPCs by op = %v, want %v and nothing else (no GetType)", got, want)
+		}
 	})
 	t.Run("allocs", func(t *testing.T) {
 		if raceDetector {
@@ -365,23 +390,7 @@ func abstractMiss(t *testing.T) (*Grid, int) {
 // groupMiss: two groups of two; a member of one group asks, and the
 // member of the other group holds Render and its deployment.
 func groupMiss(t *testing.T) (*Grid, int) {
-	g := newGrid(t, GridOptions{Sites: 4, GroupSize: 2})
-	if err := g.Elect(); err != nil {
-		t.Fatal(err)
-	}
-	caller, holder := -1, -1
-	for i := 0; i < g.Sites(); i++ {
-		switch {
-		case g.IsSuperPeer(i):
-		case caller < 0:
-			caller = i
-		case g.SuperPeerOf(i) != g.SuperPeerOf(caller):
-			holder = i
-		}
-	}
-	if caller < 0 || holder < 0 {
-		t.Fatal("the election did not form two groups of two")
-	}
+	g, caller, holder := twoGroups(t)
 	if err := g.Client(holder).RegisterType(&Type{Name: "Render"}); err != nil {
 		t.Fatal(err)
 	}

@@ -182,3 +182,96 @@ func TestRepeatedBuildFailuresQuarantineType(t *testing.T) {
 		t.Fatalf("quarantine not lifted by success: %+v", st.Quarantined)
 	}
 }
+
+// twoGroups builds 4 sites in two peer groups of two and returns a member
+// of one group (the caller) and the member of the other group.
+func twoGroups(t *testing.T) (g *Grid, caller, other int) {
+	t.Helper()
+	g = newGrid(t, GridOptions{Sites: 4, GroupSize: 2})
+	if err := g.Elect(); err != nil {
+		t.Fatal(err)
+	}
+	caller, other = -1, -1
+	for i := 0; i < g.Sites(); i++ {
+		switch {
+		case g.IsSuperPeer(i):
+		case caller < 0:
+			caller = i
+		case g.SuperPeerOf(i) != g.SuperPeerOf(caller):
+			other = i
+		}
+	}
+	if caller < 0 || other < 0 {
+		t.Fatal("the election did not form two groups of two")
+	}
+	return g, caller, other
+}
+
+// imagingTypes returns the named types of the Section-2 hierarchy.
+func imagingTypes(names ...string) []*Type {
+	var out []*Type
+	for _, t := range ImagingTypes() {
+		for _, n := range names {
+			if t.Name == n {
+				out = append(out, t)
+			}
+		}
+	}
+	return out
+}
+
+// deployedTypes returns the types of the deployments on one site.
+func deployedTypes(g *Grid, i int) map[string]bool {
+	out := map[string]bool{}
+	for _, d := range g.Client(i).Deployments() {
+		out[d.Type] = true
+	}
+	return out
+}
+
+// TestCrossGroupDeploy: a type is registered on a single site, and GLARE
+// deploys it on demand anywhere in the VO, dependencies first ("deploying
+// JPOVray first deploys Java and Ant"), even from the peer group that does
+// not own the types: every lookup climbs the same resolution ladder.
+func TestCrossGroupDeploy(t *testing.T) {
+	t.Run("the whole stack in the other group", func(t *testing.T) {
+		g, caller, owner := twoGroups(t)
+		if err := g.Client(owner).RegisterTypes(ImagingTypes()...); err != nil {
+			t.Fatal(err)
+		}
+		deps, err := g.Client(caller).Discover("ImageConversion")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(deps) == 0 {
+			t.Fatal("on-demand deployment returned no deployments")
+		}
+		for _, d := range deps {
+			if d.Type != "JPOVray" || d.Site != g.SiteName(caller) {
+				t.Fatalf("deployment %s of %s on %s, want JPOVray on the caller %s", d.Name, d.Type, d.Site, g.SiteName(caller))
+			}
+		}
+		if got := deployedTypes(g, caller); !got["Java"] || !got["Ant"] || !got["JPOVray"] {
+			t.Fatalf("caller holds deployments of %v, want Java, Ant and JPOVray", got)
+		}
+	})
+	t.Run("only the dependencies in the other group", func(t *testing.T) {
+		g, caller, owner := twoGroups(t)
+		if err := g.Client(owner).RegisterTypes(imagingTypes("Java", "Ant")...); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Client(caller).RegisterTypes(imagingTypes("JPOVray")...); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := g.Client(caller).Deploy("JPOVray", MethodExpect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Site != g.SiteName(caller) || len(rep.Deployments) == 0 {
+			t.Fatalf("report = %+v, want deployments on the caller %s", rep, g.SiteName(caller))
+		}
+		if got := deployedTypes(g, caller); !got["Java"] || !got["Ant"] {
+			t.Fatalf("caller holds deployments of %v, want Java and Ant", got)
+		}
+	})
+}

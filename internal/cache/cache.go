@@ -12,6 +12,7 @@
 package cache
 
 import (
+	"errors"
 	"sync"
 	"time"
 
@@ -198,15 +199,22 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// Resolver re-fetches a resource from its source. It returns the fresh EPR
-// (with current LastUpdateTime) and document, or an error when the source
-// is gone.
-type Resolver func(key string, source epr.EPR) (epr.EPR, *xmlutil.Node, error)
+// ErrUnreachable marks a refresh whose source could not be reached. The
+// entry is not discarded: it is aged past its TTL, so Get misses and
+// GetStale serves it, for degraded resolution, until the stale window ends.
+var ErrUnreachable = errors.New("cache: source unreachable")
+
+// Resolver re-fetches a resource's document from its source, or fails when
+// the source is gone.
+type Resolver func(key string, source epr.EPR) (*xmlutil.Node, error)
 
 // Refresh implements the Cache Refresher pass: for every cached entry whose
 // source LastUpdateTime is newer than the cached one, re-fetch ("revive")
-// the document; entries whose source has disappeared are discarded. probe
-// fetches the source's current LUT cheaply.
+// the document and stamp it with the LUT the probe read before the fetch,
+// so an update that lands in between is revived by the next pass. Entries
+// whose source has disappeared are discarded; entries whose source is
+// unreachable (ErrUnreachable) age into the stale window. probe fetches
+// the source's current LUT cheaply.
 func (c *Cache) Refresh(probe func(key string, source epr.EPR) (time.Time, error), resolve Resolver) (revived, discarded int) {
 	c.mu.Lock()
 	keys := make([]*Entry, 0, len(c.entries))
@@ -217,34 +225,39 @@ func (c *Cache) Refresh(probe func(key string, source epr.EPR) (time.Time, error
 
 	for _, e := range keys {
 		lut, err := probe(e.Key, e.Source)
-		if err != nil {
-			c.mu.Lock()
-			delete(c.entries, e.Key)
-			c.stats.Discarded++
-			c.discarded.Inc()
-			c.mu.Unlock()
-			discarded++
-			continue
-		}
-		if !lut.After(e.Source.LastUpdateTime) {
-			continue // unchanged
-		}
-		freshEPR, doc, err := resolve(e.Key, e.Source)
-		if err != nil {
-			c.mu.Lock()
-			delete(c.entries, e.Key)
-			c.stats.Discarded++
-			c.discarded.Inc()
-			c.mu.Unlock()
-			discarded++
-			continue
+		var doc *xmlutil.Node
+		if err == nil {
+			if !lut.After(e.Source.LastUpdateTime) {
+				continue // unchanged
+			}
+			doc, err = resolve(e.Key, e.Source)
 		}
 		c.mu.Lock()
-		c.entries[e.Key] = &Entry{Key: e.Key, Source: freshEPR, Doc: doc, Fetched: c.clock.Now()}
-		c.stats.Revived++
-		c.revived.Inc()
+		switch {
+		case errors.Is(err, ErrUnreachable):
+			// Aged once, by the pass that first finds the source gone: a
+			// later pass does not extend the window, and an entry Put
+			// since the snapshot is left alone.
+			expired := c.clock.Now().Add(-c.ttl - time.Nanosecond)
+			if c.entries[e.Key] == e && e.Fetched.After(expired) {
+				aged := *e
+				aged.Fetched = expired
+				c.entries[e.Key] = &aged
+			}
+		case err != nil:
+			delete(c.entries, e.Key)
+			c.stats.Discarded++
+			c.discarded.Inc()
+			discarded++
+		default:
+			fresh := e.Source
+			fresh.LastUpdateTime = lut
+			c.entries[e.Key] = &Entry{Key: e.Key, Source: fresh, Doc: doc, Fetched: c.clock.Now()}
+			c.stats.Revived++
+			c.revived.Inc()
+			revived++
+		}
 		c.mu.Unlock()
-		revived++
 	}
 	return revived, discarded
 }

@@ -71,8 +71,8 @@ func TestRefreshRevivesChangedEntries(t *testing.T) {
 	newLUT := v.Now()
 
 	probe := func(key string, source epr.EPR) (time.Time, error) { return newLUT, nil }
-	resolve := func(key string, source epr.EPR) (epr.EPR, *xmlutil.Node, error) {
-		return src(key, newLUT), xmlutil.NewNode("New"), nil
+	resolve := func(key string, source epr.EPR) (*xmlutil.Node, error) {
+		return xmlutil.NewNode("New"), nil
 	}
 	revived, discarded := c.Refresh(probe, resolve)
 	if revived != 1 || discarded != 0 {
@@ -110,8 +110,8 @@ func TestRefreshDiscardsWhenResolveFails(t *testing.T) {
 	c.Put("x", src("x", t0), nil)
 	v.Advance(time.Second)
 	probe := func(string, epr.EPR) (time.Time, error) { return v.Now(), nil }
-	resolve := func(string, epr.EPR) (epr.EPR, *xmlutil.Node, error) {
-		return epr.EPR{}, nil, fmt.Errorf("resource destroyed")
+	resolve := func(string, epr.EPR) (*xmlutil.Node, error) {
+		return nil, fmt.Errorf("resource destroyed")
 	}
 	revived, discarded := c.Refresh(probe, resolve)
 	if revived != 0 || discarded != 1 {

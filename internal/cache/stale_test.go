@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"glare/internal/epr"
 	"glare/internal/xmlutil"
 )
 
@@ -65,5 +67,48 @@ func TestGetStaleWithoutRetentionBehavesLikeGet(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("expired entry not evicted with retention disabled")
+	}
+}
+
+// TestRefreshAgesUnreachableSources: a refresh that cannot reach the
+// source, at the probe or at the fetch, keeps the entry but ages it past
+// its TTL, so Get misses and GetStale serves it until the window ends. A
+// later unreachable pass does not extend the window.
+func TestRefreshAgesUnreachableSources(t *testing.T) {
+	c, v := fixture() // TTL one minute
+	c.SetStaleFor(10 * time.Minute)
+	c.Put("probe", src("probe", v.Now()), xmlutil.NewNode("P"))
+	c.Put("fetch", src("fetch", v.Now()), xmlutil.NewNode("F"))
+	unreachable := fmt.Errorf("dial: %w", ErrUnreachable)
+	probe := func(key string, _ epr.EPR) (time.Time, error) {
+		if key == "probe" {
+			return time.Time{}, unreachable
+		}
+		return v.Now().Add(time.Second), nil // changed: fetch it
+	}
+	resolve := func(string, epr.EPR) (*xmlutil.Node, error) { return nil, unreachable }
+
+	if revived, discarded := c.Refresh(probe, resolve); revived != 0 || discarded != 0 || c.Len() != 2 {
+		t.Fatalf("revived=%d discarded=%d len=%d, want both entries kept", revived, discarded, c.Len())
+	}
+	for _, key := range []string{"probe", "fetch"} {
+		if _, ok := c.Get(key); ok {
+			t.Fatalf("%s: Get served an entry whose source is unreachable", key)
+		}
+		if e, ok := c.GetStale(key); !ok || e.Doc == nil {
+			t.Fatalf("%s: GetStale missed the aged entry", key)
+		}
+	}
+	if st := c.Stats(); st.Discarded != 0 || st.Stale != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+
+	v.Advance(9 * time.Minute)
+	c.Refresh(probe, resolve)
+	v.Advance(2 * time.Minute)
+	for _, key := range []string{"probe", "fetch"} {
+		if _, ok := c.GetStale(key); ok {
+			t.Fatalf("%s: served past the window that began at the first unreachable pass", key)
+		}
 	}
 }

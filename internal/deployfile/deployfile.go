@@ -253,11 +253,11 @@ func (b *Build) Resolve(base map[string]string) ([]Command, error) {
 	var out []Command
 	for _, st := range steps {
 		for _, kv := range st.Envs {
-			env[kv.Name] = expand(kv.Value, lookup)
+			env[kv.Name] = Expand(kv.Value, lookup)
 		}
 		cmd := Command{
 			Step:    st,
-			BaseDir: expand(st.BaseDir, lookup),
+			BaseDir: Expand(st.BaseDir, lookup),
 			Timeout: st.Timeout,
 			Dialog:  st.Dialog,
 		}
@@ -266,16 +266,16 @@ func (b *Build) Resolve(base map[string]string) ([]Command, error) {
 		if cmd.Timeout <= 0 {
 			cmd.Timeout = DefaultStepTimeout
 		}
-		task := expand(st.Task, lookup)
+		task := Expand(st.Task, lookup)
 		var args []string
 		if src := st.Property("source"); src != "" {
-			args = append(args, expand(src, lookup))
+			args = append(args, Expand(src, lookup))
 			if dst := st.Property("destination"); dst != "" {
-				args = append(args, expand(dst, lookup))
+				args = append(args, Expand(dst, lookup))
 			}
 		}
 		for _, a := range st.Arguments() {
-			args = append(args, expand(a, lookup))
+			args = append(args, Expand(a, lookup))
 		}
 		cmd.Cmdline = strings.TrimSpace(task + " " + strings.Join(args, " "))
 		cmd.Env = make(map[string]string, len(env))
@@ -305,9 +305,7 @@ func ChecksumOfStep(s *Step) (algo, sum string) {
 // bare name runs over letters, digits and underscores; a '$' not followed
 // by a name, and an unterminated "${", stay as written. The site shell
 // expands its command lines the same way.
-func Expand(s string, lookup func(string) string) string { return expand(s, lookup) }
-
-func expand(s string, lookup func(string) string) string {
+func Expand(s string, lookup func(string) string) string {
 	var bld strings.Builder
 	for i := 0; i < len(s); {
 		c := s[i]

@@ -181,7 +181,7 @@ func TestResolveEnvOrderWithinStep(t *testing.T) {
 }
 
 func TestExpandBraces(t *testing.T) {
-	got := expand("a${X}b$Yc${missing}", func(k string) string {
+	got := Expand("a${X}b$Yc${missing}", func(k string) string {
 		switch k {
 		case "X":
 			return "1"
@@ -191,7 +191,7 @@ func TestExpandBraces(t *testing.T) {
 		return ""
 	})
 	if got != "a1b2" {
-		t.Fatalf("expand = %q", got)
+		t.Fatalf("Expand = %q", got)
 	}
 }
 

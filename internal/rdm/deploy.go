@@ -56,24 +56,25 @@ type DeployReport struct {
 
 // DeployOnDemand deploys a concrete activity type somewhere suitable in
 // the VO — on this site when its constraints match, otherwise on an
-// eligible peer — and returns the new deployments.
+// eligible peer — and returns the new deployments. The type is looked up
+// once, anywhere in the VO.
 func (s *Service) DeployOnDemand(typeName string, method Method) (*DeployReport, error) {
-	return s.deployOnDemand(context.Background(), nil, typeName, method)
-}
-
-func (s *Service) deployOnDemand(ctx context.Context, parent *telemetry.Span, typeName string, method Method) (report *DeployReport, err error) {
-	sp := s.tel.StartSpan("rdm.DeployOnDemand", parent)
-	sp.SetNote(typeName)
-	defer func() { sp.End(err) }()
-	t, ok := s.lookupType(ctx, sp, typeName)
+	t, ok := s.LookupType(typeName)
 	if !ok {
 		return nil, fmt.Errorf("rdm: unknown activity type %q", typeName)
 	}
+	return s.deployOnDemand(context.Background(), nil, t, method)
+}
+
+func (s *Service) deployOnDemand(ctx context.Context, parent *telemetry.Span, t *activity.Type, method Method) (report *DeployReport, err error) {
+	sp := s.tel.StartSpan("rdm.DeployOnDemand", parent)
+	sp.SetNote(t.Name)
+	defer func() { sp.End(err) }()
 	if t.Abstract {
-		return nil, fmt.Errorf("rdm: cannot deploy abstract type %q", typeName)
+		return nil, fmt.Errorf("rdm: cannot deploy abstract type %q", t.Name)
 	}
 	if t.Installation == nil {
-		return nil, fmt.Errorf("rdm: type %q has no installation description", typeName)
+		return nil, fmt.Errorf("rdm: type %q has no installation description", t.Name)
 	}
 	c := t.Installation.Constraints
 	if s.site.Attrs.Matches(c.Platform, c.OS, c.Arch) {
@@ -130,10 +131,24 @@ func bestTarget(sites []site.Attributes, c activity.Constraints) int {
 	return best
 }
 
-// attrsFromXML parses a SiteAttrs response.
+// attrsToXML encodes a site's attributes as the SiteAttrs answer: every
+// field bestTarget ranks on.
+func attrsToXML(a site.Attributes) *xmlutil.Node {
+	return xmlutil.NewNode("Attrs").
+		SetAttr("name", a.Name).
+		SetAttr("platform", a.Platform).
+		SetAttr("os", a.OS).
+		SetAttr("arch", a.Arch).
+		SetAttr("processors", strconv.Itoa(a.Processors)).
+		SetAttr("mhz", strconv.Itoa(a.ProcessorMHz)).
+		SetAttr("memoryMB", strconv.Itoa(a.MemoryMB)).
+		SetAttr("uptimeHours", strconv.Itoa(a.UptimeHours))
+}
+
+// attrsFromXML parses a SiteAttrs answer.
 func attrsFromXML(n *xmlutil.Node) site.Attributes {
-	atoi := func(s string) int {
-		v, _ := strconv.Atoi(s)
+	atoi := func(name string) int {
+		v, _ := strconv.Atoi(n.AttrOr(name, "0"))
 		return v
 	}
 	return site.Attributes{
@@ -141,9 +156,10 @@ func attrsFromXML(n *xmlutil.Node) site.Attributes {
 		Platform:     n.AttrOr("platform", ""),
 		OS:           n.AttrOr("os", ""),
 		Arch:         n.AttrOr("arch", ""),
-		Processors:   atoi(n.AttrOr("processors", "0")),
-		ProcessorMHz: atoi(n.AttrOr("mhz", "0")),
-		MemoryMB:     atoi(n.AttrOr("memoryMB", "0")),
+		Processors:   atoi("processors"),
+		ProcessorMHz: atoi("mhz"),
+		MemoryMB:     atoi("memoryMB"),
+		UptimeHours:  atoi("uptimeHours"),
 	}
 }
 

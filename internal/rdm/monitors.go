@@ -2,6 +2,7 @@ package rdm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -9,11 +10,13 @@ import (
 	"time"
 
 	"glare/internal/activity"
+	"glare/internal/cache"
 	"glare/internal/epr"
 	"glare/internal/mds"
 	"glare/internal/simclock"
 	"glare/internal/superpeer"
 	"glare/internal/telemetry"
+	"glare/internal/transport"
 	"glare/internal/xmlutil"
 )
 
@@ -163,48 +166,53 @@ func AdvanceMonitors(sites []*Service, d time.Duration, advance func(time.Durati
 	}
 }
 
-// RefreshCaches is one Cache Refresher pass: cached deployments and types
-// whose source LastUpdateTime changed are revived; entries whose source is
-// gone are discarded. Index-style entries (merged lists) age out by TTL.
-// Each pass runs under its own trace span, so the LUT probes it issues
-// carry a correlation ID to the source sites.
+// RefreshCaches is one Cache Refresher pass over the deployment cache:
+// cached deployments whose source LastUpdateTime changed are revived with
+// one Get, stamped with the LUT the probe read; entries whose source is
+// gone are discarded, and entries whose source is unreachable age into the
+// stale window. Index entries (merged lists) and the type cache's concrete
+// lists age out by TTL. Each pass runs under its own trace span, so the
+// LUT probes it issues carry a correlation ID to the source sites.
 func (s *Service) RefreshCaches() (revived, discarded int) {
 	sp := s.tel.StartSpan("rdm.RefreshCaches", nil)
 	probe := func(key string, source epr.EPR) (time.Time, error) {
-		switch {
-		case strings.HasPrefix(key, "dep:"), strings.HasPrefix(key, "type:"):
-			return s.probeLUT(context.Background(), sp, source.Address, source.Key)
-		default:
+		if !strings.HasPrefix(key, "dep:") {
 			// Merged lists have no single source; leave them to TTL.
 			return source.LastUpdateTime, nil
 		}
-	}
-	resolve := func(key string, source epr.EPR) (epr.EPR, *xmlutil.Node, error) {
-		op := "Get"
-		if strings.HasPrefix(key, "type:") {
-			op = "GetType"
-		}
-		resp, err := s.call(context.Background(), sp, source.Address, op, xmlutil.NewNode("Name", source.Key))
+		resp, err := s.refreshCall(sp, source, "GetLUT")
 		if err != nil {
-			return epr.EPR{}, nil, err
+			return time.Time{}, err
 		}
-		if resp == nil {
-			return epr.EPR{}, nil, errEmptyAnswer
-		}
-		lut, err := s.probeLUT(context.Background(), sp, source.Address, source.Key)
-		if err != nil {
-			return epr.EPR{}, nil, err
-		}
-		fresh := source
-		fresh.LastUpdateTime = lut
-		return fresh, resp, nil
+		return time.Parse(epr.TimeLayout, resp.Text)
 	}
-	r1, d1 := s.depCache.Refresh(probe, resolve)
-	r2, d2 := s.typeCache.Refresh(probe, resolve)
-	revived, discarded = r1+r2, d1+d2
+	resolve := func(_ string, source epr.EPR) (*xmlutil.Node, error) {
+		return s.refreshCall(sp, source, "Get")
+	}
+	revived, discarded = s.depCache.Refresh(probe, resolve)
 	sp.SetNote(fmt.Sprintf("revived=%d discarded=%d", revived, discarded))
 	sp.End(nil)
 	return revived, discarded
+}
+
+// errEmptyAnswer reports a call that succeeded with no answer where the
+// cache refresher needs one: the entry it was checking is discarded.
+var errEmptyAnswer = errors.New("rdm: empty answer")
+
+// refreshCall makes one refresher call about a cached entry's source. An
+// unreachable source is cache.ErrUnreachable, so the entry is kept for
+// degraded resolution; a fault or an empty answer discards it.
+func (s *Service) refreshCall(sp *telemetry.Span, source epr.EPR, op string) (*xmlutil.Node, error) {
+	resp, err := s.call(context.Background(), sp, source.Address, op, xmlutil.NewNode("Name", source.Key))
+	switch {
+	case transport.IsUnavailable(err):
+		return nil, fmt.Errorf("%w: %w", cache.ErrUnreachable, err)
+	case err != nil:
+		return nil, err
+	case resp == nil:
+		return nil, errEmptyAnswer
+	}
+	return resp, nil
 }
 
 // CheckLiveness is one liveness pass, the site's only failure detector:

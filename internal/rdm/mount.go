@@ -121,16 +121,7 @@ func (s *Service) Mount(srv *transport.Server) {
 			return loadStatusXML(srv.Admission()), nil
 		},
 		"SiteAttrs": func(context.Context, *telemetry.Span, *xmlutil.Node) (*xmlutil.Node, error) {
-			a := s.site.Attrs
-			n := xmlutil.NewNode("Attrs")
-			n.SetAttr("name", a.Name)
-			n.SetAttr("platform", a.Platform)
-			n.SetAttr("os", a.OS)
-			n.SetAttr("arch", a.Arch)
-			n.SetAttr("processors", strconv.Itoa(a.Processors))
-			n.SetAttr("mhz", strconv.Itoa(a.ProcessorMHz))
-			n.SetAttr("memoryMB", strconv.Itoa(a.MemoryMB))
-			return n, nil
+			return attrsToXML(s.site.Attrs), nil
 		},
 		"DeployLocal": func(ctx context.Context, sp *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
 			if body == nil {

@@ -243,6 +243,20 @@ func TestBestTargetRanksByCapacity(t *testing.T) {
 	})
 }
 
+// The SiteAttrs answer carries every field bestTarget ranks on, uptime
+// included: what chooseTarget reads is what the peer holds.
+func TestSiteAttrsRoundTrip(t *testing.T) {
+	for _, a := range []site.Attributes{
+		targetAttrs("agrid01", "Linux", 1250, 2048, 8, 237),
+		targetAttrs("fresh", "Solaris", 3000, 16384, 32, 0),
+		{},
+	} {
+		if got := attrsFromXML(attrsToXML(a)); got != a {
+			t.Errorf("round trip of %+v = %+v", a, got)
+		}
+	}
+}
+
 func TestDeployMethodsProduceTable1Shape(t *testing.T) {
 	s, _ := single(t)
 	for _, ty := range workload.EvaluationTypes() {

@@ -2,7 +2,6 @@ package rdm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -131,7 +130,7 @@ func (s *Service) getDeployments(ctx context.Context, sp *telemetry.Span, typeNa
 			lastErr = fmt.Errorf("rdm: type %q is manual-install; administrator notified", ct.Name)
 			continue
 		}
-		report, err := s.deployOnDemand(ctx, sp, ct.Name, method)
+		report, err := s.deployOnDemand(ctx, sp, ct, method)
 		if err != nil {
 			lastErr = err
 			continue
@@ -546,60 +545,24 @@ func deploymentsFromList(list *xmlutil.Node) []*activity.Deployment {
 	return out
 }
 
-// LookupType finds a single named type locally, in cache, or remotely.
+// LookupType finds a single named type in the local registry or, up the
+// resolution ladder, anywhere in the VO.
 func (s *Service) LookupType(name string) (*activity.Type, bool) {
 	return s.lookupType(context.Background(), nil, name)
 }
 
+// lookupType is the one type lookup behind on-demand deployment, dependency
+// installs, migration and DeployLocal by name. A local hit answers at once;
+// otherwise one climb resolves the name, and the answer is the concrete type
+// it names.
 func (s *Service) lookupType(ctx context.Context, sp *telemetry.Span, name string) (*activity.Type, bool) {
 	if t, ok := s.ATR.Lookup(name); ok {
 		return t, true
 	}
-	if !s.cacheOff {
-		if e, ok := s.typeCache.Get("type:" + name); ok {
-			if t, err := activity.TypeFromXML(e.Doc); err == nil {
-				return t, true
-			}
-		}
+	c, _ := s.climb(ctx, sp, name, nil, "")
+	i := slices.IndexFunc(c.types, func(t *activity.Type) bool { return t.Name == name })
+	if i < 0 {
+		return nil, false
 	}
-	view := s.view()
-	targets := view.Peers(s.selfName())
-	if !view.SuperPeer.IsZero() && view.SuperPeer.Name != s.selfName() {
-		targets = append(targets, view.SuperPeer)
-	}
-	for _, peer := range targets {
-		resp, err := s.call(ctx, sp, peer.ServiceURL(atr.ServiceName), "GetType",
-			xmlutil.NewNode("Name", name))
-		if err != nil || resp == nil {
-			continue
-		}
-		t, err := activity.TypeFromXML(resp)
-		if err != nil {
-			continue
-		}
-		if !s.cacheOff {
-			src := epr.New(peer.ServiceURL(atr.ServiceName), atr.KeyName, name)
-			src.LastUpdateTime = s.clock.Now()
-			s.typeCache.Put("type:"+name, src, resp.Clone())
-		}
-		return t, true
-	}
-	return nil, false
-}
-
-// errEmptyAnswer reports a call that succeeded with no answer where the
-// cache refresher needs one: the entry it was checking is discarded.
-var errEmptyAnswer = errors.New("rdm: empty answer")
-
-// probeLUT fetches the current LastUpdateTime of a remote resource for the
-// cache refresher.
-func (s *Service) probeLUT(ctx context.Context, sp *telemetry.Span, service string, key string) (time.Time, error) {
-	resp, err := s.call(ctx, sp, service, "GetLUT", xmlutil.NewNode("Name", key))
-	if err != nil {
-		return time.Time{}, err
-	}
-	if resp == nil {
-		return time.Time{}, errEmptyAnswer
-	}
-	return time.Parse(epr.TimeLayout, resp.Text)
+	return c.types[i], true
 }

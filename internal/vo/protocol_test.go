@@ -38,6 +38,10 @@ func TestSiteAttrsOverWire(t *testing.T) {
 	if resp.AttrOr("name", "") == "" {
 		t.Fatal("missing site name")
 	}
+	// The broker ranks peers on uptime too (bestTarget).
+	if got, want := resp.AttrOr("uptimeHours", ""), strconv.Itoa(v.Nodes[0].Site.Attrs.UptimeHours); got != want || want == "0" {
+		t.Fatalf("uptimeHours = %q, want %q", got, want)
+	}
 }
 
 func TestGroupAndForwardOpsOverWire(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"glare/internal/activity"
 	"glare/internal/rdm"
 	"glare/internal/superpeer"
+	"glare/internal/telemetry"
 	"glare/internal/workload"
 	"glare/internal/xmlutil"
 )
@@ -184,15 +185,28 @@ func TestCacheRefreshRevivesUpdatedDeployment(t *testing.T) {
 	}
 	// Site 1 caches site 0's deployment.
 	svc := v.Nodes[1].RDM
-	if _, err := svc.GetDeployments("JPOVray", rdm.MethodExpect, false); err != nil {
+	cached, err := svc.GetDeployments("JPOVray", rdm.MethodExpect, false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Site 0's status monitor touches the deployment (bumps LUT).
 	v.Clock.(interface{ Advance(time.Duration) }).Advance(time.Second)
 	v.Nodes[0].RDM.CheckDeployments()
+	calls := func(op string) uint64 {
+		return v.Nodes[1].Tel.Counter("glare_rpc_client_requests_total", telemetry.L("op", op)).Value()
+	}
+	luts, gets := calls("GetLUT"), calls("Get")
 	revived, _ := svc.RefreshCaches()
 	if revived == 0 {
 		t.Fatal("updated deployment was not revived")
+	}
+	// One probe per cached deployment, and one fetch per revival, stamped
+	// with the LUT that probe read: no second probe.
+	if n := calls("GetLUT") - luts; n != uint64(len(cached)) {
+		t.Errorf("refresh made %d GetLUT calls, want one per cached deployment (%d)", n, len(cached))
+	}
+	if n := calls("Get") - gets; n != uint64(revived) {
+		t.Errorf("refresh made %d Get calls, want one per revived deployment (%d)", n, revived)
 	}
 }
 

@@ -193,3 +193,48 @@ func TestStaleCacheServesDegradedResults(t *testing.T) {
 		t.Fatal("resolution served data older than the revival window")
 	}
 }
+
+// TestStaleCacheSurvivesRefreshDuringCut: a Cache Refresher pass that runs
+// while every source is cut off must not discard what degraded resolution
+// needs. The refresher ages the unreachable entries past their TTL, so a
+// healthy lookup would miss them, and resolution serves them, marked
+// Degraded, until the revival window that began at that pass ends.
+func TestStaleCacheSurvivesRefreshDuringCut(t *testing.T) {
+	g := newGrid(t, GridOptions{Sites: 3, GroupSize: 3, ChaosSeed: 7})
+	if err := g.Elect(); err != nil {
+		t.Fatal(err)
+	}
+	registerDeployment(t, g, 0, "stale-a", "StaleApp")
+	scheduler := g.Client(1)
+	if _, err := scheduler.DiscoverNoDeploy("StaleApp"); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		if err := g.DropSite(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock := g.vo.Clock.(*simclock.Virtual)
+	refresher := g.vo.Nodes[1].RDM
+	// The first pass runs while the entries are still fresh (TTL 5m), the
+	// second ten minutes into the cut; both find the source unreachable.
+	for _, wait := range []time.Duration{0, 10 * time.Minute} {
+		clock.Advance(wait)
+		if revived, discarded := refresher.RefreshCaches(); revived != 0 || discarded != 0 {
+			t.Fatalf("refresh during the cut revived %d and discarded %d entries, want none", revived, discarded)
+		}
+		deps, err := scheduler.DiscoverNoDeploy("StaleApp")
+		if err != nil {
+			t.Fatalf("%v into the cut: degraded resolution must serve the stale cache, got %v", wait, err)
+		}
+		if len(deps) != 1 || deps[0].Name != "stale-a" || !deps[0].Degraded {
+			t.Fatalf("%v into the cut: resolution = %+v, want stale-a marked Degraded", wait, deps)
+		}
+	}
+	// The window (30m) runs from the first pass, not from the last.
+	clock.Advance(21 * time.Minute)
+	refresher.RefreshCaches()
+	if _, err := scheduler.DiscoverNoDeploy("StaleApp"); err == nil {
+		t.Fatal("resolution served data older than the revival window")
+	}
+}
