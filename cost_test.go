@@ -6,6 +6,7 @@ import (
 	"io"
 	"maps"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -37,82 +38,124 @@ func rpcRequests(g *Grid) map[string]uint64 {
 
 // TestCost records what the grid costs on the wire. The idle case is one
 // minute of the shipped monitor schedule on an 8-site grid (two peer
-// groups, K = 3, durable stores) holding N registered types and serving
-// no requests.
+// groups, K = 3, durable stores) holding N registered types, each with one
+// executable deployment on the site that registered it, and serving no
+// requests.
 //
 // No call count grows with N: the ops are the liveness, view, rollup,
-// replica and digest traffic of a fixed-size grid, and anti-entropy
-// copies no documents. Only ReplicaFetch bytes still grow with N, since
-// each read repair pulls the origin's whole replicated registry.
+// replica and digest traffic of a fixed-size grid, anti-entropy copies no
+// documents, and the Deployment Status Monitor writes nothing for a
+// deployment that is still there, so nothing is replicated. Only
+// ReplicaFetch bytes still grow with N, since each read repair pulls the
+// origin's whole replicated registry. idle_cached adds one site's warm
+// deployment cache: its refresher probes each entry once a pass and, with
+// no LUT moving, fetches nothing.
 //
 // The resolve_miss cases are one cold resolution each: every rung of the
 // ladder is one round of Resolve calls, so the counts are the rounds'
 // widths. deploy_miss is one cold on-demand deploy, whose type lookups
 // climb the same ladder.
 func TestCost(t *testing.T) {
+	// Each of the two super-peers' rollup passes, 12 a minute, asks each
+	// of its 3 members once for all 4 rollup metrics: 72 HistoryXport.
+	// Each liveness pass, 30 a minute, is the one failure detector: the 6
+	// members each Ping their super-peer (180 Ping), and the 2 super-peers
+	// each probe their 3 members and the other super-peer with ViewStatus
+	// (240 ViewStatus), which also drives replica failover, so no pass
+	// pings members. Any other op, Replicate, Get and GetLUT included, is
+	// an error.
+	schedule := map[string]uint64{"HistoryXport": 72, "Ping": 180, "ViewStatus": 240,
+		"ReplicaFetch": 192, "RegistryDigest": 96}
+	ops := []string{"HistoryXport", "Ping", "ViewStatus", "ReplicaFetch", "RegistryDigest"}
+	checkCalls := func(t *testing.T, n int, calls, want map[string]uint64) {
+		t.Helper()
+		if !maps.Equal(calls, want) {
+			t.Errorf("N=%d: calls by op during the idle minute = %v, want %v and nothing else", n, calls, want)
+		}
+	}
 	t.Run("idle", func(t *testing.T) {
-		// Each of the two super-peers' rollup passes, 12 a minute, asks
-		// each of its 3 members once for all 4 rollup metrics: 72
-		// HistoryXport. Each liveness pass, 30 a minute, is the one
-		// failure detector: the 6 members each Ping their super-peer
-		// (180 Ping), and the 2 super-peers each probe their 3 members
-		// and the other super-peer with ViewStatus (240 ViewStatus),
-		// which also drives replica failover, so no pass pings members.
-		want := map[string]uint64{"HistoryXport": 72, "Ping": 180, "ViewStatus": 240,
-			"ReplicaFetch": 192, "RegistryDigest": 96}
-		ops := []string{"HistoryXport", "Ping", "ViewStatus", "ReplicaFetch", "RegistryDigest"}
 		sizes := []int{100, 400, 1600}
 		if testing.Short() || raceDetector {
 			sizes = sizes[:2]
 		}
-		var table strings.Builder
+		passNames := []string{"refresh", "index", "status", "liveness", "sync", "sample", "rollup", "repair"}
+		var table, work strings.Builder
 		fmt.Fprintf(&table, "| N | per idle minute | %s | wall |\n|---|---|%s---|\n", strings.Join(ops, " | "), strings.Repeat("---|", len(ops)))
-		var base map[string]uint64
+		fmt.Fprintf(&work, "| N | WAL appends | mallocs | %s |\n|---|---|---|%s\n", strings.Join(passNames, " | "), strings.Repeat("---|", len(passNames)))
+		var base idleCost
 		for _, n := range sizes {
-			calls, volume, wall := idleMinute(t, n)
+			g, wire := idleGrid(t, n)
+			c := idleMinute(t, g, wire)
 			for _, row := range []struct {
 				what string
 				per  map[string]uint64
-			}{{"calls", calls}, {"bytes", volume}} {
+			}{{"calls", c.calls}, {"bytes", c.volume}} {
 				fmt.Fprintf(&table, "| %d | %s |", n, row.what)
 				for _, op := range ops {
 					fmt.Fprintf(&table, " %d |", row.per[op])
 				}
-				fmt.Fprintf(&table, " %v |\n", wall.Round(time.Millisecond))
+				fmt.Fprintf(&table, " %v |\n", c.wall.Round(time.Millisecond))
 			}
-			for _, op := range ops {
-				if calls[op] != want[op] {
-					t.Errorf("N=%d: %s = %d calls, want %d", n, op, calls[op], want[op])
-				}
+			fmt.Fprintf(&work, "| %d | %d | %d |", n, c.appends, c.mallocs)
+			for _, pass := range passNames {
+				fmt.Fprintf(&work, " %v |", c.passes[pass].Round(100*time.Microsecond))
 			}
-			// A late Replicate from the registration fan-out is not part
-			// of the schedule's cost; anything else is.
-			var extra []string
-			for op := range calls {
-				if _, ok := want[op]; !ok && op != "Replicate" {
-					extra = append(extra, op)
-				}
-			}
-			sort.Strings(extra)
-			if len(extra) > 0 {
-				t.Errorf("N=%d: unexpected ops during the idle minute: %v", n, extra)
-			}
+			work.WriteString("\n")
+			checkCalls(t, n, c.calls, schedule)
 			// ReplicaFetch bytes grow with N until read repair stops
-			// pulling whole registries (ROADMAP item 9(b)); every other op
-			// moves the same bytes at any N.
-			if base == nil {
-				base = volume
+			// pulling whole registries (ROADMAP item 24(b)); every other op
+			// moves the same bytes at any N. The WAL takes exactly the same
+			// appends at any N (none varied across runs): none of them is
+			// per deployment.
+			if base.volume == nil {
+				base = c
 			}
 			for _, op := range ops {
-				if b, b0 := float64(volume[op]), float64(base[op]); op != "ReplicaFetch" && (b > 1.02*b0 || b < 0.98*b0) {
+				if b, b0 := float64(c.volume[op]), float64(base.volume[op]); op != "ReplicaFetch" && (b > 1.02*b0 || b < 0.98*b0) {
 					t.Errorf("N=%d: %s moved %.0f bytes, want within 2%% of the %.0f at N=%d", n, op, b, b0, sizes[0])
 				}
 			}
-			if wall > 3*time.Second && !raceDetector {
-				t.Errorf("N=%d: the idle minute took %v of wall time, want <= 3s", n, wall)
+			if c.appends != base.appends {
+				t.Errorf("N=%d: %d WAL appends, want the %d at N=%d", n, c.appends, base.appends, sizes[0])
+			}
+			if c.wall > 3*time.Second && !raceDetector {
+				t.Errorf("N=%d: the idle minute took %v of wall time, want <= 3s", n, c.wall)
 			}
 		}
 		t.Logf("Wire cost of one idle minute (8 sites, K = 3):\n%s", table.String())
+		t.Logf("Work of one idle minute, all sites (monitor pass time summed by pass):\n%s", work.String())
+	})
+	t.Run("idle_cached", func(t *testing.T) {
+		// Site 0 resolves every type, so its cache, and its super-peer's
+		// for answers from the other group, hold the deployments those
+		// resolutions fetched. Each entry is stamped with its cacher's
+		// physical clock, which may run behind the source's HLC stamp, so
+		// the warm-up minute revives each entry at most once; it also
+		// drops the entries whose source answers that it holds no such
+		// deployment. After that no LUT moves.
+		const n = 100
+		g, wire := idleGrid(t, n)
+		for _, typ := range workload.SyntheticTypes(n) {
+			if _, err := g.Client(0).DiscoverNoDeploy(typ.Name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cached := cachedDeployments(g)
+		warm := idleMinute(t, g, wire)
+		if warm.calls["Get"] > uint64(cached) {
+			t.Errorf("warm-up minute: %d Get calls, want at most one per cached deployment (%d)", warm.calls["Get"], cached)
+		}
+		kept := cachedDeployments(g)
+		c := idleMinute(t, g, wire)
+		// Twelve refresher passes a minute, one GetLUT per entry each.
+		want := maps.Clone(schedule)
+		want["GetLUT"] = 12 * uint64(kept)
+		checkCalls(t, n, c.calls, want)
+		if after := cachedDeployments(g); after != kept {
+			t.Errorf("%d cached deployments after the idle minute, want the %d it began with", after, kept)
+		}
+		t.Logf("cached deployments: %d after the resolutions, %d after the warm-up minute (%d GetLUT, %d Get), then %d GetLUT and %d Get a minute",
+			cached, kept, warm.calls["GetLUT"], warm.calls["Get"], c.calls["GetLUT"], c.calls["Get"])
 	})
 	t.Run("resolve_miss", func(t *testing.T) {
 		// One cold DiscoverNoDeploy per scenario; every RPC it causes, on
@@ -260,10 +303,10 @@ func metricsUpdate(t *testing.T) func() {
 	}
 }
 
-// idleMinute builds the idle-cost grid with n synthetic types, lets the
-// registration fan-out drain, and returns the per-op RPC and byte deltas
-// and the wall time of one minute of the monitor schedule.
-func idleMinute(t *testing.T, n int) (calls, volume map[string]uint64, wall time.Duration) {
+// idleGrid builds the idle-cost grid with n synthetic types, each with one
+// executable deployment on the site that registered it, and lets the
+// registration fan-out drain. Its clients count wire bytes by op.
+func idleGrid(t *testing.T, n int) (*Grid, *wireBytes) {
 	t.Helper()
 	g := newGrid(t, GridOptions{Sites: 8, Replicas: 3, DataDir: t.TempDir()})
 	wire := &wireBytes{byOp: map[string]uint64{}}
@@ -274,9 +317,11 @@ func idleMinute(t *testing.T, n int) (calls, volume map[string]uint64, wall time
 		t.Fatal(err)
 	}
 	for i, typ := range workload.SyntheticTypes(n) {
-		if err := g.Client(i % g.Sites()).RegisterTypes(typ); err != nil {
+		owner := i % g.Sites()
+		if err := g.Client(owner).RegisterTypes(typ); err != nil {
 			t.Fatal(err)
 		}
+		registerDeployment(t, g, owner, "dep-"+typ.Name, typ.Name)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for i := 0; i < g.Sites(); i++ {
@@ -287,13 +332,66 @@ func idleMinute(t *testing.T, n int) (calls, volume map[string]uint64, wall time
 			time.Sleep(time.Millisecond)
 		}
 	}
-	callsBefore, bytesBefore := rpcRequests(g), wire.snapshot()
+	return g, wire
+}
+
+// idleCost is what one minute of the monitor schedule cost, over all sites.
+type idleCost struct {
+	calls, volume map[string]uint64        // RPCs and wire bytes by op
+	appends       uint64                   // WAL appends
+	mallocs       uint64                   // heap allocations in this process
+	passes        map[string]time.Duration // monitor pass time by pass
+	wall          time.Duration
+}
+
+// idleMinute advances g by one minute of the monitor schedule and returns
+// what that minute cost.
+func idleMinute(t *testing.T, g *Grid, wire *wireBytes) idleCost {
+	t.Helper()
+	calls, volume := rpcRequests(g), wire.snapshot()
+	appends, passes := workTotals(g)
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	mallocs := mem.Mallocs
 	start := time.Now()
 	if err := g.Advance(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	wall = time.Since(start)
-	return delta(rpcRequests(g), callsBefore), delta(wire.snapshot(), bytesBefore), wall
+	wall := time.Since(start)
+	runtime.ReadMemStats(&mem)
+	appendsAfter, passesAfter := workTotals(g)
+	c := idleCost{calls: delta(rpcRequests(g), calls), volume: delta(wire.snapshot(), volume),
+		appends: appendsAfter - appends, mallocs: mem.Mallocs - mallocs, passes: map[string]time.Duration{}, wall: wall}
+	for pass, d := range passesAfter {
+		c.passes[pass] = d - passes[pass]
+	}
+	return c
+}
+
+// workTotals sums glare_store_appends_total and, by pass, the time
+// recorded on glare_monitor_pass_seconds over every site.
+func workTotals(g *Grid) (appends uint64, passes map[string]time.Duration) {
+	passes = map[string]time.Duration{}
+	for i := 0; i < g.Sites(); i++ {
+		for _, sm := range g.Telemetry(i).Registry().Snapshot() {
+			switch sm.Name {
+			case "glare_store_appends_total":
+				appends += uint64(sm.Value)
+			case "glare_monitor_pass_seconds":
+				passes[sm.Labels[0].Value] += sm.Histogram.Sum
+			}
+		}
+	}
+	return appends, passes
+}
+
+// cachedDeployments counts the deployments held in every site's cache.
+func cachedDeployments(g *Grid) int {
+	n := 0
+	for _, node := range g.vo.Nodes {
+		n += node.RDM.CachedDeployments()
+	}
+	return n
 }
 
 // delta is after - before for every key that grew.

@@ -206,9 +206,9 @@ func (r *Registry) Remove(name string) bool {
 	return true
 }
 
-// UpdateMetrics is the Deployment Status Monitor's write path: it refreshes
-// the deployment's metrics and bumps the resource's LastUpdateTime, which
-// in turn revives caches holding this deployment.
+// UpdateMetrics records a deployment's new metrics and bumps the
+// resource's LastUpdateTime, which in turn revives caches holding this
+// deployment.
 func (r *Registry) UpdateMetrics(name string, m activity.Metrics) error {
 	d, ok := r.Get(name)
 	if !ok {

@@ -69,13 +69,13 @@ func New(clock simclock.Clock, ttl time.Duration) *Cache {
 	return &Cache{clock: clock, ttl: ttl, entries: make(map[string]*Entry)}
 }
 
-// Instrument mirrors the cache's effectiveness counters onto telemetry
-// instruments so they appear on the site's /metrics exposition. Call
-// before the cache is shared across goroutines.
-func (c *Cache) Instrument(hits, misses, revived, discarded *telemetry.Counter) {
+// Instrument mirrors the cache's effectiveness counters, stale-served
+// included, onto telemetry instruments so they appear on the site's
+// /metrics exposition. Call before the cache is shared across goroutines.
+func (c *Cache) Instrument(hits, misses, revived, discarded, stale *telemetry.Counter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.hits, c.misses, c.revived, c.discarded = hits, misses, revived, discarded
+	c.hits, c.misses, c.revived, c.discarded, c.staleSrv = hits, misses, revived, discarded, stale
 }
 
 // SetStaleFor retains expired entries for d past their TTL so degraded
@@ -87,14 +87,6 @@ func (c *Cache) SetStaleFor(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.staleFor = d
-}
-
-// InstrumentStale mirrors the stale-served counter onto a telemetry
-// instrument. Call before the cache is shared across goroutines.
-func (c *Cache) InstrumentStale(stale *telemetry.Counter) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.staleSrv = stale
 }
 
 // Put stores (or replaces) a cached resource.
@@ -110,18 +102,8 @@ func (c *Cache) Put(key string, source epr.EPR, doc *xmlutil.Node) {
 func (c *Cache) Get(key string) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.stats.Misses++
-		c.misses.Inc()
-		return nil, false
-	}
-	if age := c.clock.Now().Sub(e.Fetched); age > c.ttl {
-		if c.staleFor <= 0 || age > c.ttl+c.staleFor {
-			delete(c.entries, key)
-			c.stats.Discarded++
-			c.discarded.Inc()
-		}
+	e, expired := c.lookup(key, c.clock.Now())
+	if e == nil || expired {
 		c.stats.Misses++
 		c.misses.Inc()
 		return nil, false
@@ -138,29 +120,19 @@ func (c *Cache) Get(key string) (*Entry, bool) {
 func (c *Cache) GetStale(key string) (*Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
+	e, expired := c.lookup(key, c.clock.Now())
+	switch {
+	case e == nil:
 		c.stats.Misses++
 		c.misses.Inc()
-		return nil, false
-	}
-	age := c.clock.Now().Sub(e.Fetched)
-	if age <= c.ttl {
-		c.stats.Hits++
-		c.hits.Inc()
-		return e, true
-	}
-	if c.staleFor > 0 && age <= c.ttl+c.staleFor {
+	case expired:
 		c.stats.Stale++
 		c.staleSrv.Inc()
-		return e, true
+	default:
+		c.stats.Hits++
+		c.hits.Inc()
 	}
-	delete(c.entries, key)
-	c.stats.Misses++
-	c.stats.Discarded++
-	c.misses.Inc()
-	c.discarded.Inc()
-	return nil, false
+	return e, e != nil
 }
 
 // Invalidate removes one entry.
@@ -168,10 +140,31 @@ func (c *Cache) Invalidate(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[key]; ok {
-		delete(c.entries, key)
-		c.stats.Discarded++
-		c.discarded.Inc()
+		c.discard(key)
 	}
+}
+
+// lookup returns key's entry while some lookup can still return it, and
+// whether it is past its TTL, when only GetStale may serve it. An entry
+// past its TTL and, with stale retention, past TTL + staleFor too is
+// discarded. Caller holds c.mu.
+func (c *Cache) lookup(key string, now time.Time) (e *Entry, expired bool) {
+	e, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	if age := now.Sub(e.Fetched); age <= c.ttl || c.staleFor > 0 && age <= c.ttl+c.staleFor {
+		return e, age > c.ttl
+	}
+	c.discard(key)
+	return nil, false
+}
+
+// discard drops key's entry and counts it. Caller holds c.mu.
+func (c *Cache) discard(key string) {
+	delete(c.entries, key)
+	c.stats.Discarded++
+	c.discarded.Inc()
 }
 
 // Keys returns the currently cached keys (unsorted).
@@ -214,16 +207,22 @@ type Resolver func(key string, source epr.EPR) (*xmlutil.Node, error)
 // so an update that lands in between is revived by the next pass. Entries
 // whose source has disappeared are discarded; entries whose source is
 // unreachable (ErrUnreachable) age into the stale window. probe fetches
-// the source's current LUT cheaply.
+// the source's current LUT cheaply. Entries no lookup can return any more
+// are discarded first, without a probe.
 func (c *Cache) Refresh(probe func(key string, source epr.EPR) (time.Time, error), resolve Resolver) (revived, discarded int) {
 	c.mu.Lock()
-	keys := make([]*Entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		keys = append(keys, e)
+	live := make([]*Entry, 0, len(c.entries))
+	now := c.clock.Now()
+	for key := range c.entries {
+		if e, _ := c.lookup(key, now); e != nil {
+			live = append(live, e)
+		} else {
+			discarded++
+		}
 	}
 	c.mu.Unlock()
 
-	for _, e := range keys {
+	for _, e := range live {
 		lut, err := probe(e.Key, e.Source)
 		var doc *xmlutil.Node
 		if err == nil {
@@ -245,9 +244,7 @@ func (c *Cache) Refresh(probe func(key string, source epr.EPR) (time.Time, error
 				c.entries[e.Key] = &aged
 			}
 		case err != nil:
-			delete(c.entries, e.Key)
-			c.stats.Discarded++
-			c.discarded.Inc()
+			c.discard(e.Key)
 			discarded++
 		default:
 			fresh := e.Source

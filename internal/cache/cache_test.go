@@ -134,3 +134,22 @@ func TestDefaultTTL(t *testing.T) {
 		t.Fatalf("ttl = %v", c.ttl)
 	}
 }
+
+// TestGetAllocatesNothing: Get and GetStale sit on resolution's cache-hit
+// path, so a hit, a stale serve and a miss allocate nothing.
+func TestGetAllocatesNothing(t *testing.T) {
+	c, v := fixture()
+	c.SetStaleFor(10 * time.Minute)
+	c.Put("old", src("old", v.Now()), nil)
+	v.Advance(2 * time.Minute)
+	c.Put("new", src("new", v.Now()), nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Get("new")
+		c.Get("old")
+		c.GetStale("old")
+		c.Get("missing")
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per lookup round, want 0", allocs)
+	}
+}

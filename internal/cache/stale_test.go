@@ -112,3 +112,44 @@ func TestRefreshAgesUnreachableSources(t *testing.T) {
 		}
 	}
 }
+
+// TestRefreshEvictsUnreadableEntries: an entry that no lookup can return
+// any more (past its TTL and past the stale window) is discarded by the
+// refresher without a probe, while an entry still inside the stale window
+// is probed as before.
+func TestRefreshEvictsUnreadableEntries(t *testing.T) {
+	c, v := fixture() // TTL one minute
+	c.SetStaleFor(10 * time.Minute)
+	c.Put("dead", src("dead", v.Now()), xmlutil.NewNode("D"))
+	v.Advance(5 * time.Minute)
+	c.Put("stale", src("stale", v.Now()), xmlutil.NewNode("S"))
+	v.Advance(7 * time.Minute) // dead is 12 min old, stale 7 min
+
+	var probed []string
+	probe := func(key string, source epr.EPR) (time.Time, error) {
+		probed = append(probed, key)
+		return source.LastUpdateTime, nil // unchanged
+	}
+	revived, discarded := c.Refresh(probe, nil)
+	if revived != 0 || discarded != 1 {
+		t.Fatalf("revived=%d discarded=%d, want 0 and 1", revived, discarded)
+	}
+	if fmt.Sprint(probed) != "[stale]" {
+		t.Fatalf("probed %v, want only the entry inside the stale window", probed)
+	}
+	if c.Len() != 1 || c.Stats().Discarded != 1 {
+		t.Fatalf("len=%d stats=%+v, want the dead entry discarded and counted", c.Len(), c.Stats())
+	}
+	if _, ok := c.GetStale("stale"); !ok {
+		t.Fatal("entry inside the stale window was dropped")
+	}
+
+	// Without stale retention an entry past its TTL is unreadable too.
+	c, v = fixture()
+	c.Put("expired", src("expired", v.Now()), nil)
+	v.Advance(2 * time.Minute)
+	probed = nil
+	if _, discarded := c.Refresh(probe, nil); discarded != 1 || len(probed) != 0 || c.Len() != 0 {
+		t.Fatalf("discarded=%d probed=%v len=%d, want the expired entry dropped unprobed", discarded, probed, c.Len())
+	}
+}

@@ -133,17 +133,6 @@ func (s *Store) Get(k Key) (Entry, bool) {
 	return *el.Value.(*Entry), true
 }
 
-// Peek returns the entry for key without touching recency (status views).
-func (s *Store) Peek(k Key) (Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.byKey[k]
-	if !ok {
-		return Entry{}, false
-	}
-	return *el.Value.(*Entry), true
-}
-
 // Delete drops the entry for key, reporting whether it was held.
 func (s *Store) Delete(k Key) (Entry, bool) {
 	s.mu.Lock()

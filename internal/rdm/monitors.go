@@ -279,11 +279,13 @@ func (s *Service) CommunitySites() []superpeer.SiteInfo {
 	return out
 }
 
-// CheckDeployments is one Deployment Status Monitor pass: verify every
-// locally registered deployment still exists on the site (executable
-// present, service hosted), refresh its LastUpdateTime, sweep expired
-// resources, and restore any type that dropped below its provider-declared
-// deployment floor. Vanished deployments are unregistered and reported.
+// CheckDeployments is one Deployment Status Monitor pass: sweep expired
+// resources, verify every locally registered deployment still exists on
+// the site (executable present, service hosted), and restore any type that
+// dropped below its provider-declared deployment floor. Vanished
+// deployments are unregistered and reported. A deployment that is still
+// there is not written: its LastUpdateTime moves only when it changes, so
+// remote caches revive it only then.
 func (s *Service) CheckDeployments() (alive int, removed []string) {
 	s.ATR.SweepExpired()
 	s.ADR.SweepExpired()
@@ -303,8 +305,6 @@ func (s *Service) CheckDeployments() (alive int, removed []string) {
 			continue
 		}
 		alive++
-		// Touch the resource: its LUT drives cache revival elsewhere.
-		_ = s.ADR.UpdateMetrics(d.Name, d.Metrics)
 	}
 	s.EnforceDeploymentFloor()
 	s.tel.Gauge("glare_rdm_deployments_alive").Set(int64(alive))

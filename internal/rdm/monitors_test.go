@@ -160,3 +160,34 @@ func TestRefresherDiscardsEmptyAnswers(t *testing.T) {
 		}
 	}
 }
+
+// TestRefreshEvictsExpiredCacheEntries: a cached deployment older than its
+// TTL plus the stale window can no longer be returned by any lookup, so
+// the Cache Refresher discards it without asking its source for a LUT.
+func TestRefreshEvictsExpiredCacheEntries(t *testing.T) {
+	svc, vc := single(t)
+	var probes atomic.Int32
+	peer := transport.NewServer()
+	peer.Register("Deps", "GetLUT", func(*xmlutil.Node) (*xmlutil.Node, error) {
+		probes.Add(1)
+		return xmlutil.NewNode("LUT", time.Time{}.Format(epr.TimeLayout)), nil
+	})
+	if err := peer.Start("127.0.0.1:0", nil); err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+
+	d := &activity.Deployment{Name: "old", Type: "App", Kind: activity.KindExecutable, Path: "/opt/app/bin/run"}
+	svc.depCache.Put("dep:old", epr.New(peer.ServiceURL("Deps"), adr.KeyName, d.Name), d.ToXML())
+	vc.Advance(36 * time.Minute) // past the 5 min TTL and the 30 min stale window
+	revived, discarded := svc.RefreshCaches()
+	if revived != 0 || discarded != 1 {
+		t.Fatalf("refresh revived %d and discarded %d entries, want 0 and 1", revived, discarded)
+	}
+	if n := svc.depCache.Len(); n != 0 {
+		t.Errorf("%d entries still cached, want the expired one gone", n)
+	}
+	if n := probes.Load(); n != 0 {
+		t.Errorf("refresh sent %d GetLUT calls for an entry no lookup can return, want 0", n)
+	}
+}

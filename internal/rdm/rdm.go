@@ -13,6 +13,7 @@ package rdm
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -289,23 +290,16 @@ func New(cfg Config) (*Service, error) {
 	s.ATR.Home().SetStamp(hybrid.Now)
 	s.ADR.Home().SetStamp(hybrid.Now)
 	cfg.Agent.SetTelemetry(tel)
-	s.typeCache.Instrument(
-		tel.Counter("glare_rdm_cache_hits_total", telemetry.L("cache", "types")),
-		tel.Counter("glare_rdm_cache_misses_total", telemetry.L("cache", "types")),
-		tel.Counter("glare_rdm_cache_revived_total", telemetry.L("cache", "types")),
-		tel.Counter("glare_rdm_cache_discarded_total", telemetry.L("cache", "types")))
-	s.depCache.Instrument(
-		tel.Counter("glare_rdm_cache_hits_total", telemetry.L("cache", "deps")),
-		tel.Counter("glare_rdm_cache_misses_total", telemetry.L("cache", "deps")),
-		tel.Counter("glare_rdm_cache_revived_total", telemetry.L("cache", "deps")),
-		tel.Counter("glare_rdm_cache_discarded_total", telemetry.L("cache", "deps")))
-	// Stale retention backs graceful degradation: when a peer is down,
-	// resolution serves expired entries (marked degraded) instead of
-	// failing.
-	s.typeCache.SetStaleFor(staleFor)
-	s.depCache.SetStaleFor(staleFor)
-	s.typeCache.InstrumentStale(tel.Counter("glare_rdm_cache_stale_served_total", telemetry.L("cache", "types")))
-	s.depCache.InstrumentStale(tel.Counter("glare_rdm_cache_stale_served_total", telemetry.L("cache", "deps")))
+	for name, c := range map[string]*cache.Cache{"types": s.typeCache, "deps": s.depCache} {
+		l := telemetry.L("cache", name)
+		c.Instrument(tel.Counter("glare_rdm_cache_hits_total", l), tel.Counter("glare_rdm_cache_misses_total", l),
+			tel.Counter("glare_rdm_cache_revived_total", l), tel.Counter("glare_rdm_cache_discarded_total", l),
+			tel.Counter("glare_rdm_cache_stale_served_total", l))
+		// Stale retention backs graceful degradation: when a peer is
+		// down, resolution serves expired entries (marked degraded)
+		// instead of failing.
+		c.SetStaleFor(staleFor)
+	}
 	s.degraded = tel.Counter("glare_rdm_resolve_degraded_total")
 	// Clock-skew surveillance: every envelope exchange lets the HLC compare
 	// the sender's stamp against this site's physical clock; disagreements
@@ -383,6 +377,16 @@ func (s *Service) HLC() *hlc.Clock { return s.hlc }
 // CacheStats reports the combined type+deployment cache statistics.
 func (s *Service) CacheStats() (types, deps cache.Stats) {
 	return s.typeCache.Stats(), s.depCache.Stats()
+}
+
+// CachedDeployments counts the deployments in the site's cache.
+func (s *Service) CachedDeployments() (n int) {
+	for _, k := range s.depCache.Keys() {
+		if strings.HasPrefix(k, "dep:") {
+			n++
+		}
+	}
+	return n
 }
 
 // Stop terminates background monitors and flushes/closes the durable

@@ -189,16 +189,30 @@ func TestCacheRefreshRevivesUpdatedDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Site 0's status monitor touches the deployment (bumps LUT).
-	v.Clock.(interface{ Advance(time.Duration) }).Advance(time.Second)
-	v.Nodes[0].RDM.CheckDeployments()
 	calls := func(op string) uint64 {
 		return v.Nodes[1].Tel.Counter("glare_rpc_client_requests_total", telemetry.L("op", op)).Value()
 	}
+	// A status pass on the source writes nothing, so its LUTs stay put
+	// and the refresher re-fetches nothing.
+	v.Clock.(interface{ Advance(time.Duration) }).Advance(time.Second)
+	v.Nodes[0].RDM.CheckDeployments()
+	gets := calls("Get")
+	if revived, _ := svc.RefreshCaches(); revived != 0 || calls("Get") != gets {
+		t.Fatalf("refresh after a status pass revived %d entries with %d Get calls, want 0 and 0", revived, calls("Get")-gets)
+	}
+	// A real update on site 0 moves that deployment's LUT.
+	v.Clock.(interface{ Advance(time.Duration) }).Advance(time.Second)
+	dep, ok := v.Nodes[0].RDM.ADR.Get(cached[0].Name)
+	if !ok {
+		t.Fatalf("%s is not deployed on site 0", cached[0].Name)
+	}
+	if err := v.Nodes[0].RDM.ADR.UpdateMetrics(dep.Name, activity.Metrics{Invocations: dep.Metrics.Invocations + 1}); err != nil {
+		t.Fatal(err)
+	}
 	luts, gets := calls("GetLUT"), calls("Get")
 	revived, _ := svc.RefreshCaches()
-	if revived == 0 {
-		t.Fatal("updated deployment was not revived")
+	if revived != 1 {
+		t.Fatalf("refresh revived %d entries, want the 1 updated deployment", revived)
 	}
 	// One probe per cached deployment, and one fetch per revival, stamped
 	// with the LUT that probe read: no second probe.
