@@ -149,8 +149,9 @@ commands:
                                      up as rows disagreeing on the
                                      super-peer)
   store status                       probe every community site's durable
-                                     registry store: WAL segments, live and
-                                     snapshot record counts, snapshot age
+                                     registry store: live WAL file bytes,
+                                     live and snapshot record counts,
+                                     snapshot age
   builds                             probe every community site's deployment
                                      engine: in-flight builds, queue depth,
                                      quarantined types, resumable builds
@@ -444,8 +445,8 @@ func loadColumns(cli *transport.Client, s superpeer.SiteInfo) (inflight, queued,
 }
 
 // storeStatusCmd probes the durable registry store of every site
-// registered in the community index and prints one row per site: WAL
-// segment count, live and snapshot record counts and the snapshot's age.
+// registered in the community index and prints one row per site: the live
+// WAL file's bytes, live and snapshot record counts and the snapshot's age.
 // Memory-only sites show as "off"; unreachable sites as "-".
 func storeStatusCmd(cli *transport.Client, siteBase string) error {
 	sites := communitySites(cli, siteBase)
@@ -458,17 +459,17 @@ func storeStatusCmd(cli *transport.Client, siteBase string) error {
 			wide = len(s.Name)
 		}
 	}
-	fmt.Printf("%-*s  %8s  %7s  %9s  %8s  %8s  %s\n", wide,
-		"SITE", "SEGMENTS", "LASTSEQ", "LIVE-RECS", "SNAP-RECS", "SNAP-AGE", "NOTES")
+	fmt.Printf("%-*s  %9s  %7s  %9s  %8s  %8s  %s\n", wide,
+		"SITE", "WAL-BYTES", "LASTSEQ", "LIVE-RECS", "SNAP-RECS", "SNAP-AGE", "NOTES")
 	for _, s := range sites {
 		resp, err := cli.Call(s.ServiceURL(rdm.ServiceName), "StoreStatus", nil)
 		if err != nil {
-			fmt.Printf("%-*s  %8s  %7s  %9s  %8s  %8s  %s\n", wide, s.Name,
+			fmt.Printf("%-*s  %9s  %7s  %9s  %8s  %8s  %s\n", wide, s.Name,
 				"-", "-", "-", "-", "-", err.Error())
 			continue
 		}
 		if resp.AttrOr("enabled", "false") != "true" {
-			fmt.Printf("%-*s  %8s  %7s  %9s  %8s  %8s  %s\n", wide, s.Name,
+			fmt.Printf("%-*s  %9s  %7s  %9s  %8s  %8s  %s\n", wide, s.Name,
 				"off", "-", "-", "-", "-", "memory-only")
 			continue
 		}
@@ -485,8 +486,8 @@ func storeStatusCmd(cli *transport.Client, siteBase string) error {
 		if e := resp.AttrOr("err", ""); e != "" {
 			notes += ", ERR: " + e
 		}
-		fmt.Printf("%-*s  %8s  %7s  %9s  %8s  %8s  %s\n", wide, s.Name,
-			resp.AttrOr("segments", "?"), resp.AttrOr("lastSeq", "?"),
+		fmt.Printf("%-*s  %9s  %7s  %9s  %8s  %8s  %s\n", wide, s.Name,
+			resp.AttrOr("walBytes", "?"), resp.AttrOr("lastSeq", "?"),
 			resp.AttrOr("liveRecords", "?"), snapRecs, snapAge, notes)
 	}
 	return nil

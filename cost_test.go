@@ -14,8 +14,10 @@ import (
 	"time"
 
 	"glare/internal/activity"
+	"glare/internal/atr"
 	"glare/internal/workload"
 	"glare/internal/xmlutil"
+	"glare/internal/xpath"
 )
 
 // rpcRequests sums glare_rpc_client_requests_total by op over every site.
@@ -256,6 +258,9 @@ func TestCost(t *testing.T) {
 			// the ADR put and the ATR reference put both reach the WAL,
 			// which encodes the live documents in place.
 			{"ADR.UpdateMetrics journaled to the WAL", 55, metricsUpdate(t)},
+			// One query_xpath shape: a child-equals predicate tests every
+			// entry without building a slice per candidate.
+			{"ATR Home.Select of //ActivityTypeEntry[BaseType='Base03']", 39, baseTypeSelect(t)},
 		}
 		var table strings.Builder
 		table.WriteString("| operation | allocs | budget |\n|---|---|---|\n")
@@ -275,6 +280,28 @@ func parseOf(t *testing.T, doc string) func() {
 	return func() {
 		if _, err := xmlutil.Parse(strings.NewReader(doc)); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// baseTypeSelect fills an ATR with 10 abstract bases and 40 concrete
+// types, four per base, and returns an operation that selects one base's
+// types.
+func baseTypeSelect(t *testing.T) func() {
+	reg := atr.New("", nil, nil)
+	for i := 0; i < 50; i++ {
+		ty := &activity.Type{Name: fmt.Sprintf("Base%02d", i), Abstract: true}
+		if i >= 10 {
+			ty = &activity.Type{Name: fmt.Sprintf("Type%02d", i), Base: []string{fmt.Sprintf("Base%02d", i%10)}}
+		}
+		if _, err := reg.Register(ty); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expr := xpath.MustCompile(`//ActivityTypeEntry[BaseType='Base03']`)
+	return func() {
+		if n := len(reg.Query(expr).Nodes); n != 4 {
+			t.Fatalf("selected %d types, want 4", n)
 		}
 	}
 }

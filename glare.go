@@ -84,8 +84,8 @@ type (
 	Telemetry = telemetry.Telemetry
 	// TraceSpan is one recorded span of a distributed trace.
 	TraceSpan = telemetry.SpanRecord
-	// StoreStatus summarizes one site's durable store (segments, live and
-	// snapshot record counts, replay and truncation accounting).
+	// StoreStatus summarizes one site's durable store (live file size,
+	// live and snapshot record counts, replay and truncation accounting).
 	StoreStatus = store.Status
 	// DeployStatus summarizes one site's deployment execution engine:
 	// in-flight builds, queue pressure, quarantined types and interrupted

@@ -168,7 +168,6 @@ func (s *Service) StoreStatusXML() *xmlutil.Node {
 	n.SetAttr("enabled", "true")
 	n.SetAttr("dir", st.Dir)
 	n.SetAttr("lastSeq", strconv.FormatUint(st.LastSeq, 10))
-	n.SetAttr("segments", strconv.Itoa(st.Segments))
 	n.SetAttr("walBytes", strconv.FormatInt(st.WALBytes, 10))
 	n.SetAttr("liveRecords", strconv.Itoa(st.LiveRecords))
 	n.SetAttr("snapshot", strconv.FormatBool(st.HasSnapshot))

@@ -61,7 +61,7 @@ func TestHistoryJournalRecovery(t *testing.T) {
 // and WAL batches replayed over the snapshot do not double-count.
 func TestHistorySnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, SnapshotEvery: 16, SegmentMaxBytes: 1 << 12})
+	s := mustOpen(t, Options{Dir: dir, SnapshotEvery: 16})
 	s.CreateSeries(histDef("glare_fails_total"))
 	total := 0.0
 	for i := 0; i <= 40; i++ {

@@ -34,8 +34,8 @@ const (
 	OpLeaseRelease
 	// OpLeaseLimit sets a deployment's shared-lease concurrency bound.
 	OpLeaseLimit
-	// opSnapSeal terminates a snapshot file; a snapshot without its seal
-	// was torn mid-write and is ignored during recovery.
+	// opSnapSeal terminates a file's head (the compacted state); a head
+	// without its seal, or sealed for another seq, is not trusted.
 	opSnapSeal
 	// OpDeployStep checkpoints one completed deployment step. Appended
 	// after opSnapSeal so the wire values of the earlier ops — already on
@@ -349,6 +349,10 @@ func (st *State) apply(r Record) {
 		}
 	case OpCASDelete:
 		delete(st.CAS, r.Key)
+	// A head's seal carries the highest ticket ID ever issued, which may
+	// belong to a released ticket the head no longer holds.
+	case opSnapSeal:
+		st.Leases.MaxID = max(st.Leases.MaxID, r.ID)
 	}
 }
 

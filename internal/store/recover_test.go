@@ -14,7 +14,7 @@ import (
 )
 
 // writeSegment frames each payload with a valid CRC and writes them, in
-// order, as the first WAL segment of a fresh data directory.
+// order, as the headless first file of a fresh data directory.
 func writeSegment(t testing.TB, payloads ...[]byte) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -22,7 +22,7 @@ func writeSegment(t testing.TB, payloads ...[]byte) string {
 	for _, p := range payloads {
 		seg = append(seg, encodeFrame(p)...)
 	}
-	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, epochName(0)), seg, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return dir

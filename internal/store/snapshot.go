@@ -3,95 +3,82 @@ package store
 import (
 	"bufio"
 	"os"
-	"path/filepath"
+	"slices"
 
 	"glare/internal/rrd"
 )
 
-// Snapshot files hold the flattened live state as ordinary CRC frames,
-// terminated by an opSnapSeal record. They are written to a temp file,
-// fsynced, then renamed into place, so a crash mid-snapshot leaves either
-// the previous snapshot or a sealed new one — never a half-trusted file:
-// an unsealed snapshot is skipped by recovery and the WAL (which still
-// holds everything the snapshot was compacting) remains authoritative.
+// An epoch's file is a head — the flattened live state as ordinary CRC
+// frames, terminated by an opSnapSeal record — followed by the records
+// appended since. The head is written to a temp file, fsynced, then
+// renamed into place, so a crash mid-compaction leaves either the
+// previous file or a sealed new one. A fresh store's first file has no
+// head.
 
-// writeSnapshot persists state as the snapshot covering records [1, seq].
-func writeSnapshot(dir string, seq uint64, state *State) error {
-	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
+// writeHead writes state as the head covering records [1, seq] to a temp
+// file in dir and fsyncs it. The open file is positioned for appends.
+func writeHead(dir string, seq uint64, state *State) (*os.File, int64, error) {
+	f, err := os.CreateTemp(dir, "epoch-*.tmp")
 	if err != nil {
-		return err
+		return nil, 0, err
 	}
-	tmpName := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpName)
-	}
-	w := bufio.NewWriter(tmp)
-	for _, rec := range state.records() {
-		payload, err := rec.encode()
+	w := bufio.NewWriter(f)
+	var size int64
+	put := func(rec Record) {
 		if err != nil {
-			cleanup()
-			return err
+			return
 		}
-		if _, err := w.Write(encodeFrame(payload)); err != nil {
-			cleanup()
-			return err
+		var payload []byte
+		if payload, err = rec.encode(); err == nil {
+			n, _ := w.Write(encodeFrame(payload)) // a write error sticks: Flush returns it
+			size += int64(n)
 		}
+	}
+	for _, rec := range state.records() {
+		put(rec)
 	}
 	// The seal carries MaxID: the highest ticket ID ever issued may belong
 	// to an already-released ticket absent from the flattened state, and
 	// recovered services must never reissue it.
-	seal, err := Record{Op: opSnapSeal, Seq: seq, ID: state.Leases.MaxID}.encode()
+	put(Record{Op: opSnapSeal, Seq: seq, ID: state.Leases.MaxID})
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
 	if err != nil {
-		cleanup()
-		return err
+		f.Close()
+		os.Remove(f.Name())
+		return nil, 0, err
 	}
-	if _, err := w.Write(encodeFrame(seal)); err != nil {
-		cleanup()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, snapshotName(seq))); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	syncDir(dir)
-	return nil
+	return f, size, nil
 }
 
-// loadSnapshot reads a snapshot file; ok is false when the file is torn,
-// corrupt, or missing its seal, in which case the caller falls back to an
-// older snapshot (or none).
-func loadSnapshot(path string) (st *State, records int, ok bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, false
-	}
+// load replays one epoch into a fresh state and, if it is trusted, makes
+// that the store's state. headSeq 0 means the data has no head; otherwise
+// the head's frames must be intact up to a seal for headSeq. good is the
+// end of the last intact frame.
+func (s *Store) load(data []byte, headSeq uint64) (good int64, ok bool) {
 	res := scanFrames(data)
-	if res.torn || len(res.records) == 0 {
-		return nil, 0, false
+	st, tail := newState(rrd.NewStore(0)), res.records
+	if headSeq > 0 {
+		head := slices.IndexFunc(tail, func(r Record) bool { return r.Op == opSnapSeal })
+		if head < 0 || tail[head].Seq != headSeq {
+			return 0, false
+		}
+		for _, rec := range tail[:head+1] {
+			st.apply(rec)
+		}
+		tail = tail[head+1:]
+		s.hasSnap, s.snapSeq, s.snapCount, s.snapAt = true, headSeq, head, s.clock.Now()
 	}
-	last := res.records[len(res.records)-1]
-	if last.Op != opSnapSeal {
-		return nil, 0, false
-	}
-	st = newState(rrd.NewStore(0))
-	for _, rec := range res.records[:len(res.records)-1] {
+	s.state, s.seq = st, headSeq
+	for _, rec := range tail {
 		st.apply(rec)
+		s.seq = max(s.seq, rec.Seq)
+		s.replayRecords++
 	}
-	if last.ID > st.Leases.MaxID {
-		st.Leases.MaxID = last.ID
-	}
-	return st, len(res.records) - 1, true
+	s.truncatedTotal += int64(len(data)) - res.good
+	return res.good, true
 }

@@ -1,7 +1,7 @@
 // Package store is the durable registry store: an append-only,
-// CRC32-framed write-ahead log with segment rotation, periodic compacting
-// snapshots, a configurable fsync policy, and corruption-tolerant crash
-// recovery.
+// CRC32-framed write-ahead log in one live file, which each periodic
+// compaction replaces by a new file headed by the folded state, a
+// configurable fsync policy, and corruption-tolerant crash recovery.
 //
 // GLARE's registries are stateful WS-Resources whose LastUpdateTime drives
 // cache revival and anti-entropy, yet without this package every
@@ -12,7 +12,7 @@
 // registry state (documents, LastUpdateTimes, termination times, unexpired
 // leases) it crashed with, so no re-registration traffic is needed.
 //
-// Recovery never fails the boot on a damaged log: scanning truncates at
+// Recovery never fails the boot on a damaged tail: scanning truncates at
 // the first torn or bad-checksum record and the longest valid prefix
 // becomes the state, mirroring how production write-ahead logs (and the
 // EU DataGrid replica catalogs GLARE's registries descend from) survive
@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -79,11 +80,8 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 // Open on the same directory (recovery) brings the state back.
 var ErrCrashed = errors.New("store: crashed (simulated)")
 
-// Defaults.
-const (
-	DefaultSegmentMaxBytes = 1 << 20
-	DefaultSnapshotEvery   = 1024
-)
+// DefaultSnapshotEvery is how many appended records trigger a compaction.
+const DefaultSnapshotEvery = 1024
 
 // syncInterval bounds the loss window under the FsyncInterval policy.
 const syncInterval = 100 * time.Millisecond
@@ -94,9 +92,6 @@ type Options struct {
 	Dir string
 	// Fsync is the sync policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// SegmentMaxBytes rotates the active WAL segment past this size
-	// (default DefaultSegmentMaxBytes).
-	SegmentMaxBytes int64
 	// SnapshotEvery takes a compacting snapshot after that many appended
 	// records (default DefaultSnapshotEvery; negative disables automatic
 	// snapshots).
@@ -117,7 +112,6 @@ type Options struct {
 type Status struct {
 	Dir             string
 	LastSeq         uint64
-	Segments        int
 	WALBytes        int64
 	LiveRecords     int
 	SnapshotSeq     uint64
@@ -140,10 +134,10 @@ type Store struct {
 	state *State
 	seq   uint64
 
-	seg      *os.File
-	segIndex uint64
-	segBytes int64
-	segCount int
+	// The live file: the current epoch's head, then its appended tail.
+	live      *os.File
+	liveName  string
+	liveBytes int64
 
 	sinceSnap int
 	snapSeq   uint64
@@ -161,25 +155,34 @@ type Store struct {
 	replayRecords  int
 	truncatedTotal int64
 
+	// Superseded files wait in doomed for the one background deleter,
+	// which Close waits for. delMu guards doomed, never the store.
+	delMu   sync.Mutex
+	doomed  []string
+	deleter sync.WaitGroup
+
+	// Test hooks: holdDeleter runs before the deleter's first unlink;
+	// compactHook runs at each step of a compaction, and true simulates a
+	// process death there.
+	holdDeleter func()
+	compactHook func(step string) bool
+
 	// Telemetry; nil (no-op) until SetTelemetry.
 	appendsC, fsyncsC, truncBytesC, snapshotsC, appendErrsC *telemetry.Counter
-	segG, snapAgeG, replayMsG, liveG                        *telemetry.Gauge
+	snapAgeG, replayMsG, liveG                              *telemetry.Gauge
 }
 
 // Open opens (or creates) the store at opts.Dir and runs crash recovery:
-// the newest intact snapshot is loaded, WAL segments are replayed on top,
-// and the first torn or bad-checksum record truncates the log — the boot
-// never fails on a damaged tail, it recovers the longest valid prefix and
-// re-opens appendable.
+// the newest file whose head checks out is replayed, the first torn or
+// bad-checksum record truncates it, and every other store file in the
+// directory is removed — the boot never fails on a damaged tail, it
+// recovers the longest valid prefix and re-opens appendable.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("store: Options.Dir is required")
 	}
 	if opts.Clock == nil {
 		opts.Clock = simclock.Real
-	}
-	if opts.SegmentMaxBytes <= 0 {
-		opts.SegmentMaxBytes = DefaultSegmentMaxBytes
 	}
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = DefaultSnapshotEvery
@@ -194,109 +197,81 @@ func Open(opts Options) (*Store, error) {
 		lastSync: opts.Clock.Now(),
 	}
 	if err := s.recover(); err != nil {
+		s.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// recover rebuilds state from disk and leaves the store appendable.
+// recover rebuilds state from disk and leaves the store appendable. It
+// removes nothing unless a trusted file has taken the state: a directory
+// in the older layout, or one whose every file has a damaged head, fails
+// the boot with the files named and left as they are.
 func (s *Store) recover() error {
 	start := time.Now()
-	segments, snapshots, err := listDir(s.opts.Dir)
+	files, err := listDir(s.opts.Dir)
 	if err != nil {
 		return err
 	}
-
-	// Newest intact snapshot wins; torn or corrupt ones are skipped (they
-	// can only exist if the crash hit mid-snapshot, in which case the WAL
-	// still holds everything the snapshot was compacting).
-	for i := len(snapshots) - 1; i >= 0; i-- {
-		st, count, ok := loadSnapshot(filepath.Join(s.opts.Dir, snapshots[i]))
-		if !ok {
-			continue
-		}
-		s.state = st
-		s.snapSeq = snapshotSeq(snapshots[i])
-		s.snapCount = count
-		s.seq = s.snapSeq
-		s.hasSnap = true
-		s.snapAt = s.clock.Now()
-		break
+	if len(files.legacy) > 0 {
+		return fmt.Errorf("store: %s holds files of the older snapshot-and-segment layout, which this store does not read: %s",
+			s.opts.Dir, strings.Join(files.legacy, ", "))
 	}
-
-	// Replay segments in order, folding records newer than the snapshot.
-	// A tear truncates its segment and voids everything after it: bytes
-	// past a torn frame have no defined order.
-	truncatedAt := -1
-	for i, name := range segments {
-		path := filepath.Join(s.opts.Dir, name)
-		data, err := os.ReadFile(path)
+	// Newest trusted file wins. An untrusted one can only exist if its
+	// head was damaged after the rename; the next older file, if still
+	// present, holds everything that head was compacting.
+	for i := len(files.epochs) - 1; i >= 0 && s.live == nil; i-- {
+		if err := s.openEpoch(files.epochs[i]); err != nil {
+			return err
+		}
+	}
+	switch {
+	case s.live != nil:
+	case len(files.epochs) > 0:
+		return fmt.Errorf("store: no file in %s has an intact head: %s",
+			s.opts.Dir, strings.Join(files.epochs, ", "))
+	default:
+		f, err := os.OpenFile(filepath.Join(s.opts.Dir, epochName(0)),
+			os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
 		if err != nil {
 			return err
 		}
-		res := scanFrames(data)
-		for _, rec := range res.records {
-			if rec.Seq <= s.snapSeq || rec.Op == opSnapSeal {
-				continue
-			}
-			s.state.apply(rec)
-			if rec.Seq > s.seq {
-				s.seq = rec.Seq
-			}
-			s.replayRecords++
-		}
-		if res.torn {
-			s.truncatedTotal += int64(len(data)) - res.good
-			if err := truncateFile(path, res.good); err != nil {
-				return err
-			}
-			truncatedAt = i
-			break
-		}
+		s.live, s.liveName = f, epochName(0)
 	}
-	if truncatedAt >= 0 && truncatedAt+1 < len(segments) {
-		for _, name := range segments[truncatedAt+1:] {
-			fi, err := os.Stat(filepath.Join(s.opts.Dir, name))
-			if err == nil {
-				s.truncatedTotal += fi.Size()
-			}
+	// Every other store file is superseded: compacted epochs, heads
+	// damaged after an older file was kept, temp files a crash left.
+	for _, name := range files.all {
+		if name != s.liveName {
+			_ = os.Remove(filepath.Join(s.opts.Dir, name))
 		}
-		removeFiles(s.opts.Dir, segments[truncatedAt+1:])
-		segments = segments[:truncatedAt+1]
-	}
-
-	// Re-open the last segment for appending, or start a fresh one.
-	if len(segments) > 0 {
-		last := segments[len(segments)-1]
-		s.segIndex = segmentIndex(last)
-		f, err := os.OpenFile(filepath.Join(s.opts.Dir, last), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return err
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return err
-		}
-		s.seg, s.segBytes, s.segCount = f, fi.Size(), len(segments)
-	} else {
-		if err := s.openSegment(1); err != nil {
-			return err
-		}
-		s.segCount = 1
 	}
 	s.replayDur = time.Since(start)
 	return nil
 }
 
-// openSegment creates and activates segment index.
-func (s *Store) openSegment(index uint64) error {
-	f, err := os.OpenFile(filepath.Join(s.opts.Dir, segmentName(index)),
-		os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+// openEpoch replays the named file and, if it is trusted, truncates its
+// torn tail and makes it the live file.
+func (s *Store) openEpoch(name string) error {
+	path := filepath.Join(s.opts.Dir, name)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	s.seg, s.segIndex, s.segBytes = f, index, 0
+	seq, _ := parseEpoch(name)
+	good, ok := s.load(data, seq)
+	if !ok {
+		return nil
+	}
+	if good < int64(len(data)) {
+		if err := os.Truncate(path, good); err != nil {
+			return err
+		}
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return err
+	}
+	s.live, s.liveName, s.liveBytes = f, name, good
 	return nil
 }
 
@@ -310,20 +285,18 @@ func (s *Store) SetTelemetry(tel *telemetry.Telemetry) {
 	s.truncBytesC = tel.Counter("glare_store_truncated_bytes_total")
 	s.snapshotsC = tel.Counter("glare_store_snapshots_total")
 	s.appendErrsC = tel.Counter("glare_store_append_errors_total")
-	s.segG = tel.Gauge("glare_store_segments")
 	s.snapAgeG = tel.Gauge("glare_store_snapshot_age_seconds")
 	s.replayMsG = tel.Gauge("glare_store_replay_ms")
 	s.liveG = tel.Gauge("glare_store_live_records")
 	// Recovery ran before instrumentation existed; backfill its outcome.
 	s.replayMsG.Set(s.replayDur.Milliseconds())
 	s.truncBytesC.Add(uint64(s.truncatedTotal))
-	s.segG.Set(int64(s.segCount))
 	s.liveG.Set(int64(s.state.liveRecords()))
 }
 
 // Append journals one record: it is assigned the next sequence number,
-// framed, appended to the active segment, fsynced per policy, and folded
-// into the in-memory state. Automatic compaction runs when SnapshotEvery
+// framed, appended to the live file, fsynced per policy, and folded into
+// the in-memory state. Automatic compaction runs when SnapshotEvery
 // records have accumulated since the last snapshot.
 func (s *Store) Append(rec Record) error {
 	s.mu.Lock()
@@ -347,15 +320,15 @@ func (s *Store) Append(rec Record) error {
 			if keep > len(frame) {
 				keep = len(frame)
 			}
-			_, _ = s.seg.Write(frame[:keep])
+			_, _ = s.live.Write(frame[:keep])
 			s.crashed = true
 			return ErrCrashed
 		}
 	}
-	if _, err := s.seg.Write(frame); err != nil {
+	if _, err := s.live.Write(frame); err != nil {
 		return s.fail(err)
 	}
-	s.segBytes += int64(len(frame))
+	s.liveBytes += int64(len(frame))
 	s.dirty = true
 	s.state.apply(rec)
 	s.appended++
@@ -367,10 +340,6 @@ func (s *Store) Append(rec Record) error {
 	}
 	if s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery {
 		if err := s.snapshotLocked(); err != nil {
-			return s.fail(err)
-		}
-	} else if s.segBytes >= s.opts.SegmentMaxBytes {
-		if err := s.rotateLocked(); err != nil {
 			return s.fail(err)
 		}
 	}
@@ -403,7 +372,7 @@ func (s *Store) syncLocked() error {
 	if !s.dirty {
 		return nil
 	}
-	if err := s.seg.Sync(); err != nil {
+	if err := s.live.Sync(); err != nil {
 		return err
 	}
 	s.dirty = false
@@ -412,7 +381,7 @@ func (s *Store) syncLocked() error {
 	return nil
 }
 
-// Sync forces the active segment to stable storage regardless of policy.
+// Sync forces the live file to stable storage regardless of policy.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -422,26 +391,9 @@ func (s *Store) Sync() error {
 	return s.syncLocked()
 }
 
-// rotateLocked seals the active segment and starts the next one.
-func (s *Store) rotateLocked() error {
-	if err := s.syncLocked(); err != nil {
-		return err
-	}
-	if err := s.seg.Close(); err != nil {
-		return err
-	}
-	if err := s.openSegment(s.segIndex + 1); err != nil {
-		return err
-	}
-	s.segCount++
-	s.segG.Set(int64(s.segCount))
-	syncDir(s.opts.Dir)
-	return nil
-}
-
-// Snapshot compacts the journal now: the live state is written to a new
-// snapshot file (temp-file + rename, sealed by a trailer record) and every
-// WAL segment it covers is deleted.
+// Snapshot compacts the journal now: the live state becomes the head of
+// a new live file (temp file + fsync + rename, sealed by a trailer
+// record), and the file it supersedes is deleted in the background.
 func (s *Store) Snapshot() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -451,46 +403,97 @@ func (s *Store) Snapshot() error {
 	if s.err != nil {
 		return s.err
 	}
-	return s.snapshotLocked()
+	if err := s.snapshotLocked(); err != nil {
+		return s.fail(err)
+	}
+	return nil
 }
 
+// snapshotLocked starts the next epoch: its file, named for the current
+// seq, holds the folded state and takes every later append. The head's
+// write, fsync and rename and the directory fsync stay under the lock;
+// the superseded file's unlink does not.
 func (s *Store) snapshotLocked() error {
-	if err := writeSnapshot(s.opts.Dir, s.seq, s.state); err != nil {
-		return err
-	}
-	// The snapshot covers everything appended so far, so the entire WAL is
-	// compacted away and a fresh segment starts the next epoch.
-	if err := s.syncLocked(); err != nil {
-		return err
-	}
-	if err := s.seg.Close(); err != nil {
-		return err
-	}
-	segments, snapshots, err := listDir(s.opts.Dir)
+	f, size, err := writeHead(s.opts.Dir, s.seq, s.state)
 	if err != nil {
 		return err
 	}
-	removeFiles(s.opts.Dir, segments)
-	var stale []string
-	for _, name := range snapshots {
-		if snapshotSeq(name) < s.seq {
-			stale = append(stale, name)
-		}
+	if s.crashAt("head written") {
+		f.Close()
+		return ErrCrashed
 	}
-	removeFiles(s.opts.Dir, stale)
-	if err := s.openSegment(s.segIndex + 1); err != nil {
+	name := epochName(s.seq)
+	if err := os.Rename(f.Name(), filepath.Join(s.opts.Dir, name)); err != nil {
+		f.Close()
+		os.Remove(f.Name())
 		return err
 	}
 	syncDir(s.opts.Dir)
-	s.segCount = 1
+	if s.crashAt("head renamed") {
+		f.Close()
+		return ErrCrashed
+	}
+	if err := s.syncLocked(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := s.live.Close(); err != nil {
+		f.Close()
+		return err
+	}
+	// Compacting twice at one seq renames over the live file itself.
+	if s.liveName != name {
+		s.retire(s.liveName)
+	}
+	s.live, s.liveName, s.liveBytes = f, name, size
 	s.snapSeq = s.seq
 	s.snapCount = s.state.liveRecords()
 	s.snapAt = s.clock.Now()
 	s.hasSnap = true
 	s.sinceSnap = 0
 	s.snapshotsC.Inc()
-	s.segG.Set(int64(s.segCount))
 	return nil
+}
+
+// crashAt runs the compaction hook at step; true means the simulated
+// process died there.
+func (s *Store) crashAt(step string) bool {
+	if s.compactHook == nil || !s.compactHook(step) {
+		return false
+	}
+	s.crashed = true
+	return true
+}
+
+// retire hands a superseded file to the background deleter. At most one
+// deleter runs: it starts when the list turns non-empty and exits once it
+// is empty. A file it never reaches is removed by the next boot.
+func (s *Store) retire(name string) {
+	s.delMu.Lock()
+	defer s.delMu.Unlock()
+	s.doomed = append(s.doomed, name)
+	if len(s.doomed) == 1 {
+		s.deleter.Add(1)
+		go s.unlinkDoomed()
+	}
+}
+
+// unlinkDoomed is the deleter. A file stays listed until its unlink
+// returns, so a retire meanwhile never starts a second deleter.
+func (s *Store) unlinkDoomed() {
+	defer s.deleter.Done()
+	if s.holdDeleter != nil {
+		s.holdDeleter()
+	}
+	s.delMu.Lock()
+	defer s.delMu.Unlock()
+	for len(s.doomed) > 0 {
+		name := s.doomed[0]
+		s.delMu.Unlock()
+		_ = os.Remove(filepath.Join(s.opts.Dir, name))
+		s.delMu.Lock()
+		s.doomed = s.doomed[1:]
+	}
 }
 
 // State returns a deep copy of the recovered/live state; consumers replay
@@ -513,8 +516,7 @@ func (s *Store) Status() Status {
 	st := Status{
 		Dir:             s.opts.Dir,
 		LastSeq:         s.seq,
-		Segments:        s.segCount,
-		WALBytes:        s.walBytesLocked(),
+		WALBytes:        s.liveBytes,
 		LiveRecords:     s.state.liveRecords(),
 		SnapshotSeq:     s.snapSeq,
 		SnapshotRecords: s.snapCount,
@@ -537,37 +539,23 @@ func (s *Store) Status() Status {
 	return st
 }
 
-// walBytesLocked sums the on-disk WAL segment sizes.
-func (s *Store) walBytesLocked() int64 {
-	segments, _, err := listDir(s.opts.Dir)
-	if err != nil {
-		return s.segBytes
-	}
-	var total int64
-	for _, name := range segments {
-		if fi, err := os.Stat(filepath.Join(s.opts.Dir, name)); err == nil {
-			total += fi.Size()
-		}
-	}
-	return total
-}
-
-// Close flushes and closes the active segment. The store is unusable
-// afterwards; re-Open the directory to resume.
+// Close flushes and closes the live file and waits for the deleter. The
+// store is unusable afterwards; re-Open the directory to resume.
 func (s *Store) Close() error {
+	defer s.deleter.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.seg == nil {
+	if s.live == nil {
 		return nil
 	}
 	var err error
 	if !s.crashed {
 		err = s.syncLocked()
 	}
-	if cerr := s.seg.Close(); err == nil {
+	if cerr := s.live.Close(); err == nil {
 		err = cerr
 	}
-	s.seg = nil
+	s.live = nil
 	return err
 }
 

@@ -89,28 +89,11 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, SegmentMaxBytes: 256, SnapshotEvery: -1})
-	for i := 0; i < 40; i++ {
-		appendAll(t, s, put(RegATR, key(i), "<Properties>payload-padding-padding</Properties>", time.Time{}))
-	}
-	if segs := s.Status().Segments; segs < 3 {
-		t.Fatalf("segments = %d, want rotation to have produced several", segs)
-	}
-	s.Close()
-
-	re := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
-	if n := len(re.State().Registries[RegATR]); n != 40 {
-		t.Fatalf("replayed %d entries across segments, want 40", n)
-	}
-}
-
 func key(i int) string { return string(rune('A'+i/26)) + string(rune('a'+i%26)) }
 
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, SnapshotEvery: 10, SegmentMaxBytes: 1 << 10})
+	s := mustOpen(t, Options{Dir: dir, SnapshotEvery: 10})
 	for i := 0; i < 25; i++ {
 		appendAll(t, s, put(RegATR, key(i%7), "<Properties>v</Properties>", time.Time{}))
 	}
@@ -124,7 +107,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 	s.Close()
 
-	// Reopen: state comes from the snapshot plus the 5-record WAL tail.
+	// Reopen: state comes from the head plus the 5-record tail.
 	re := mustOpen(t, Options{Dir: dir, SnapshotEvery: 10})
 	if n := len(re.State().Registries[RegATR]); n != 7 {
 		t.Fatalf("live entries = %d, want 7", n)
@@ -160,23 +143,33 @@ func TestSnapshotPreservesMaxLeaseID(t *testing.T) {
 
 func TestSnapshotDeletesCompactedFiles(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, SegmentMaxBytes: 128, SnapshotEvery: -1})
+	s := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
 	for i := 0; i < 20; i++ {
 		appendAll(t, s, put(RegATR, key(i), "<Properties>grow</Properties>", time.Time{}))
 	}
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	segments, snapshots, err := listDir(dir)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != epochName(20) {
+		t.Fatalf("files after compaction and Close = %v, want only %s", names, epochName(20))
+	}
+}
+
+// dirNames lists every file in dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segments) != 1 {
-		t.Fatalf("segments after compaction = %v, want one fresh segment", segments)
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
 	}
-	if len(snapshots) != 1 {
-		t.Fatalf("snapshots = %v, want exactly one", snapshots)
-	}
+	return names
 }
 
 func TestFsyncPolicies(t *testing.T) {
@@ -211,8 +204,8 @@ func TestParseFsyncPolicy(t *testing.T) {
 	}
 }
 
-// TestCorruptSnapshotFallsBackToWAL: a snapshot without its seal record
-// (crash mid-snapshot) is skipped and the WAL still reproduces the state.
+// TestCorruptSnapshotFallsBackToWAL: a newer file whose head has no seal
+// record is not trusted, and the older file still reproduces the state.
 func TestCorruptSnapshotFallsBackToWAL(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
@@ -221,9 +214,9 @@ func TestCorruptSnapshotFallsBackToWAL(t *testing.T) {
 		put(RegATR, "B", "<Properties>b</Properties>", time.Time{}),
 	)
 	s.Sync()
-	// Fabricate a torn snapshot: valid frames but no seal.
+	// Fabricate a torn head: valid frames but no seal.
 	rec, _ := put(RegATR, "X", "<Properties>ghost</Properties>", time.Time{}).encode()
-	if err := os.WriteFile(filepath.Join(dir, snapshotName(99)), encodeFrame(rec), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, epochName(99)), encodeFrame(rec), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -231,7 +224,7 @@ func TestCorruptSnapshotFallsBackToWAL(t *testing.T) {
 	re := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
 	st := re.State()
 	if _, ok := st.Registries[RegATR]["X"]; ok {
-		t.Fatal("unsealed snapshot was trusted")
+		t.Fatal("unsealed head was trusted")
 	}
 	if len(st.Registries[RegATR]) != 2 {
 		t.Fatalf("WAL fallback lost records: %v", st.Registries[RegATR])
@@ -306,12 +299,10 @@ func TestDeployCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBootFromSnapshotOnly pins recovery when the snapshot is the ONLY
-// artifact left: every WAL segment (including the post-snapshot seal
-// segment) has been deleted — the shape a backup-restore or an aggressive
-// cleanup leaves behind. The store must boot the full flattened state
-// from the snapshot alone and resume the sequence from the snapshot's
-// seal, not from zero.
+// TestBootFromSnapshotOnly pins recovery from a file that holds only a
+// head: nothing was appended after the compaction. The store must boot
+// the full flattened state from the head alone and resume the sequence
+// from the head's seal, not from zero.
 func TestBootFromSnapshotOnly(t *testing.T) {
 	dir := t.TempDir()
 	clock := simclock.NewVirtual(time.Time{})
@@ -335,17 +326,8 @@ func TestBootFromSnapshotOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segments, _, err := listDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segments) == 0 {
-		t.Fatal("expected a fresh segment after the snapshot")
-	}
-	for _, seg := range segments {
-		if err := os.Remove(filepath.Join(dir, seg)); err != nil {
-			t.Fatal(err)
-		}
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != epochName(wantSeq) {
+		t.Fatalf("files = %v, want only the head-only %s", names, epochName(wantSeq))
 	}
 
 	re := mustOpen(t, Options{Dir: dir, Clock: clock, SnapshotEvery: -1})

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// seedSegment writes n records into a fresh store dir and returns the
-// single segment's path and raw bytes.
+// seedSegment writes n records into a fresh store dir and returns its one
+// file's path and raw bytes.
 func seedSegment(t *testing.T, n int) (dir, segPath string, data []byte) {
 	t.Helper()
 	dir = t.TempDir()
@@ -22,15 +22,11 @@ func seedSegment(t *testing.T, n int) (dir, segPath string, data []byte) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segments, _, err := listDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != epochName(0) {
+		t.Fatalf("files = %v, want only %s", names, epochName(0))
 	}
-	if len(segments) != 1 {
-		t.Fatalf("segments = %v, want 1", segments)
-	}
-	segPath = filepath.Join(dir, segments[0])
-	data, err = os.ReadFile(segPath)
+	segPath = filepath.Join(dir, epochName(0))
+	data, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +60,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 
 	for cut := start; cut < len(data); cut++ {
 		dir := t.TempDir()
-		path := filepath.Join(dir, segmentName(1))
+		path := filepath.Join(dir, epochName(0))
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +109,7 @@ func TestCorruptByteDropsTail(t *testing.T) {
 		dir := t.TempDir()
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0xFF
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), mut, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, epochName(0)), mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(Options{Dir: dir, SnapshotEvery: -1})
@@ -124,54 +120,5 @@ func TestCorruptByteDropsTail(t *testing.T) {
 			t.Fatalf("offset %d: recovered %d records, want %d", off, n, records-1)
 		}
 		s.Close()
-	}
-}
-
-// TestTearVoidsLaterSegments: a tear in an early segment discards every
-// segment after it — bytes past a torn frame have no defined order.
-func TestTearVoidsLaterSegments(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, Options{Dir: dir, Fsync: FsyncNever, SegmentMaxBytes: 200, SnapshotEvery: -1})
-	for i := 0; i < 12; i++ {
-		appendAll(t, s, put(RegATR, fmt.Sprintf("key-%02d", i),
-			"<Properties>segment filler text</Properties>", time.Time{}))
-	}
-	s.Close()
-	segments, _, err := listDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segments) < 3 {
-		t.Fatalf("segments = %v, want at least 3", segments)
-	}
-	// Corrupt the second segment's first frame checksum.
-	victim := filepath.Join(dir, segments[1])
-	data, err := os.ReadFile(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[5] ^= 0xFF
-	if err := os.WriteFile(victim, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re := mustOpen(t, Options{Dir: dir, SnapshotEvery: -1})
-	first, err := os.ReadFile(filepath.Join(dir, segments[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(scanFrames(first).records)
-	if n := len(re.State().Registries[RegATR]); n != want {
-		t.Fatalf("recovered %d records, want the %d of segment 1 only", n, want)
-	}
-	after, _, err := listDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != 2 {
-		t.Fatalf("segments after recovery = %v, want truncated seg 2 kept and later ones deleted", after)
-	}
-	if re.Status().TruncatedBytes == 0 {
-		t.Fatal("truncation not accounted")
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // Frame layout: [4B big-endian payload length][4B CRC32-IEEE of payload][payload].
@@ -76,49 +74,49 @@ func scanFrames(data []byte) scanResult {
 	}
 }
 
-// Segment and snapshot file naming. Zero-padded so lexical order is
-// chronological order.
-func segmentName(index uint64) string { return fmt.Sprintf("wal-%016d.log", index) }
-func snapshotName(seq uint64) string  { return fmt.Sprintf("snap-%020d.snap", seq) }
-func isSegment(name string) bool {
-	return strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")
-}
-func isSnapshot(name string) bool {
-	return strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap")
-}
-func segmentIndex(name string) uint64 {
-	return parseSeq(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"))
-}
-func snapshotSeq(name string) uint64 {
-	return parseSeq(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap"))
-}
+// File naming, zero-padded so lexical order is chronological order. The
+// live file is named for the seq its head covers (0 for a fresh store's
+// headless first file); a compaction writes its head to an epoch-*.tmp
+// file first.
+const epochFormat = "epoch-%020d.wal"
 
-func parseSeq(s string) uint64 {
+func epochName(seq uint64) string { return fmt.Sprintf(epochFormat, seq) }
+
+// parseEpoch reports whether name is an epoch file's, and its seq.
+func parseEpoch(name string) (uint64, bool) {
 	var n uint64
-	_, _ = fmt.Sscanf(s, "%d", &n)
-	return n
+	_, err := fmt.Sscanf(name, epochFormat, &n)
+	return n, err == nil && epochName(n) == name
 }
 
-// listDir returns the sorted segment and snapshot file names in dir.
-func listDir(dir string) (segments, snapshots []string, err error) {
-	entries, err := os.ReadDir(dir)
+// storeFiles are the store's files in a directory: its epochs, oldest
+// first; every file of the older snapshot-and-segment layout; and all
+// the files a boot may remove, epochs and the temp files a crash
+// mid-compaction left (epoch-*.tmp, or snap-*.tmp from the older layout).
+type storeFiles struct{ epochs, legacy, all []string }
+
+// listDir finds the store's files in dir. Any other file is left alone.
+func listDir(dir string) (storeFiles, error) {
+	var fs storeFiles
+	entries, err := os.ReadDir(dir) // sorted by name
 	if err != nil {
-		return nil, nil, err
+		return fs, err
 	}
 	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		switch {
-		case isSegment(e.Name()):
-			segments = append(segments, e.Name())
-		case isSnapshot(e.Name()):
-			snapshots = append(snapshots, e.Name())
+		name := e.Name()
+		match := func(pattern string) bool { ok, _ := filepath.Match(pattern, name); return ok }
+		switch _, epoch := parseEpoch(name); {
+		case e.IsDir():
+		case epoch:
+			fs.epochs = append(fs.epochs, name)
+			fs.all = append(fs.all, name)
+		case match("snap-*.snap") || match("wal-*.log"):
+			fs.legacy = append(fs.legacy, name)
+		case match("epoch-*.tmp") || match("snap-*.tmp"):
+			fs.all = append(fs.all, name)
 		}
 	}
-	sort.Strings(segments)
-	sort.Strings(snapshots)
-	return segments, snapshots, nil
+	return fs, nil
 }
 
 // syncDir fsyncs a directory so renames and unlinks inside it are durable.
@@ -130,17 +128,4 @@ func syncDir(dir string) {
 	}
 	_ = d.Sync()
 	_ = d.Close()
-}
-
-// truncateFile cuts a file back to size, discarding a torn tail.
-func truncateFile(path string, size int64) error {
-	return os.Truncate(path, size)
-}
-
-// removeFiles deletes the named files from dir, ignoring individual
-// failures (a leftover file is re-collected by the next compaction).
-func removeFiles(dir string, names []string) {
-	for _, n := range names {
-		_ = os.Remove(filepath.Join(dir, n))
-	}
 }

@@ -252,8 +252,8 @@ func (p pred) match(n *xmlutil.Node) bool {
 	case predChildExists:
 		return n.First(p.name) != nil
 	case predChildEquals:
-		for _, c := range n.All(p.name) {
-			if strings.TrimSpace(c.Text) == p.value {
+		for _, c := range n.Children {
+			if c.Name == p.name && strings.TrimSpace(c.Text) == p.value {
 				return true
 			}
 		}
