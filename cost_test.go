@@ -15,6 +15,7 @@ import (
 
 	"glare/internal/activity"
 	"glare/internal/atr"
+	"glare/internal/store"
 	"glare/internal/workload"
 	"glare/internal/xmlutil"
 	"glare/internal/xpath"
@@ -244,6 +245,8 @@ func TestCost(t *testing.T) {
 		if raceDetector {
 			t.Skip("under -race sync.Pool drops a quarter of what is put back, so the counts would include refilling the parser pool")
 		}
+		reg := selectFixture(t)
+		snapStore := putStore(t, 1000)
 		// The two envelopes of one lookup_wire op: the GetType request
 		// and its answer carrying the benchmark's median type document.
 		// Both also seed xmlutil's FuzzParse.
@@ -257,10 +260,21 @@ func TestCost(t *testing.T) {
 			// One registry update on a durable site without replication:
 			// the ADR put and the ATR reference put both reach the WAL,
 			// which encodes the live documents in place.
-			{"ADR.UpdateMetrics journaled to the WAL", 55, metricsUpdate(t)},
-			// One query_xpath shape: a child-equals predicate tests every
-			// entry without building a slice per candidate.
-			{"ATR Home.Select of //ActivityTypeEntry[BaseType='Base03']", 39, baseTypeSelect(t)},
+			{"ADR.UpdateMetrics journaled to the WAL", 36, metricsUpdate(t)},
+			// A registry put is encoded once, into the frame the store
+			// keeps; a compaction copies the kept frames.
+			{"Store.Append of one registry put", 1, storeAppend(t, snapStore)},
+			{"Store.Snapshot of 1 000 registry puts", 22, func() {
+				if err := snapStore.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			// The three query_xpath shapes: a predicate tests every entry
+			// without building a slice per candidate.
+			{"ATR Home.Select of //ActivityTypeEntry[BaseType='Base03']", 39, selectOf(t, reg, `//ActivityTypeEntry[BaseType='Base03']`, 4)},
+			{"ATR Home.Select of //ActivityTypeEntry[@name='Type17']", 30, selectOf(t, reg, `//ActivityTypeEntry[@name='Type17']`, 1)},
+			{"ATR Home.Select of //ActivityTypeEntry[@type='Domain1']/Installation/Constraints[os='Linux']", 71,
+				selectOf(t, reg, `//ActivityTypeEntry[@type='Domain1']/Installation/Constraints[os='Linux']`, 4)},
 		}
 		var table strings.Builder
 		table.WriteString("| operation | allocs | budget |\n|---|---|---|\n")
@@ -284,24 +298,34 @@ func parseOf(t *testing.T, doc string) func() {
 	}
 }
 
-// baseTypeSelect fills an ATR with 10 abstract bases and 40 concrete
-// types, four per base, and returns an operation that selects one base's
-// types.
-func baseTypeSelect(t *testing.T) func() {
+// selectFixture fills an ATR with 10 abstract bases and 40 concrete
+// types, four per base. Base07's and Base08's types are Domain1 types,
+// installable on Linux and on AIX.
+func selectFixture(t *testing.T) *atr.Registry {
 	reg := atr.New("", nil, nil)
 	for i := 0; i < 50; i++ {
 		ty := &activity.Type{Name: fmt.Sprintf("Base%02d", i), Abstract: true}
 		if i >= 10 {
 			ty = &activity.Type{Name: fmt.Sprintf("Type%02d", i), Base: []string{fmt.Sprintf("Base%02d", i%10)}}
 		}
+		if os, ok := map[int]string{7: "Linux", 8: "AIX"}[i%10]; ok && i >= 10 {
+			ty.Domain = "Domain1"
+			ty.Installation = &activity.Installation{Mode: activity.ModeOnDemand, Constraints: activity.Constraints{OS: os}}
+		}
 		if _, err := reg.Register(ty); err != nil {
 			t.Fatal(err)
 		}
 	}
-	expr := xpath.MustCompile(`//ActivityTypeEntry[BaseType='Base03']`)
+	return reg
+}
+
+// selectOf returns an operation that runs one ATR query on reg and checks
+// that it selects want types.
+func selectOf(t *testing.T, reg *atr.Registry, query string, want int) func() {
+	expr := xpath.MustCompile(query)
 	return func() {
-		if n := len(reg.Query(expr).Nodes); n != 4 {
-			t.Fatalf("selected %d types, want 4", n)
+		if n := len(reg.Query(expr).Nodes); n != want {
+			t.Fatalf("%s selected %d types, want %d", query, n, want)
 		}
 	}
 }
@@ -325,6 +349,43 @@ func metricsUpdate(t *testing.T) func() {
 	return func() {
 		n++
 		if err := svc.ADR.UpdateMetrics(dep.Name, activity.Metrics{Invocations: n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// putStore opens a store without fsyncs or automatic compaction that
+// holds n registry puts of a median-sized type document.
+func putStore(t *testing.T, n int) *store.Store {
+	s, err := store.Open(store.Options{Dir: t.TempDir(), Fsync: store.FsyncNever, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	for i := 0; i < n; i++ {
+		if err := s.Append(storePut(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// storePut is a put of the median ledger type document under a key that
+// names i.
+func storePut(i int) store.Record {
+	name := fmt.Sprintf("Type%05d", i)
+	return store.Record{Op: store.OpPut, Reg: store.RegATR, Key: name,
+		Doc:  `<ActivityTypeEntry name="` + name + `" type="Domain16"><BaseType>Abstract0013</BaseType><Function name="run"><Input>in</Input><Output>out</Output></Function><Installation mode="on-demand"><Constraints><platform>PowerPC</platform><os>AIX</os><arch>64bit</arch></Constraints><DeployFile url="http://dps.uibk.ac.at/~glare/deployfiles/type00054.build"/></Installation></ActivityTypeEntry>`,
+		LUT:  time.Date(2005, 11, 12, 0, 0, 0, int(i), time.UTC),
+		Term: time.Date(2006, 11, 12, 0, 0, 0, 0, time.UTC)}
+}
+
+// storeAppend returns an operation that appends one more put of an
+// existing key to s.
+func storeAppend(t *testing.T, s *store.Store) func() {
+	rec := storePut(54)
+	return func() {
+		if err := s.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -24,12 +24,18 @@ func compactRecords(n int) []Record {
 }
 
 // foldRecords is the state the log alone gives: every record applied in
-// order.
+// order. It holds both the frames a head is written from and the
+// decoded Registries a boot is compared with.
 func foldRecords(recs []Record) *State {
 	st := newState(rrd.NewStore(0))
 	for _, r := range recs {
-		st.apply(r)
+		frame, err := frameOf(r)
+		if err != nil {
+			panic(err)
+		}
+		st.apply(r, frame)
 	}
+	st.Registries = st.clone().Registries
 	return st
 }
 

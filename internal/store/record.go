@@ -1,8 +1,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"glare/internal/lease"
@@ -217,9 +220,152 @@ type DeployService struct {
 	Home string `json:"home"`
 }
 
-func (r Record) encode() ([]byte, error) { return json.Marshal(r) }
+// A record's payload is in one of two encodings, told apart by its first
+// byte. Registry records (put and delete), nearly every record a site
+// appends, use a binary layout led by binaryVersion:
+//
+//	0x01, op byte, uvarint seq,
+//	uvarint length + bytes of reg, key and doc,
+//	LUT, Term: 0 for the zero time, or 1, varint Unix(), uvarint Nanosecond()
+//
+// Every other record is JSON, which starts with '{'. Files written before
+// the binary layout existed hold JSON registry records too; both decode.
+const binaryVersion = 0x01
 
+// binary reports whether the op's records use the binary layout.
+func (o Op) binary() bool { return o == OpPut || o == OpDelete }
+
+// encode returns the record's payload.
+func (r Record) encode() ([]byte, error) {
+	if r.Op.binary() {
+		return r.appendBinary(make([]byte, 0, r.binarySize())), nil
+	}
+	return json.Marshal(r)
+}
+
+// binarySize is the length of the record's binary payload.
+func (r Record) binarySize() int {
+	return 2 + uvarintLen(r.Seq) +
+		uvarintLen(uint64(len(r.Reg))) + len(r.Reg) +
+		uvarintLen(uint64(len(r.Key))) + len(r.Key) +
+		uvarintLen(uint64(len(r.Doc))) + len(r.Doc) +
+		timeSize(r.LUT) + timeSize(r.Term)
+}
+
+// appendBinary appends the record's binary payload to b.
+func (r Record) appendBinary(b []byte) []byte {
+	b = append(b, binaryVersion, byte(r.Op))
+	b = binary.AppendUvarint(b, r.Seq)
+	for _, s := range [...]string{r.Reg, r.Key, r.Doc} {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	return appendTime(appendTime(b, r.LUT), r.Term)
+}
+
+// appendTime writes a time as exact seconds and nanoseconds, so any
+// instant survives, not only those UnixNano can hold; the location is
+// not kept.
+func appendTime(b []byte, t time.Time) []byte {
+	if t.IsZero() {
+		return append(b, 0)
+	}
+	b = binary.AppendVarint(append(b, 1), t.Unix())
+	return binary.AppendUvarint(b, uint64(t.Nanosecond()))
+}
+
+func timeSize(t time.Time) int {
+	if t.IsZero() {
+		return 1
+	}
+	return 1 + uvarintLen(zigzag(t.Unix())) + uvarintLen(uint64(t.Nanosecond()))
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// zigzag maps a varint's value to the uvarint it is written as.
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
+
+// binaryReader decodes a binary payload. It accepts only what
+// appendBinary writes, so a payload it decodes re-encodes to the same
+// bytes; the first malformed field sets err.
+type binaryReader struct {
+	b   []byte
+	err error
+}
+
+func (d *binaryReader) fail() { d.b, d.err = nil, errors.New("store: malformed binary record") }
+
+func (d *binaryReader) byte() byte {
+	if len(d.b) == 0 {
+		d.fail()
+		return 0
+	}
+	c := d.b[0]
+	d.b = d.b[1:]
+	return c
+}
+
+func (d *binaryReader) uvarint() uint64 {
+	x, n := binary.Uvarint(d.b)
+	if n <= 0 || n != uvarintLen(x) {
+		d.fail()
+		return 0
+	}
+	d.b = d.b[n:]
+	return x
+}
+
+func (d *binaryReader) string() string {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail()
+		return ""
+	}
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *binaryReader) time() time.Time {
+	switch d.byte() {
+	case 0:
+		return time.Time{}
+	case 1:
+		u := d.uvarint()
+		sec := int64(u>>1) ^ -int64(u&1)
+		nsec := d.uvarint()
+		t := time.Unix(sec, int64(nsec)).UTC()
+		// An out-of-range nanosecond would be carried into the seconds,
+		// and the zero instant is written as absent.
+		if nsec < 1e9 && !t.IsZero() {
+			return t
+		}
+	}
+	d.fail()
+	return time.Time{}
+}
+
+func decodeBinary(b []byte) (Record, error) {
+	d := binaryReader{b: b[1:]}
+	r := Record{Op: Op(d.byte())}
+	r.Seq = d.uvarint()
+	r.Reg, r.Key, r.Doc = d.string(), d.string(), d.string()
+	r.LUT, r.Term = d.time(), d.time()
+	if d.err == nil && (!r.Op.binary() || len(d.b) > 0) {
+		d.fail()
+	}
+	if d.err != nil {
+		return Record{}, d.err
+	}
+	return r, nil
+}
+
+// decodeRecord decodes a payload in either encoding.
 func decodeRecord(b []byte) (Record, error) {
+	if len(b) > 0 && b[0] == binaryVersion {
+		return decodeBinary(b)
+	}
 	var r Record
 	if err := json.Unmarshal(b, &r); err != nil {
 		return Record{}, err
@@ -256,8 +402,13 @@ type LeaseState struct {
 // State is the materialized view of the journal: what a site's registries
 // and lease service looked like at the last appended record.
 type State struct {
+	// Registries is filled only in the copies Store.State returns; the
+	// store's own state keeps frames instead.
 	Registries map[string]map[string]Entry
-	Leases     LeaseState
+	// frames holds each live registry key's last put, as the exact frame
+	// that was appended or read, so a compaction head copies it as is.
+	frames map[string]map[string][]byte
+	Leases LeaseState
 	// Deploys maps an activity type name to the checkpointed steps of its
 	// interrupted build, in step order.
 	Deploys map[string][]DeployStep
@@ -271,6 +422,7 @@ type State struct {
 func newState(history *rrd.Store) *State {
 	return &State{
 		Registries: map[string]map[string]Entry{},
+		frames:     map[string]map[string][]byte{},
 		Leases: LeaseState{
 			Tickets: map[uint64]lease.Ticket{},
 			Limits:  map[string]int{},
@@ -281,18 +433,18 @@ func newState(history *rrd.Store) *State {
 	}
 }
 
-// apply folds one record into the state.
-func (st *State) apply(r Record) {
+// apply folds one record, whose frame is frame, into the state.
+func (st *State) apply(r Record, frame []byte) {
 	switch r.Op {
 	case OpPut:
-		reg := st.Registries[r.Reg]
+		reg := st.frames[r.Reg]
 		if reg == nil {
-			reg = map[string]Entry{}
-			st.Registries[r.Reg] = reg
+			reg = map[string][]byte{}
+			st.frames[r.Reg] = reg
 		}
-		reg[r.Key] = Entry{Doc: r.Doc, LUT: r.LUT, Term: r.Term}
+		reg[r.Key] = frame
 	case OpDelete:
-		delete(st.Registries[r.Reg], r.Key)
+		delete(st.frames[r.Reg], r.Key)
 	case OpLeaseAcquire:
 		if r.Ticket != nil {
 			st.Leases.Tickets[r.Ticket.ID] = *r.Ticket
@@ -359,7 +511,7 @@ func (st *State) apply(r Record) {
 // liveRecords counts the records a snapshot of this state would hold.
 func (st *State) liveRecords() int {
 	n := 0
-	for _, reg := range st.Registries {
+	for _, reg := range st.frames {
 		n += len(reg)
 	}
 	n += len(st.Leases.Tickets) + len(st.Leases.Limits)
@@ -371,16 +523,12 @@ func (st *State) liveRecords() int {
 	return n
 }
 
-// records flattens the state back into self-contained records, the form
-// snapshots are written in. Iteration order is not significant: replaying
-// a snapshot is a fold over independent keys.
+// records flattens the state's non-registry part back into
+// self-contained records, the form a head holds them in beside the
+// registry frames. Iteration order is not significant: replaying a head
+// is a fold over independent keys.
 func (st *State) records() []Record {
-	out := make([]Record, 0, st.liveRecords())
-	for reg, entries := range st.Registries {
-		for key, e := range entries {
-			out = append(out, Record{Op: OpPut, Reg: reg, Key: key, Doc: e.Doc, LUT: e.LUT, Term: e.Term})
-		}
-	}
+	var out []Record
 	for _, t := range st.Leases.Tickets {
 		t := t
 		out = append(out, Record{Op: OpLeaseAcquire, Ticket: &t})
@@ -410,14 +558,18 @@ func (st *State) records() []Record {
 }
 
 // clone deep-copies the state so callers can consume it without racing
-// the store's own apply path. History is shared, not copied: it is the
-// live history the site samples into.
+// the store's own apply path, decoding each live frame into its Entry.
+// History is shared, not copied: it is the live history the site samples
+// into.
 func (st *State) clone() *State {
 	out := newState(st.History)
-	for reg, entries := range st.Registries {
-		m := make(map[string]Entry, len(entries))
-		for k, e := range entries {
-			m[k] = e
+	for reg, frames := range st.frames {
+		m := make(map[string]Entry, len(frames))
+		for k, f := range frames {
+			// Every kept frame decoded when it was read or encoded.
+			if r, err := decodeRecord(f[frameHeader:]); err == nil {
+				m[k] = Entry{Doc: r.Doc, LUT: r.LUT, Term: r.Term}
+			}
 		}
 		out.Registries[reg] = m
 	}

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -112,32 +112,90 @@ func recoverSeeds(t testing.TB) []Record {
 	return seeds
 }
 
+// seedPayloads encodes each record as a store writes it today and, for
+// registry records, also as JSON, the form files written before the
+// binary layout hold.
+func seedPayloads(t testing.TB, recs []Record) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, r := range recs {
+		out = append(out, mustEncode(t, r))
+		if r.Op.binary() {
+			b, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
 // TestRecoverSeedsCoverEveryOp keeps FuzzRecover's corpus complete when an
-// Op is added.
+// Op or an encoding is added: every op is seeded as JSON, and registry
+// ops also in the binary layout.
 func TestRecoverSeedsCoverEveryOp(t *testing.T) {
-	have := map[Op]bool{}
-	for _, r := range recoverSeeds(t) {
-		have[r.Op] = true
+	type kind struct {
+		op     Op
+		binary bool
+	}
+	have := map[kind]bool{}
+	for _, p := range seedPayloads(t, recoverSeeds(t)) {
+		r, err := decodeRecord(p)
+		if err != nil {
+			t.Fatalf("seed %q does not decode: %v", p, err)
+		}
+		have[kind{r.Op, p[0] == binaryVersion}] = true
 	}
 	for op := OpPut; op <= OpCASDelete; op++ {
-		if !have[op] {
-			t.Errorf("no FuzzRecover seed for %v", op)
+		for _, bin := range []bool{false, true} {
+			if want := !bin || op.binary(); have[kind{op, bin}] != want {
+				t.Errorf("FuzzRecover seed for %v with binary=%v: have %v, want %v", op, bin, have[kind{op, bin}], want)
+			}
 		}
 	}
 }
 
-// FuzzRecover writes the fuzz payload as a WAL segment, one CRC-valid
-// frame per line (JSON records hold no raw newline, so a seed is one
-// frame and a mutation can splice several), and boots a store on it.
-// Open must succeed without panicking whatever the frames decode to,
-// feeding every recovered history series one later sample must not panic,
-// and the history must still dump to JSON as a snapshot does. A snapshot
-// of that state, closed and reopened, must then recover the same
-// registries, leases, deploy checkpoints, CAS entries and history.
+// joinPayloads is FuzzRecover's input: each payload led by its uvarint
+// length, so a payload may hold any byte and a mutation can splice
+// several.
+func joinPayloads(payloads ...[]byte) []byte {
+	var out []byte
+	for _, p := range payloads {
+		out = binary.AppendUvarint(out, uint64(len(p)))
+		out = append(out, p...)
+	}
+	return out
+}
+
+// splitPayloads inverts joinPayloads for any input: a length past the end
+// takes the rest, and a malformed length makes the rest one payload.
+func splitPayloads(b []byte) [][]byte {
+	var out [][]byte
+	for len(b) > 0 {
+		n, k := binary.Uvarint(b)
+		if k <= 0 {
+			return append(out, b)
+		}
+		b = b[k:]
+		n = min(n, uint64(len(b)))
+		out = append(out, b[:n])
+		b = b[n:]
+	}
+	return out
+}
+
+// FuzzRecover writes the fuzz payloads (joinPayloads) as a WAL file, one
+// CRC-valid frame each, and boots a store on it. Open must succeed
+// without panicking whatever the frames decode to, feeding every
+// recovered history series one later sample must not panic, and the
+// history must still dump to JSON as a snapshot does. A snapshot of that
+// state, closed and reopened, must then recover the same registries,
+// leases, deploy checkpoints, CAS entries and history.
 func FuzzRecover(f *testing.F) {
 	seeds := recoverSeeds(f)
-	for _, r := range seeds {
-		f.Add(mustEncode(f, r))
+	for _, p := range seedPayloads(f, seeds) {
+		f.Add(joinPayloads(p))
 	}
 	// A counter whose one-second jump has a rate beyond float64.
 	create := seeds[slices.IndexFunc(seeds, func(r Record) bool { return r.Op == OpHistoryCreate })]
@@ -147,9 +205,9 @@ func FuzzRecover(f *testing.F) {
 			Samples: []rrd.Sample{{Name: create.Key, Value: v}}}
 		frames = append(frames, mustEncode(f, Record{Seq: uint64(10 + i), Op: OpHistoryBatch, HistoryBatch: b}))
 	}
-	f.Add(bytes.Join(frames, []byte{'\n'}))
+	f.Add(joinPayloads(frames...))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		dir := writeSegment(t, bytes.Split(payload, []byte{'\n'})...)
+		dir := writeSegment(t, splitPayloads(payload)...)
 		s, err := Open(Options{Dir: dir, Fsync: FsyncNever, SnapshotEvery: -1})
 		if err != nil {
 			t.Fatalf("Open: %v", err)

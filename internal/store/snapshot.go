@@ -2,21 +2,23 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"os"
 	"slices"
 
 	"glare/internal/rrd"
 )
 
-// An epoch's file is a head — the flattened live state as ordinary CRC
-// frames, terminated by an opSnapSeal record — followed by the records
-// appended since. The head is written to a temp file, fsynced, then
-// renamed into place, so a crash mid-compaction leaves either the
-// previous file or a sealed new one. A fresh store's first file has no
-// head.
+// An epoch's file is a head — the live state as ordinary CRC frames,
+// terminated by an opSnapSeal record — followed by the records appended
+// since. The head is written to a temp file, fsynced, then renamed into
+// place, so a crash mid-compaction leaves either the previous file or a
+// sealed new one. A fresh store's first file has no head.
 
 // writeHead writes state as the head covering records [1, seq] to a temp
-// file in dir and fsyncs it. The open file is positioned for appends.
+// file in dir and fsyncs it: the live registry frames copied as they
+// were appended or read, seqs included, then the rest of the state
+// encoded as records. The open file is positioned for appends.
 func writeHead(dir string, seq uint64, state *State) (*os.File, int64, error) {
 	f, err := os.CreateTemp(dir, "epoch-*.tmp")
 	if err != nil {
@@ -24,14 +26,22 @@ func writeHead(dir string, seq uint64, state *State) (*os.File, int64, error) {
 	}
 	w := bufio.NewWriter(f)
 	var size int64
+	write := func(frame []byte) {
+		n, _ := w.Write(frame) // a write error sticks: Flush returns it
+		size += int64(n)
+	}
 	put := func(rec Record) {
 		if err != nil {
 			return
 		}
-		var payload []byte
-		if payload, err = rec.encode(); err == nil {
-			n, _ := w.Write(encodeFrame(payload)) // a write error sticks: Flush returns it
-			size += int64(n)
+		var frame []byte
+		if frame, err = frameOf(rec); err == nil {
+			write(frame)
+		}
+	}
+	for _, frames := range state.frames {
+		for _, frame := range frames {
+			write(frame)
 		}
 	}
 	for _, rec := range state.records() {
@@ -67,17 +77,24 @@ func (s *Store) load(data []byte, headSeq uint64) (good int64, ok bool) {
 		if head < 0 || tail[head].Seq != headSeq {
 			return 0, false
 		}
-		for _, rec := range tail[:head+1] {
-			st.apply(rec)
+		for i, rec := range tail[:head+1] {
+			st.apply(rec, res.frames[i])
 		}
 		tail = tail[head+1:]
 		s.hasSnap, s.snapSeq, s.snapCount, s.snapAt = true, headSeq, head, s.clock.Now()
 	}
 	s.state, s.seq = st, headSeq
-	for _, rec := range tail {
-		st.apply(rec)
+	frames := res.frames[len(res.records)-len(tail):]
+	for i, rec := range tail {
+		st.apply(rec, frames[i])
 		s.seq = max(s.seq, rec.Seq)
 		s.replayRecords++
+	}
+	// The live frames point into data; copy them out so it can go.
+	for _, reg := range st.frames {
+		for key, frame := range reg {
+			reg[key] = bytes.Clone(frame)
+		}
 	}
 	s.truncatedTotal += int64(len(data)) - res.good
 	return res.good, true

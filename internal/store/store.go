@@ -309,12 +309,11 @@ func (s *Store) Append(rec Record) error {
 	}
 	s.seq++
 	rec.Seq = s.seq
-	payload, err := rec.encode()
+	frame, err := frameOf(rec)
 	if err != nil {
 		s.seq--
 		return s.fail(err)
 	}
-	frame := encodeFrame(payload)
 	if s.opts.AppendHook != nil {
 		if keep, crash := s.opts.AppendHook(frame); crash {
 			if keep > len(frame) {
@@ -330,7 +329,7 @@ func (s *Store) Append(rec Record) error {
 	}
 	s.liveBytes += int64(len(frame))
 	s.dirty = true
-	s.state.apply(rec)
+	s.state.apply(rec, frame)
 	s.appended++
 	s.sinceSnap++
 	s.appendsC.Inc()

@@ -18,15 +18,38 @@ const maxRecordBytes = 16 << 20
 // encodeFrame wraps one encoded record in a checksummed frame.
 func encodeFrame(payload []byte) []byte {
 	buf := make([]byte, frameHeader+len(payload))
+	copy(buf[frameHeader:], payload)
+	return sealFrame(buf)
+}
+
+// sealFrame fills in the header of a frame whose payload follows it.
+func sealFrame(buf []byte) []byte {
+	payload := buf[frameHeader:]
 	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[frameHeader:], payload)
 	return buf
+}
+
+// frameOf encodes rec into a checksummed frame. A registry record is
+// encoded in place, in one allocation: the store keeps that frame as the
+// record's live state.
+func frameOf(rec Record) ([]byte, error) {
+	if !rec.Op.binary() {
+		payload, err := rec.encode()
+		if err != nil {
+			return nil, err
+		}
+		return encodeFrame(payload), nil
+	}
+	buf := make([]byte, frameHeader, frameHeader+rec.binarySize())
+	return sealFrame(rec.appendBinary(buf)), nil
 }
 
 // scanResult is what scanning one file yields.
 type scanResult struct {
 	records []Record
+	// frames[i] is records[i]'s frame, a slice of the scanned data.
+	frames [][]byte
 	// good is the byte offset of the end of the last intact frame; bytes
 	// past it are torn or corrupt.
 	good int64
@@ -70,6 +93,7 @@ func scanFrames(data []byte) scanResult {
 			return res
 		}
 		res.records = append(res.records, rec)
+		res.frames = append(res.frames, rest[:frameHeader+int(n)])
 		off += frameHeader + int64(n)
 	}
 }

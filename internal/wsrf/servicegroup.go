@@ -22,24 +22,19 @@ import (
 type Entry struct {
 	EPR     epr.EPR
 	Content *xmlutil.Node
-	Added   time.Time
-	Renewed time.Time
 }
 
 // ServiceGroup holds aggregated entries keyed by the source resource key.
 type ServiceGroup struct {
 	mu      sync.RWMutex
 	name    string
-	clock   simclock.Clock
 	entries map[string]*Entry
 }
 
-// NewServiceGroup creates a named, empty service group.
-func NewServiceGroup(name string, clock simclock.Clock) *ServiceGroup {
-	if clock == nil {
-		clock = simclock.Real
-	}
-	return &ServiceGroup{name: name, clock: clock, entries: make(map[string]*Entry)}
+// NewServiceGroup creates a named, empty service group. The group keeps
+// no timestamps, so the clock is not used.
+func NewServiceGroup(name string, _ simclock.Clock) *ServiceGroup {
+	return &ServiceGroup{name: name, entries: make(map[string]*Entry)}
 }
 
 // Name returns the group name.
@@ -47,16 +42,14 @@ func (g *ServiceGroup) Name() string { return g.name }
 
 // AddEntry inserts or refreshes an aggregated entry.
 func (g *ServiceGroup) AddEntry(e epr.EPR, content *xmlutil.Node) {
-	now := g.clock.Now()
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if old, ok := g.entries[e.Key]; ok {
 		old.EPR = e
 		old.Content = content
-		old.Renewed = now
 		return
 	}
-	g.entries[e.Key] = &Entry{EPR: e, Content: content, Added: now, Renewed: now}
+	g.entries[e.Key] = &Entry{EPR: e, Content: content}
 }
 
 // RemoveEntry drops an entry by resource key.
