@@ -159,7 +159,9 @@ commands:
                                      replication state: replication factor,
                                      the site's own replica set, and the
                                      origins it holds shadow copies for
-                                     (entry counts, * marks a promotion)
+                                     (live entries @ newest stamp held,
+                                     a delete's included; * marks a
+                                     promotion)
   artifacts                          probe every community site's content-
                                      addressed artifact cache: occupancy
                                      against its byte budget, hit/miss,
@@ -545,9 +547,10 @@ func buildsCmd(cli *transport.Client, siteBase string) error {
 // replicasCmd probes the quorum-replication state of every site registered
 // in the community index and prints one row per site: the replication
 // factor K, the replicas this site fans its own writes out to, and the
-// origins it holds shadow copies for (with entry counts, the newest
-// last-update time held and a "*" marking promoted origins — origins whose
-// data this site adopted after their permanent loss). Sites without
+// origins it holds shadow copies for (with live entry counts, the newest
+// stamp held — a tombstone's included, as promotion ranks on it — and a
+// "*" marking promoted origins — origins whose data this site adopted
+// after their permanent loss). Sites without
 // replication show as "off"; unreachable sites as "-".
 func replicasCmd(cli *transport.Client, siteBase string) error {
 	sites := communitySites(cli, siteBase)
@@ -576,7 +579,7 @@ func replicasCmd(cli *transport.Client, siteBase string) error {
 			set = append(set, r.AttrOr("name", "?"))
 		}
 		for _, o := range resp.All("Origin") {
-			h := fmt.Sprintf("%s(%s)", o.AttrOr("name", "?"), o.AttrOr("entries", "?"))
+			h := fmt.Sprintf("%s(%s@%s)", o.AttrOr("name", "?"), o.AttrOr("entries", "?"), o.AttrOr("lastLUT", "-"))
 			if o.AttrOr("promoted", "false") == "true" {
 				h += "*"
 			}

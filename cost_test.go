@@ -15,6 +15,7 @@ import (
 
 	"glare/internal/activity"
 	"glare/internal/atr"
+	"glare/internal/replicate"
 	"glare/internal/store"
 	"glare/internal/workload"
 	"glare/internal/xmlutil"
@@ -264,6 +265,9 @@ func TestCost(t *testing.T) {
 			// A registry put is encoded once, into the frame the store
 			// keeps; a compaction copies the kept frames.
 			{"Store.Append of one registry put", 1, storeAppend(t, snapStore)},
+			// What a replica does per Replicate of register_quorum,
+			// counting the new key's Sprintf.
+			{"Holder.Put of one replicated type, journaled to a store", 6, holderPut(t)},
 			{"Store.Snapshot of 1 000 registry puts", 22, func() {
 				if err := snapStore.Snapshot(); err != nil {
 					t.Fatal(err)
@@ -388,6 +392,29 @@ func storeAppend(t *testing.T, s *store.Store) func() {
 		if err := s.Append(rec); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// holderPut returns an operation that applies a put of the median ledger
+// type document, under a new key each time, to a replica holder that
+// journals to a store without fsyncs or automatic compaction.
+func holderPut(t *testing.T) func() {
+	s, err := store.Open(store.Options{Dir: t.TempDir(), Fsync: store.FsyncNever, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	h := replicate.NewHolder(func(origin, reg string) replicate.Journal {
+		return s.RegistryJournal("replica:" + origin + ":" + reg)
+	})
+	doc, err := xmlutil.ParseString(storePut(54).Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	return func() {
+		i++
+		h.Put("site-01", store.RegATR, fmt.Sprintf("Type%07d", i), doc, time.Unix(int64(i), 0), time.Time{})
 	}
 }
 

@@ -110,8 +110,9 @@ func (s *Service) MountReplication(srv *transport.Server) {
 			return xmlutil.NewNode("Applied"), nil
 		},
 		// ReplicaFetch serves an origin's entries — our own registries when
-		// asked about ourselves (the canonical copy), otherwise whatever the
-		// holder shadows. Read repair and promotions pull through this.
+		// asked about ourselves (the canonical copy), otherwise every record
+		// the holder shadows, tombstones included. Read repair pulls
+		// through this.
 		"ReplicaFetch": func(_ context.Context, _ *telemetry.Span, body *xmlutil.Node) (*xmlutil.Node, error) {
 			origin := textOf(body)
 			if origin == "" {
@@ -120,7 +121,7 @@ func (s *Service) MountReplication(srv *transport.Server) {
 			if origin == s.selfName() {
 				return replicate.EntriesToXML(origin, s.ownEntries()), nil
 			}
-			return replicate.EntriesToXML(origin, s.heldEntries(origin)), nil
+			return replicate.EntriesToXML(origin, s.repl.Holder().Records(origin)), nil
 		},
 		"ReplicaStatus": func(_ context.Context, _ *telemetry.Span, _ *xmlutil.Node) (*xmlutil.Node, error) {
 			return s.ReplicaStatusXML(), nil
@@ -171,24 +172,12 @@ func (s *Service) ownEntries() map[string][]replicate.Entry {
 	return out
 }
 
-// heldEntries snapshots the holder's shadow copy of one origin.
-func (s *Service) heldEntries(origin string) map[string][]replicate.Entry {
-	h := s.repl.Holder()
-	out := map[string][]replicate.Entry{}
-	for _, reg := range []string{store.RegATR, store.RegADR, store.RegLease} {
-		if es := h.Entries(origin, reg); len(es) > 0 {
-			out[reg] = es
-		}
-	}
-	return out
-}
-
 // adoptEntries folds replicated entries into this site's own registries,
-// newest copy wins. Adoption goes through the homes' Adopt — journaled
-// like a registration, so the adopted entries are durable here AND
-// re-replicate to this site's own replica set — and adopted types
-// re-register with the local index so resolution re-routes to the new
-// owner transparently.
+// newest copy wins; tombstones carry no document and are skipped.
+// Adoption goes through the homes' Adopt — journaled like a registration,
+// so the adopted entries are durable here AND re-replicate to this site's
+// own replica set — and adopted types re-register with the local index so
+// resolution re-routes to the new owner transparently.
 func (s *Service) adoptEntries(regs map[string][]replicate.Entry) int {
 	adopt := func(home *wsrf.Home, e replicate.Entry) bool {
 		if e.Doc == nil {
@@ -236,7 +225,7 @@ func (s *Service) PromoteOrigin(origin string) int {
 	if h.Promoted(origin) {
 		return 0
 	}
-	adopted := s.adoptEntries(s.heldEntries(origin))
+	adopted := s.adoptEntries(h.Records(origin))
 	h.SetPromoted(origin, true)
 	s.repl.Promotions.Inc()
 	return adopted
@@ -245,9 +234,8 @@ func (s *Service) PromoteOrigin(origin string) int {
 // checkReplicas is the failover half of the liveness pass, run by a
 // replicating super-peer after its agent's probes: each group member the
 // agent suspects dead (superpeer.DefaultSuspicionThreshold consecutive
-// missed probes) has its data promoted on the most-caught-up holder,
-// judged by (entries held, newest LastUpdateTime), both of which survive
-// a holder's own restart. Returns how many promotions this pass ordered.
+// missed probes) has its data promoted on the most-caught-up holder (see
+// promoteBestHolder). Returns how many promotions this pass ordered.
 func (s *Service) checkReplicas() int {
 	if s.repl == nil || !s.agent.IsSuperPeer() {
 		return 0
@@ -284,59 +272,53 @@ func (s *Service) checkReplicas() int {
 
 // promoteBestHolder gathers replica status for a dead owner from every
 // surviving member of its replica set (including this site) and promotes
-// the most-caught-up one.
+// the most-caught-up one: the newest stamp seen first, a tombstone's
+// included, so a holder that missed a delete loses to one that saw it;
+// then the most live entries; then the site name. Stamps and entries
+// survive a holder's own restart.
 func (s *Service) promoteBestHolder(view superpeer.View, dead superpeer.SiteInfo) bool {
-	self := s.selfName()
 	type candidate struct {
 		site    superpeer.SiteInfo
 		entries int
 		lut     time.Time
-		isSelf  bool
 	}
 	var best *candidate
 	better := func(c *candidate) bool {
 		if best == nil {
 			return true
 		}
-		if c.entries != best.entries {
+		if c.lut.Equal(best.lut) && c.entries != best.entries {
 			return c.entries > best.entries
 		}
-		// Site name breaks exact LUT ties so every super-peer — whichever
-		// one runs the pass — promotes the same holder deterministically.
+		// Site name breaks exact ties so every super-peer — whichever one
+		// runs the pass — promotes the same holder deterministically.
 		return hlc.Newer(c.lut, c.site.Name, best.lut, best.site.Name)
 	}
-	for _, c := range replicate.ReplicaSet(view, dead.Name, s.repl.K()) {
-		if c.Name == dead.Name {
+	self := s.selfName()
+	for _, site := range replicate.ReplicaSet(view, dead.Name, s.repl.K()) {
+		status, err := s.ReplicaStatusXML(), error(nil)
+		if site.Name != self {
+			status, err = s.call(context.Background(), nil, site.ServiceURL(ServiceName), "ReplicaStatus", nil)
+		}
+		if err != nil || status == nil {
 			continue
 		}
-		if c.Name == self {
-			entries, lut, _ := s.repl.Holder().Status(dead.Name)
-			cc := &candidate{site: c, entries: entries, lut: lut, isSelf: true}
-			if better(cc) {
-				best = cc
-			}
-			continue
-		}
-		resp, err := s.call(context.Background(), nil, c.ServiceURL(ServiceName), "ReplicaStatus", nil)
-		if err != nil || resp == nil {
-			continue
-		}
-		for _, o := range resp.All("Origin") {
+		for _, o := range status.All("Origin") {
 			if o.AttrOr("name", "") != dead.Name {
 				continue
 			}
-			entries, _ := strconv.Atoi(o.AttrOr("entries", "0"))
-			lut, _ := time.Parse(epr.TimeLayout, o.AttrOr("lastLUT", ""))
-			cc := &candidate{site: c, entries: entries, lut: lut}
-			if better(cc) {
-				best = cc
+			c := &candidate{site: site}
+			c.entries, _ = strconv.Atoi(o.AttrOr("entries", "0"))
+			c.lut, _ = time.Parse(epr.TimeLayout, o.AttrOr("lastLUT", ""))
+			if better(c) {
+				best = c
 			}
 		}
 	}
 	if best == nil || best.entries == 0 {
 		return false
 	}
-	if best.isSelf {
+	if best.site.Name == self {
 		s.PromoteOrigin(dead.Name)
 		return true
 	}
@@ -348,10 +330,10 @@ func (s *Service) promoteBestHolder(view superpeer.View, dead superpeer.SiteInfo
 // RepairReplicas is one read-repair pass, run by every replicating site:
 // for each group member whose replica set includes us, pull its entries —
 // from the member itself when alive (the canonical copy), else from its
-// fellow replicas — and back-fill anything we missed. Afterwards, any
-// origin we promoted that answers again (a replacement joined under the
-// dead site's name) gets its data handed back. Returns how many entries
-// were back-filled.
+// fellow replicas, whose tombstones come along — and back-fill anything
+// we missed. Afterwards, any origin we promoted that answers again (a
+// replacement joined under the dead site's name) gets its data handed
+// back. Returns how many records were back-filled.
 func (s *Service) RepairReplicas() int {
 	if s.repl == nil {
 		return 0
@@ -392,10 +374,7 @@ func (s *Service) repairFrom(origin superpeer.SiteInfo, set []superpeer.SiteInfo
 		n := 0
 		for reg, entries := range regs {
 			for _, e := range entries {
-				if h.Has(origin.Name, reg, e.Key, e.LUT) {
-					continue
-				}
-				if h.Put(origin.Name, reg, e.Key, e.Doc, e.LUT, e.Term) {
+				if !h.Has(origin.Name, reg, e.Key, e.LUT) && h.Apply(origin.Name, reg, e) {
 					n++
 					s.repl.ReadRepairs.Inc()
 				}
@@ -424,7 +403,7 @@ func (s *Service) handOffPromoted(view superpeer.View) {
 		if target.IsZero() || !s.agent.Ping(target) {
 			continue
 		}
-		body := replicate.EntriesToXML(origin, s.heldEntries(origin))
+		body := replicate.EntriesToXML(origin, h.Records(origin))
 		if _, err := s.call(context.Background(), nil, target.ServiceURL(ServiceName), "ReplicaHandOff", body); err != nil {
 			continue
 		}

@@ -8,19 +8,39 @@ import (
 	"glare/internal/xmlutil"
 )
 
-// Entry is one replicated registry record as journaled at its origin.
+// Entry is one replicated registry record as journaled at its origin. A
+// deleted entry is a tombstone: it keeps the key and the delete's stamp
+// (LUT), so a straggler put of an older state cannot resurrect the key.
 type Entry struct {
-	Key  string
-	Doc  *xmlutil.Node
-	LUT  time.Time
-	Term time.Time
+	Key     string
+	Doc     *xmlutil.Node
+	LUT     time.Time
+	Term    time.Time
+	Deleted bool
 }
 
-// Journal receives a replica's applied mutations for durable replay; the
+// supersedes reports whether e replaces the record held for its key.
+// Ordering is by stamp alone; the origin's HLC never gives two distinct
+// events one stamp, so an equal stamp is a re-delivery:
+//   - a put replaces an entry that is no newer than it;
+//   - a put loses to a tombstone with an equal or newer stamp;
+//   - a delete beats an entry with an equal or older stamp.
+func (e Entry) supersedes(held Entry) bool {
+	if held.Deleted && !e.Deleted {
+		return e.LUT.After(held.LUT)
+	}
+	return !held.LUT.After(e.LUT)
+}
+
+// tombstoneDoc names the document a holder journals for a tombstone. The
+// store keeps it as an ordinary put under the delete's stamp, and Restore
+// turns it back into a tombstone.
+const tombstoneDoc = "Tombstone"
+
+// Journal receives a replica's applied records for durable replay; the
 // store's per-registry WAL satisfies it. Nil means memory-only.
 type Journal interface {
 	RecordPut(key string, doc *xmlutil.Node, lut, term time.Time)
-	RecordDelete(key string)
 }
 
 // JournalFactory mints the journal a replica writes an origin's entries
@@ -30,13 +50,9 @@ type Journal interface {
 type JournalFactory func(origin, reg string) Journal
 
 type originState struct {
-	// regs maps a registry name ("atr", "adr", "lease") to its entries.
+	// regs maps a registry name ("atr", "adr", "lease") to its records,
+	// tombstones included.
 	regs map[string]map[string]Entry
-	// tombs records, per registry, the delete stamp of keys removed by a
-	// replicated delete. Fan-out goroutines impose no arrival order, so a
-	// put older than the key's tombstone is an out-of-order straggler the
-	// origin already deleted — it must not resurrect the entry.
-	tombs map[string]map[string]time.Time
 	// promoted marks that this site adopted the origin's entries as its
 	// own after the origin was declared permanently lost.
 	promoted bool
@@ -59,116 +75,102 @@ func NewHolder(factory JournalFactory) *Holder {
 func (h *Holder) origin(name string) *originState {
 	st := h.origins[name]
 	if st == nil {
-		st = &originState{regs: map[string]map[string]Entry{}, tombs: map[string]map[string]time.Time{}}
+		st = &originState{regs: map[string]map[string]Entry{}}
 		h.origins[name] = st
 	}
 	return st
 }
 
-// Put applies an origin's mutation if it is new or at least as fresh as
-// the copy held (last-update time wins; equal times overwrite, so an
-// origin's own re-send converges). A put at or before the key's tombstone
-// is an out-of-order straggler of a delete and is dropped. The journal
-// write happens under the mutex so the WAL records mutations in exactly
-// their in-memory application order — concurrent puts of one key cannot
-// journal reversed and replay the stale copy after a restart. Returns
-// whether the entry was applied.
+// Apply installs an origin's record, a put or a tombstone, if it
+// supersedes the record held for its key (see Entry.supersedes): fan-out
+// goroutines impose no arrival order, and this one rule converges a
+// replica on the origin's final state. The journal write happens under
+// the mutex so the WAL records mutations in exactly their in-memory
+// application order: concurrent records of one key cannot journal
+// reversed and replay the stale one after a restart. A tombstone is
+// journaled as a put of a <Tombstone/> document under the delete's stamp.
+// Returns whether e was applied.
+func (h *Holder) Apply(origin, reg string, e Entry) bool {
+	return h.apply(origin, reg, e, h.factory)
+}
+
+// Put applies an origin's put; see Apply.
 func (h *Holder) Put(origin, reg, key string, doc *xmlutil.Node, lut, term time.Time) bool {
+	return h.Apply(origin, reg, Entry{Key: key, Doc: doc, LUT: lut, Term: term})
+}
+
+// Delete applies an origin's delete stamped lut, leaving a tombstone; see
+// Apply.
+func (h *Holder) Delete(origin, reg, key string, lut time.Time) bool {
+	return h.Apply(origin, reg, Entry{Key: key, LUT: lut, Deleted: true})
+}
+
+// Restore re-installs a journaled replica record during crash recovery
+// without writing it back to the journal it just came from.
+func (h *Holder) Restore(origin, reg string, e Entry) {
+	if e.Doc != nil && e.Doc.Name == tombstoneDoc {
+		e.Doc, e.Deleted = nil, true
+	}
+	h.apply(origin, reg, e, nil)
+}
+
+func (h *Holder) apply(origin, reg string, e Entry, factory JournalFactory) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.origin(origin)
-	if tomb, ok := st.tombs[reg][key]; ok {
-		if !lut.After(tomb) {
-			return false
-		}
-		delete(st.tombs[reg], key) // the key legitimately re-registered
+	records := st.regs[reg]
+	if records == nil {
+		records = map[string]Entry{}
+		st.regs[reg] = records
 	}
-	entries := st.regs[reg]
-	if entries == nil {
-		entries = map[string]Entry{}
-		st.regs[reg] = entries
-	}
-	if have, ok := entries[key]; ok && have.LUT.After(lut) {
+	if held, ok := records[e.Key]; ok && !e.supersedes(held) {
 		return false
 	}
-	entries[key] = Entry{Key: key, Doc: doc, LUT: lut, Term: term}
-	if h.factory != nil {
-		if j := h.factory(origin, reg); j != nil {
-			d := doc
-			if d == nil {
-				d = xmlutil.NewNode("Empty")
+	records[e.Key] = e
+	if factory != nil {
+		if j := factory(origin, reg); j != nil {
+			doc := e.Doc
+			switch {
+			case e.Deleted:
+				doc = xmlutil.NewNode(tombstoneDoc)
+			case doc == nil:
+				doc = xmlutil.NewNode("Empty")
 			}
-			j.RecordPut(key, d, lut, term)
+			j.RecordPut(e.Key, doc, e.LUT, e.Term)
 		}
 	}
 	return true
 }
 
-// Delete removes an origin's entry and leaves a tombstone stamped with
-// the delete's LUT (the origin's clock at delete time), so a straggler
-// put of an older state cannot resurrect it. A delete older than the
-// held copy is itself the straggler — the key was re-registered after
-// this delete was issued — and is ignored. A zero lut (no stamp on the
-// wire) deletes unconditionally without a tombstone, matching the
-// pre-stamp behavior. Returns whether an entry was held and removed.
-func (h *Holder) Delete(origin, reg, key string, lut time.Time) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.origin(origin)
-	entries := st.regs[reg]
-	e, ok := entries[key]
-	if !lut.IsZero() {
-		if ok && e.LUT.After(lut) {
-			return false
-		}
-		if st.tombs[reg] == nil {
-			st.tombs[reg] = map[string]time.Time{}
-		}
-		if lut.After(st.tombs[reg][key]) {
-			st.tombs[reg][key] = lut
-		}
-	}
-	if ok {
-		delete(entries, key)
-	}
-	if ok && h.factory != nil {
-		if j := h.factory(origin, reg); j != nil {
-			j.RecordDelete(key)
-		}
-	}
-	return ok
-}
-
-// Restore re-installs a journaled replica entry during crash recovery
-// without writing it back to the journal it just came from. Freshest
-// copy wins, so replaying a WAL that holds several generations of one
-// key cannot leave the stale one installed.
-func (h *Holder) Restore(origin, reg string, e Entry) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.origin(origin)
-	if st.regs[reg] == nil {
-		st.regs[reg] = map[string]Entry{}
-	}
-	if have, ok := st.regs[reg][e.Key]; ok && have.LUT.After(e.LUT) {
-		return
-	}
-	st.regs[reg][e.Key] = e
-}
-
-// Entries returns an origin's held entries for one registry, key-sorted.
+// Entries returns an origin's live entries for one registry, key-sorted.
 func (h *Holder) Entries(origin, reg string) []Entry {
+	var out []Entry
+	for _, e := range h.Records(origin)[reg] {
+		if !e.Deleted {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// Records returns every record held for an origin, tombstones included,
+// by registry and key-sorted: the payload of a fetch or hand-off.
+func (h *Holder) Records(origin string) map[string][]Entry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	out := map[string][]Entry{}
 	st := h.origins[origin]
 	if st == nil {
-		return nil
+		return out
 	}
-	out := make([]Entry, 0, len(st.regs[reg]))
-	for _, e := range st.regs[reg] {
-		out = append(out, e)
+	for reg, records := range st.regs {
+		es := make([]Entry, 0, len(records))
+		for _, e := range records {
+			es = append(es, e)
+		}
+		sort.Slice(es, func(i, j int) bool { return es[i].Key < es[j].Key })
+		out[reg] = es
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
@@ -184,10 +186,11 @@ func (h *Holder) Origins() []string {
 	return out
 }
 
-// Status summarizes how caught-up this holder is for an origin: total
-// entries held and the newest last-update time seen. Promotion compares
-// candidates on (entries, lastLUT) — unlike a sequence counter, both
-// survive a replica's own restart.
+// Status summarizes how caught-up this holder is for an origin: the live
+// entries held and the newest stamp seen, a tombstone's included.
+// Promotion ranks candidates on the stamp first: unlike a sequence
+// counter it survives a replica's own restart, and the holder that missed
+// a delete has the older one.
 func (h *Holder) Status(origin string) (entries int, lastLUT time.Time, promoted bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -197,7 +200,9 @@ func (h *Holder) Status(origin string) (entries int, lastLUT time.Time, promoted
 	}
 	for _, reg := range st.regs {
 		for _, e := range reg {
-			entries++
+			if !e.Deleted {
+				entries++
+			}
 			if e.LUT.After(lastLUT) {
 				lastLUT = e.LUT
 			}
@@ -206,7 +211,8 @@ func (h *Holder) Status(origin string) (entries int, lastLUT time.Time, promoted
 	return entries, lastLUT, st.promoted
 }
 
-// Has reports whether an origin's entry is held at least as fresh as lut.
+// Has reports whether the record held for key, an entry or a tombstone,
+// is at least as fresh as lut.
 func (h *Holder) Has(origin, reg, key string, lut time.Time) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()

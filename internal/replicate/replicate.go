@@ -271,12 +271,7 @@ func (r *Replicator) Apply(m Mutation) error {
 		r.Misrouted.Inc()
 		return fmt.Errorf("replicate: %s is not in %s's replica set at epoch %d", r.cfg.Self.Name, m.Origin, v.Epoch)
 	}
-	if m.Delete {
-		r.holder.Delete(m.Origin, m.Reg, m.Key, m.LUT)
-		r.Applies.Inc()
-		return nil
-	}
-	if r.holder.Put(m.Origin, m.Reg, m.Key, m.Doc, m.LUT, m.Term) {
+	if r.holder.Apply(m.Origin, m.Reg, Entry{Key: m.Key, Doc: m.Doc, LUT: m.LUT, Term: m.Term, Deleted: m.Delete}) {
 		r.Applies.Inc()
 	}
 	return nil
@@ -306,22 +301,7 @@ func (m Mutation) ToXML() *xmlutil.Node {
 	n.SetAttr("origin", m.Origin)
 	n.SetAttr("epoch", strconv.FormatUint(m.Epoch, 10))
 	n.SetAttr("seq", strconv.FormatUint(m.Seq, 10))
-	var op *xmlutil.Node
-	if m.Delete {
-		op = n.Elem("Delete")
-		if !m.LUT.IsZero() {
-			op.SetAttr("lut", m.LUT.Format(epr.TimeLayout))
-		}
-	} else {
-		op = n.Elem("Put")
-		op.SetAttr("lut", m.LUT.Format(epr.TimeLayout))
-		op.SetAttr("term", m.Term.Format(epr.TimeLayout))
-		if m.Doc != nil {
-			op.Add(m.Doc)
-		}
-	}
-	op.SetAttr("reg", m.Reg)
-	op.SetAttr("key", m.Key)
+	appendOp(n, m.Reg, Entry{Key: m.Key, Doc: m.Doc, LUT: m.LUT, Term: m.Term, Deleted: m.Delete})
 	return n
 }
 
@@ -336,68 +316,85 @@ func MutationFromXML(n *xmlutil.Node) (Mutation, error) {
 	}
 	m.Epoch, _ = strconv.ParseUint(n.AttrOr("epoch", "0"), 10, 64)
 	m.Seq, _ = strconv.ParseUint(n.AttrOr("seq", "0"), 10, 64)
-	if op := n.First("Put"); op != nil {
-		m.Reg = op.AttrOr("reg", "")
-		m.Key = op.AttrOr("key", "")
-		m.LUT, _ = time.Parse(epr.TimeLayout, op.AttrOr("lut", ""))
-		m.Term, _ = time.Parse(epr.TimeLayout, op.AttrOr("term", ""))
-		if len(op.Children) > 0 {
-			m.Doc = op.Children[0]
-		}
-	} else if op := n.First("Delete"); op != nil {
-		m.Delete = true
-		m.Reg = op.AttrOr("reg", "")
-		m.Key = op.AttrOr("key", "")
-		m.LUT, _ = time.Parse(epr.TimeLayout, op.AttrOr("lut", ""))
-	} else {
+	if len(n.Children) == 0 {
 		return Mutation{}, fmt.Errorf("replicate: mutation without Put/Delete")
 	}
-	if m.Reg == "" || m.Key == "" {
-		return Mutation{}, fmt.Errorf("replicate: mutation without reg/key")
+	reg, e, err := parseOp(n.Children[0])
+	if err != nil {
+		return Mutation{}, err
 	}
+	m.Reg, m.Key, m.Doc, m.LUT, m.Term, m.Delete = reg, e.Key, e.Doc, e.LUT, e.Term, e.Deleted
 	return m, nil
 }
 
-// EntriesToXML renders a fetch/hand-off payload: every held registry of
-// one origin.
+// appendOp renders one record as a <Put> or <Delete> op element under
+// parent: the one codec of every replication payload.
+func appendOp(parent *xmlutil.Node, reg string, e Entry) {
+	var op *xmlutil.Node
+	if e.Deleted {
+		op = parent.Elem("Delete")
+		if !e.LUT.IsZero() {
+			op.SetAttr("lut", e.LUT.Format(epr.TimeLayout))
+		}
+	} else {
+		op = parent.Elem("Put")
+		op.SetAttr("lut", e.LUT.Format(epr.TimeLayout))
+		op.SetAttr("term", e.Term.Format(epr.TimeLayout))
+		if e.Doc != nil {
+			op.Add(e.Doc)
+		}
+	}
+	op.SetAttr("reg", reg)
+	op.SetAttr("key", e.Key)
+}
+
+// parseOp parses one op element rendered by appendOp.
+func parseOp(op *xmlutil.Node) (reg string, e Entry, err error) {
+	switch op.Name {
+	case "Put":
+		e.Term, _ = time.Parse(epr.TimeLayout, op.AttrOr("term", ""))
+		if len(op.Children) > 0 {
+			e.Doc = op.Children[0]
+		}
+	case "Delete":
+		e.Deleted = true
+	default:
+		return "", Entry{}, fmt.Errorf("replicate: expected <Put> or <Delete>, got <%s>", op.Name)
+	}
+	reg, e.Key = op.AttrOr("reg", ""), op.AttrOr("key", "")
+	if reg == "" || e.Key == "" {
+		return "", Entry{}, fmt.Errorf("replicate: %s without reg/key", op.Name)
+	}
+	e.LUT, _ = time.Parse(epr.TimeLayout, op.AttrOr("lut", ""))
+	return reg, e, nil
+}
+
+// EntriesToXML renders a fetch/hand-off payload: every record of one
+// origin, tombstones included, as op elements.
 func EntriesToXML(origin string, regs map[string][]Entry) *xmlutil.Node {
 	n := xmlutil.NewNode("Entries")
 	n.SetAttr("origin", origin)
 	for reg, entries := range regs {
 		for _, e := range entries {
-			en := n.Elem("Entry")
-			en.SetAttr("reg", reg)
-			en.SetAttr("key", e.Key)
-			en.SetAttr("lut", e.LUT.Format(epr.TimeLayout))
-			en.SetAttr("term", e.Term.Format(epr.TimeLayout))
-			if e.Doc != nil {
-				en.Add(e.Doc)
-			}
+			appendOp(n, reg, e)
 		}
 	}
 	return n
 }
 
 // EntriesFromXML parses a fetch/hand-off payload back into per-registry
-// entry lists.
+// record lists.
 func EntriesFromXML(n *xmlutil.Node) (origin string, regs map[string][]Entry, err error) {
 	if n == nil || n.Name != "Entries" {
 		return "", nil, fmt.Errorf("replicate: expected <Entries>")
 	}
-	origin = n.AttrOr("origin", "")
 	regs = map[string][]Entry{}
-	for _, en := range n.All("Entry") {
-		reg := en.AttrOr("reg", "")
-		e := Entry{Key: en.AttrOr("key", "")}
-		if reg == "" || e.Key == "" {
-			return "", nil, fmt.Errorf("replicate: entry without reg/key")
-		}
-		e.LUT, _ = time.Parse(epr.TimeLayout, en.AttrOr("lut", ""))
-		e.Term, _ = time.Parse(epr.TimeLayout, en.AttrOr("term", ""))
-		if len(en.Children) > 0 {
-			e.Doc = en.Children[0]
+	for _, op := range n.Children {
+		reg, e, err := parseOp(op)
+		if err != nil {
+			return "", nil, err
 		}
 		regs[reg] = append(regs[reg], e)
 	}
-	return origin, regs, nil
+	return n.AttrOr("origin", ""), regs, nil
 }

@@ -102,17 +102,20 @@ func TestHolderFreshnessAndStatus(t *testing.T) {
 	}
 }
 
+// recordingJournal keeps the last record journaled per key, as the
+// store's registry state does.
 type recordingJournal struct {
-	puts, deletes int32
+	puts    int
+	records map[string]Entry
 }
 
-func (j *recordingJournal) RecordPut(string, *xmlutil.Node, time.Time, time.Time) {
-	atomic.AddInt32(&j.puts, 1)
+func (j *recordingJournal) RecordPut(key string, doc *xmlutil.Node, lut, term time.Time) {
+	j.puts++
+	j.records[key] = Entry{Key: key, Doc: doc, LUT: lut, Term: term}
 }
-func (j *recordingJournal) RecordDelete(string) { atomic.AddInt32(&j.deletes, 1) }
 
 func TestHolderWritesThroughJournal(t *testing.T) {
-	j := &recordingJournal{}
+	j := &recordingJournal{records: map[string]Entry{}}
 	h := NewHolder(func(origin, reg string) Journal {
 		if origin != "s1" || reg != "atr" {
 			t.Errorf("factory called with (%q, %q)", origin, reg)
@@ -124,8 +127,35 @@ func TestHolderWritesThroughJournal(t *testing.T) {
 	h.Delete("s1", "atr", "x", t0.Add(time.Second))
 	// Restore must NOT write back to the journal it replays from.
 	h.Restore("s1", "atr", Entry{Key: "x", LUT: t0})
-	if j.puts != 1 || j.deletes != 1 {
-		t.Fatalf("journal saw %d puts, %d deletes", j.puts, j.deletes)
+	// The tombstone is journaled as a put, like the entry it replaced.
+	if j.puts != 2 {
+		t.Fatalf("journal saw %d puts, want 2", j.puts)
+	}
+}
+
+// TestHolderTombstoneSurvivesRestore: a holder rebuilt from its journal
+// keeps the tombstone, its stamp and its power over straggler puts.
+func TestHolderTombstoneSurvivesRestore(t *testing.T) {
+	j := &recordingJournal{records: map[string]Entry{}}
+	h := NewHolder(func(string, string) Journal { return j })
+	t1 := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	t2 := t1.Add(time.Minute)
+	h.Put("s1", "atr", "gone", xmlutil.NewNode("Doc"), t1, t1)
+	h.Put("s1", "atr", "kept", xmlutil.NewNode("Doc"), t1, t1)
+	h.Delete("s1", "atr", "gone", t2)
+
+	back := NewHolder(nil)
+	for _, e := range j.records {
+		back.Restore("s1", "atr", e)
+	}
+	if n, last, _ := back.Status("s1"); n != 1 || !last.Equal(t2) {
+		t.Fatalf("restored Status = (%d, %v), want (1, %v): the tombstone's stamp counts", n, last, t2)
+	}
+	if back.Put("s1", "atr", "gone", xmlutil.NewNode("Doc"), t1, t1) {
+		t.Fatal("straggler put resurrected a restored tombstone")
+	}
+	if es := back.Records("s1")["atr"]; len(es) != 2 || !es[0].Deleted || es[0].Doc != nil || es[1].Deleted {
+		t.Fatalf("restored records = %+v, want the gone tombstone and the kept entry", es)
 	}
 }
 
@@ -161,9 +191,9 @@ func TestHolderTombstoneOrdering(t *testing.T) {
 		t.Fatal("newer entry lost to a straggler delete")
 	}
 
-	// Unstamped delete (zero lut, pre-stamp wire format): unconditional.
-	if !h.Delete("s1", "atr", "gone", time.Time{}) {
-		t.Fatal("unstamped delete missed held entry")
+	// A zero stamp orders oldest: it cannot delete a stamped entry.
+	if h.Delete("s1", "atr", "gone", time.Time{}) {
+		t.Fatal("zero-stamped delete beat a stamped entry")
 	}
 }
 
@@ -206,21 +236,30 @@ func TestMutationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEntriesRoundTrip: a fetch/hand-off payload carries each record as
+// the same <Put> or <Delete> op a Replicate body carries.
 func TestEntriesRoundTrip(t *testing.T) {
 	t0 := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	in := map[string][]Entry{
 		"atr": {{Key: "a", Doc: xmlutil.NewNode("T"), LUT: t0, Term: t0.Add(time.Hour)}},
-		"adr": {{Key: "b", LUT: t0.Add(time.Minute)}},
+		"adr": {{Key: "b", LUT: t0.Add(time.Minute), Deleted: true}},
 	}
-	origin, out, err := EntriesFromXML(EntriesToXML("s2", in))
+	payload := EntriesToXML("s2", in)
+	if len(payload.All("Put")) != 1 || len(payload.All("Delete")) != 1 {
+		t.Fatalf("payload ops = %s, want one Put and one Delete", payload.String())
+	}
+	origin, out, err := EntriesFromXML(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if origin != "s2" || len(out["atr"]) != 1 || len(out["adr"]) != 1 {
 		t.Fatalf("entries round trip: origin=%q out=%v", origin, out)
 	}
-	if out["atr"][0].Key != "a" || !out["atr"][0].LUT.Equal(t0) || out["atr"][0].Doc == nil {
+	if out["atr"][0].Key != "a" || !out["atr"][0].LUT.Equal(t0) || out["atr"][0].Doc == nil || out["atr"][0].Deleted {
 		t.Fatalf("atr entry mangled: %+v", out["atr"][0])
+	}
+	if b := out["adr"][0]; b.Key != "b" || !b.Deleted || !b.LUT.Equal(t0.Add(time.Minute)) {
+		t.Fatalf("adr tombstone mangled: %+v", b)
 	}
 }
 

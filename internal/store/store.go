@@ -641,9 +641,10 @@ func (s *Store) DeleteBlob(id string) error {
 	return s.log(Record{Op: OpCASDelete, Key: id})
 }
 
-// RegistryLog journals one registry's mutations into the store: the
-// journal the replica Holder's factory mints for shadow registries. Like
-// LeaseLog it drops Append's error, which its interface cannot return.
+// RegistryLog journals one registry's puts into the store: the journal
+// the replica Holder's factory mints for shadow registries, which journal
+// tombstones as puts too. Like LeaseLog it drops Append's error, which its
+// interface cannot return.
 type RegistryLog struct {
 	s   *Store
 	reg string
@@ -658,9 +659,6 @@ func (s *Store) RegistryJournal(reg string) *RegistryLog {
 func (l *RegistryLog) RecordPut(key string, doc *xmlutil.Node, lut, term time.Time) {
 	_ = l.s.PutEntry(l.reg, key, doc, lut, term)
 }
-
-// RecordDelete journals a removal.
-func (l *RegistryLog) RecordDelete(key string) { _ = l.s.DeleteEntry(l.reg, key) }
 
 // LeaseLog journals a lease service's mutations into the store. Sites
 // journal leases through their site journal; this forwarder stays for
